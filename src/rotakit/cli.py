@@ -60,8 +60,13 @@ def _caps_from_env() -> dict[str, int]:
         if "=" not in chunk:
             raise InputError(f"ROTAKIT_CAPS: expected name=value, got {chunk!r}")
         name, value = chunk.split("=", 1)
+        name = name.strip()
+        if name not in DEFAULT_CAPS:
+            raise InputError(
+                f"ROTAKIT_CAPS: unknown cap {name!r}; known caps: {', '.join(DEFAULT_CAPS)}"
+            )
         try:
-            caps[name.strip()] = int(value)
+            caps[name] = int(value)
         except ValueError:
             raise InputError(f"ROTAKIT_CAPS: bad integer {value!r}") from None
     if any(v <= 0 for v in caps.values()):

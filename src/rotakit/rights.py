@@ -60,6 +60,8 @@ class RightsStructure:
     gamma: Mapping[tuple[str, str], frozenset[Coalition]]
     provenance: Mapping[tuple[str, str], str] = field(default_factory=dict)
     _index: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    _targets: Mapping[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _max_agent: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         states = tuple(self.states)
@@ -71,15 +73,27 @@ class RightsStructure:
             raise InputError("duplicate state keys")
         object.__setattr__(self, "_index", index)
         gamma = {}
+        targets: dict[str, list[str]] = {}
+        checked: dict[frozenset, Coalition] = {}
         for (a, b), fam in dict(self.gamma).items():
             if a not in index or b not in index:
                 raise InputError(f"gamma entry on unknown state pair ({a!r}, {b!r})")
             if a == b:
                 raise InputError(f"gamma is defined on distinct pairs only, got ({a!r}, {a!r})")
-            fam = frozenset(coalition(k) for k in fam)
-            if fam:
-                gamma[(a, b)] = fam
+            valid = set()
+            for k in fam:
+                raw = frozenset(k)
+                if raw not in checked:
+                    checked[raw] = coalition(raw)
+                valid.add(checked[raw])
+            if valid:
+                gamma[(a, b)] = frozenset(valid)
+                targets.setdefault(a, []).append(b)
         object.__setattr__(self, "gamma", gamma)
+        for out in targets.values():
+            out.sort(key=index.__getitem__)
+        object.__setattr__(self, "_targets", {a: tuple(out) for a, out in targets.items()})
+        object.__setattr__(self, "_max_agent", max((max(k) for k in checked.values()), default=-1))
 
     def index(self, key: str) -> int:
         try:
@@ -100,16 +114,16 @@ class RightsStructure:
         self.index(a), self.index(b)
         return self.gamma.get((a, b), frozenset())
 
+    def targets_from(self, a: str) -> tuple[str, ...]:
+        """States b with a nonempty gamma entry (a, b), in declaration order."""
+        return self._targets.get(a, ())
+
     def is_individual_based(self) -> bool:
         return all(len(k) == 1 for fam in self.gamma.values() for k in fam)
 
     def max_agent(self) -> int:
         """Largest agent index mentioned anywhere in gamma (-1 if gamma is empty)."""
-        top = -1
-        for fam in self.gamma.values():
-            for k in fam:
-                top = max(top, max(k))
-        return top
+        return self._max_agent
 
 
 @dataclass(frozen=True)
@@ -162,28 +176,37 @@ class ImprovementDigraph:
 
 
 def build_improvement_digraph(env: SocialEnvironment) -> ImprovementDigraph:
-    """All edges (s, t, K) with K entitled and h(t) strictly preferred by every member."""
-    rights, profile = env.rights, env.profile
+    """All edges (s, t, K) with K entitled and h(t) strictly preferred by every member.
+
+    Walks gamma source by source, so the cost is linear in the number of
+    gamma entries, not in the number of state pairs.
+    """
+    rights, prefs = env.rights, env.profile.prefs
     keys = rights.keys()
+    by_outcome = {h: tuple(p.rank(h) for p in prefs) for h in {s.outcome for s in rights.states}}
+    ranks = {s.key: by_outcome[s.outcome] for s in rights.states}
     edges: list[Edge] = []
     adjacency: dict[str, list[str]] = {k: [] for k in keys}
     predecessors: dict[str, list[str]] = {k: [] for k in keys}
     edge_coalitions: dict[tuple[str, str], tuple[Coalition, ...]] = {}
     for a in keys:
-        ha = rights.outcome(a)
-        for b in keys:
-            fam = rights.gamma.get((a, b))
-            if not fam:
-                continue
-            hb = rights.outcome(b)
-            winners = [
-                k for k in fam if all(profile.strictly_prefers(i, hb, ha) for i in k)
-            ]
+        ra = ranks[a]
+        out = adjacency[a]
+        for b in rights.targets_from(a):
+            rb = ranks[b]
+            winners = []
+            for k in rights.gamma[(a, b)]:
+                for i in k:
+                    if rb[i] >= ra[i]:
+                        break
+                else:
+                    winners.append(k)
             if not winners:
                 continue
-            winners.sort(key=coalition_key)
+            if len(winners) > 1:
+                winners.sort(key=coalition_key)
             edge_coalitions[(a, b)] = tuple(winners)
-            adjacency[a].append(b)
+            out.append(b)
             predecessors[b].append(a)
             edges.extend(Edge(a, b, k) for k in winners)
     return ImprovementDigraph(

@@ -126,16 +126,12 @@ def rights_to_doc(structure: RightsStructure) -> dict:
             sdoc["profile"] = s.profile_id
         states.append(sdoc)
     gamma = []
-    keys = structure.keys()
-    for a in keys:
-        for b in keys:
-            fam = structure.gamma.get((a, b))
-            if not fam:
-                continue
+    for a in structure.keys():
+        for b in structure.targets_from(a):
             entry = {
                 "from": a,
                 "to": b,
-                "coalitions": sorted(sorted(k) for k in fam),
+                "coalitions": sorted(sorted(k) for k in structure.gamma[(a, b)]),
             }
             rule = structure.provenance.get((a, b))
             if rule:

@@ -14,6 +14,7 @@ trusting that characterisation.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -22,7 +23,7 @@ from .rights import (
     ImprovementDigraph,
     SocialEnvironment,
     build_improvement_digraph,
-    find_myopic_improvement_path,
+    can_reach,
     reachable_from,
 )
 
@@ -132,29 +133,44 @@ def compute_absorbing_sets(
 
     Condition (a), mutual reachability inside each set, and condition (b),
     no improvement path escaping it, are both checked against the digraph
-    after the SCC computation.
+    after the SCC computation: a forward search from the set's first state
+    must reach every member, a backward search from it that stays inside
+    the set must reach every member too, and nothing may be reachable from
+    the set outside it.  Each search is linear in the set and its edges.
     """
     dg = digraph if digraph is not None else build_improvement_digraph(env)
     order = {k: i for i, k in enumerate(dg.nodes)}
-    comp_of: dict[str, int] = {}
-    sccs = _tarjan_sccs(dg)
-    for ci, comp in enumerate(sccs):
-        for s in comp:
-            comp_of[s] = ci
     terminal = []
-    for ci, comp in enumerate(sccs):
+    for comp in _tarjan_sccs(dg):
         members = set(comp)
         if all(t in members for s in comp for t in dg.adjacency.get(s, ())):
             terminal.append(tuple(sorted(comp, key=order.__getitem__)))
     terminal.sort(key=lambda block: order[block[0]])
     for block in terminal:
         members = frozenset(block)
+        if not members <= reachable_from(dg, block[:1]):
+            raise RuntimeError(f"absorbing set {block} fails mutual reachability at {block[0]}")
+        back = _reach_within(dg.predecessors, block[0], members)
         for s in block:
-            if not members <= reachable_from(dg, [s]):
+            if s not in back:
                 raise RuntimeError(f"absorbing set {block} fails mutual reachability at {s}")
         if reachable_from(dg, block) != members:
             raise RuntimeError(f"absorbing set {block} has an escaping improvement path")
     return tuple(terminal)
+
+
+def _reach_within(
+    neighbours: Mapping[str, tuple[str, ...]], start: str, allowed: frozenset[str]
+) -> set[str]:
+    """States of `allowed` reachable from `start` along `neighbours` without leaving it."""
+    seen = {start}
+    queue = deque(seen)
+    while queue:
+        for b in neighbours.get(queue.popleft(), ()):
+            if b in allowed and b not in seen:
+                seen.add(b)
+                queue.append(b)
+    return seen
 
 
 def compute_mss(
@@ -174,14 +190,7 @@ def compute_mss(
         for t in dg.adjacency.get(s, ()):
             if t not in members:
                 raise RuntimeError(f"deterrence of external deviations fails at {s} -> {t}")
-    external_paths: dict[str, tuple[str, ...]] = {}
-    for s in dg.nodes:
-        if s in members:
-            continue
-        path = find_myopic_improvement_path(env, s, members, digraph=dg)
-        if path is None:
-            raise RuntimeError(f"iterated external stability fails from {s}")
-        external_paths[s] = path.states
+    external_paths = _shortest_paths_into(dg, members)
     witness = {
         "absorbing_sets": [list(b) for b in blocks],
         "deterrence": True,
@@ -190,8 +199,36 @@ def compute_mss(
     return SolutionReport("mss", (mss,), (_outcomes_of(env, mss),), witness)
 
 
-def _pairwise_reachability(dg: ImprovementDigraph) -> dict[str, frozenset[str]]:
-    return {s: reachable_from(dg, [s]) for s in dg.nodes}
+def _shortest_paths_into(
+    dg: ImprovementDigraph, targets: frozenset[str]
+) -> dict[str, tuple[str, ...]]:
+    """For every state outside `targets`, in declaration order, a shortest
+    improvement path into `targets`.
+
+    One reverse BFS gives each state its distance to `targets`; a path then
+    steps, at every state, to the first target in adjacency order that is
+    one step closer.  That is the lexicographically smallest shortest path,
+    the one a forward BFS with declaration-order tie-breaks finds.  Every
+    step is checked against the forward adjacency.
+    """
+    dist = dict.fromkeys(targets, 0)
+    paths = {t: (t,) for t in targets}
+    queue = deque(targets)
+    while queue:
+        b = queue.popleft()
+        for a in dg.predecessors.get(b, ()):
+            if a not in dist:
+                dist[a] = dist[b] + 1
+                queue.append(a)
+                closer = dist[b]
+                nxt = next((t for t in dg.adjacency.get(a, ()) if dist.get(t) == closer), None)
+                if nxt is None:
+                    raise RuntimeError(f"iterated external stability fails from {a}")
+                paths[a] = (a,) + paths[nxt]
+    for s in dg.nodes:
+        if s not in dist:
+            raise RuntimeError(f"iterated external stability fails from {s}")
+    return {s: paths[s] for s in dg.nodes if s not in targets}
 
 
 def compute_generalized_stable_sets(
@@ -202,10 +239,11 @@ def compute_generalized_stable_sets(
     """All generalized stable sets of a finite environment.
 
     Candidates pick exactly one state per absorbing set; each candidate is
-    then checked directly against iterated internal stability (no
-    improvement path between distinct members) and iterated external
-    stability.  The union of the returned sets must equal the union of
-    the absorbing sets, and that equality is enforced here.
+    then checked against iterated internal stability (no improvement path
+    between distinct members) and iterated external stability, on bitmasks
+    of the absorbing sets each state reaches (one reverse search per
+    absorbing set).  The union of the returned sets must equal the union
+    of the absorbing sets, and that equality is enforced here.
     """
     dg = digraph if digraph is not None else build_improvement_digraph(env)
     blocks = compute_absorbing_sets(env, dg)
@@ -219,21 +257,26 @@ def compute_generalized_stable_sets(
             needed=n_candidates,
         )
     order = {k: i for i, k in enumerate(dg.nodes)}
-    reach = _pairwise_reachability(dg)
-    absorbing_union = frozenset(s for b in blocks for s in b)
+    # reaches[s] has bit j when s has an improvement path into blocks[j].
+    # Each block is strongly connected (compute_absorbing_sets verified
+    # it), so s reaches a state of blocks[j] exactly when bit j is set.
+    reaches = dict.fromkeys(dg.nodes, 0)
+    own = {}
+    for j, block in enumerate(blocks):
+        for s in can_reach(dg, block):
+            reaches[s] |= 1 << j
+        for s in block:
+            own[s] = 1 << j
+    # A candidate takes one state from every block, so a state outside it
+    # reaches a member exactly when it reaches some block, and a member
+    # reaches another member exactly when it reaches a block not its own.
+    externally_stable = all(reaches[s] for s in dg.nodes)
     found: list[tuple[str, ...]] = []
-    for pick in itertools.product(*blocks):
-        members = frozenset(pick)
-        internally_stable = all(
-            t not in reach[s] for s in members for t in members if t != s
-        )
-        if not internally_stable:
-            continue
-        externally_stable = all(
-            members & reach[s] for s in dg.nodes if s not in members
-        )
-        if externally_stable:
-            found.append(tuple(sorted(members, key=order.__getitem__)))
+    if externally_stable:
+        stable_picks = [tuple(s for s in b if reaches[s] == own[s]) for b in blocks]
+        for pick in itertools.product(*stable_picks):
+            found.append(tuple(sorted(pick, key=order.__getitem__)))
+    absorbing_union = frozenset(own)
     union = frozenset(s for v in found for s in v)
     if union != absorbing_union:
         raise RuntimeError("generalized stable sets do not cover the absorbing union")

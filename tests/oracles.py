@@ -3,12 +3,23 @@
 Everything here recomputes results from raw definitions (subset
 enumeration, dominance scans, backtracking search) without reusing the
 library's algorithmic paths, so a bug in a solver cannot hide behind an
-identical bug in its test.
+identical bug in its test.  The reference code at the end is the
+straightforward pair-scan and per-state versions of paths that the
+library now runs in linear time; differential tests compare the two.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
+
+from rotakit.rights import (
+    Edge,
+    ImprovementDigraph,
+    coalition_key,
+    find_myopic_improvement_path,
+    reachable_from,
+)
+from rotakit.solvers import _tarjan_sccs
 
 
 def digraph_adjacency(dg) -> dict[str, set[str]]:
@@ -98,3 +109,93 @@ def backtrack_circular_no_repeat(labels: list) -> list[int] | None:
         return False
 
     return order if extend(0) else None
+
+
+# ---------------------------------------------------------------------------
+# Reference code: the pair-scan digraph construction and the per-state
+# re-verification loops that the linear-time paths in rotakit replaced.
+# Differential tests require the library to return exactly what these do.
+
+
+def pair_scan_digraph(env):
+    """The improvement digraph built by scanning every ordered state pair."""
+    rights, profile = env.rights, env.profile
+    keys = rights.keys()
+    edges = []
+    adjacency = {k: [] for k in keys}
+    predecessors = {k: [] for k in keys}
+    edge_coalitions = {}
+    for a in keys:
+        ha = rights.outcome(a)
+        for b in keys:
+            fam = rights.gamma.get((a, b))
+            if not fam:
+                continue
+            hb = rights.outcome(b)
+            winners = [
+                k for k in fam if all(profile.strictly_prefers(i, hb, ha) for i in k)
+            ]
+            if not winners:
+                continue
+            winners.sort(key=coalition_key)
+            edge_coalitions[(a, b)] = tuple(winners)
+            adjacency[a].append(b)
+            predecessors[b].append(a)
+            edges.extend(Edge(a, b, k) for k in winners)
+    return ImprovementDigraph(
+        nodes=keys,
+        edges=tuple(edges),
+        adjacency={k: tuple(v) for k, v in adjacency.items()},
+        predecessors={k: tuple(v) for k, v in predecessors.items()},
+        edge_coalitions=edge_coalitions,
+    )
+
+
+def per_member_absorbing_sets(dg) -> tuple[tuple[str, ...], ...]:
+    """Terminal SCCs, each re-verified by one forward search per member."""
+    order = {k: i for i, k in enumerate(dg.nodes)}
+    terminal = []
+    for comp in _tarjan_sccs(dg):
+        members = set(comp)
+        if all(t in members for s in comp for t in dg.adjacency.get(s, ())):
+            terminal.append(tuple(sorted(comp, key=order.__getitem__)))
+    terminal.sort(key=lambda block: order[block[0]])
+    for block in terminal:
+        members = frozenset(block)
+        for s in block:
+            if not members <= reachable_from(dg, [s]):
+                raise RuntimeError(f"absorbing set {block} fails mutual reachability at {s}")
+        if reachable_from(dg, block) != members:
+            raise RuntimeError(f"absorbing set {block} has an escaping improvement path")
+    return tuple(terminal)
+
+
+def per_state_external_paths(env, dg, members) -> dict[str, tuple[str, ...]]:
+    """One forward BFS per state outside `members`, in declaration order."""
+    paths = {}
+    for s in dg.nodes:
+        if s in members:
+            continue
+        path = find_myopic_improvement_path(env, s, members, digraph=dg)
+        if path is None:
+            raise RuntimeError(f"iterated external stability fails from {s}")
+        paths[s] = path.states
+    return paths
+
+
+def pairwise_reachability(dg) -> dict[str, frozenset[str]]:
+    return {s: reachable_from(dg, [s]) for s in dg.nodes}
+
+
+def pairwise_generalized_stable_sets(dg, blocks) -> tuple[tuple[str, ...], ...]:
+    """Every one-per-block selection checked on full pairwise reachability."""
+    order = {k: i for i, k in enumerate(dg.nodes)}
+    reach = pairwise_reachability(dg)
+    found = []
+    for pick in product(*blocks):
+        members = frozenset(pick)
+        if any(t in reach[s] for s in members for t in members if t != s):
+            continue
+        if all(members & reach[s] for s in dg.nodes if s not in members):
+            found.append(tuple(sorted(members, key=order.__getitem__)))
+    return tuple(found)

@@ -112,6 +112,13 @@ def test_check_cap_exceeded_exit_code(capsys, env_path, monkeypatch):
     assert "truncated" in err
 
 
+def test_unknown_cap_name_rejected(capsys, env_path, monkeypatch):
+    monkeypatch.setenv("ROTAKIT_CAPS", "ordring=1")
+    code, _, err = _run(capsys, "check", env_path, "--condition", "rotation")
+    assert code == 1
+    assert "'ordring'" in err and "ordering" in err and "product" in err
+
+
 def test_construct_thm1_verify(capsys, env_path):
     code, out, _ = _run(
         capsys, "construct", env_path, "--theorem", "1", "--verify", "mss"

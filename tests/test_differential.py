@@ -1,0 +1,204 @@
+"""The linear-time digraph and solver paths against the reference code they
+replaced (tests/oracles.py), plus forged digraphs that must still trip every
+post-hoc re-verification check."""
+
+import random
+from collections import deque
+
+import pytest
+
+from oracles import (
+    pair_scan_digraph,
+    pairwise_generalized_stable_sets,
+    per_member_absorbing_sets,
+    per_state_external_paths,
+)
+from rotakit import solvers
+from rotakit.generators import random_environment
+from rotakit.model import Profile
+from rotakit.rights import (
+    Edge,
+    ImprovementDigraph,
+    RightsStructure,
+    SocialEnvironment,
+    State,
+    build_improvement_digraph,
+)
+from rotakit.serialize import rights_to_doc
+from rotakit.solvers import (
+    compute_absorbing_sets,
+    compute_generalized_stable_sets,
+    compute_mss,
+)
+
+
+def _shuffled_gamma(env: SocialEnvironment, rng: random.Random) -> SocialEnvironment:
+    """The same environment with gamma listed in a random order."""
+    items = list(env.rights.gamma.items())
+    rng.shuffle(items)
+    return SocialEnvironment(RightsStructure(env.rights.states, dict(items)), env.profile)
+
+
+def _sparse_environments(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 30)
+        env = random_environment(
+            rng,
+            n_states=n,
+            n_agents=rng.randint(1, 3),
+            n_alternatives=rng.randint(2, n + 1),
+            density=rng.uniform(0.5, 3.0) / n,
+            weak=rng.random() < 0.5,
+        )
+        yield _shuffled_gamma(env, rng)
+
+
+def _shortest_path_count(dg, start, targets) -> int:
+    """Number of distinct shortest paths from `start` into `targets`."""
+    dist, count = {start: 0}, {start: 1}
+    queue = deque([start])
+    best = None
+    total = 0
+    while queue:
+        a = queue.popleft()
+        if best is not None and dist[a] >= best:
+            break
+        for b in dg.adjacency[a]:
+            if b not in dist:
+                dist[b], count[b] = dist[a] + 1, 0
+                if b not in targets:
+                    queue.append(b)
+            if dist[b] == dist[a] + 1:
+                count[b] += count[a]
+                if b in targets:
+                    best = dist[b]
+    for t in targets:
+        if dist.get(t) == best:
+            total += count[t]
+    return total
+
+
+def test_digraph_matches_pair_scan_on_sparse_environments():
+    for env in _sparse_environments(11, 150):
+        fast, ref = build_improvement_digraph(env), pair_scan_digraph(env)
+        assert fast.nodes == ref.nodes
+        assert fast.edges == ref.edges
+        assert list(fast.adjacency.items()) == list(ref.adjacency.items())
+        assert list(fast.predecessors.items()) == list(ref.predecessors.items())
+        assert list(fast.edge_coalitions.items()) == list(ref.edge_coalitions.items())
+
+
+def test_gamma_order_does_not_change_digraph_or_document():
+    for env in _sparse_environments(12, 40):
+        backwards = dict(reversed(list(env.rights.gamma.items())))
+        again = SocialEnvironment(RightsStructure(env.rights.states, backwards), env.profile)
+        assert build_improvement_digraph(again) == build_improvement_digraph(env)
+        doc = rights_to_doc(again.rights)
+        assert doc == rights_to_doc(env.rights)
+        keys = env.rights.keys()
+        pairs = [(a, b) for a in keys for b in keys if (a, b) in env.rights.gamma]
+        assert [(g["from"], g["to"]) for g in doc["gamma"]] == pairs
+
+
+def test_solvers_match_reference_on_sparse_environments():
+    ties = 0
+    for env in _sparse_environments(13, 150):
+        dg = build_improvement_digraph(env)
+        blocks = compute_absorbing_sets(env, dg)
+        assert blocks == per_member_absorbing_sets(dg)
+        report = compute_mss(env, dg)
+        members = report.states
+        expected = per_state_external_paths(env, dg, members)
+        assert list(report.witness["external_paths"].items()) == list(expected.items())
+        ties += sum(_shortest_path_count(dg, s, members) > 1 for s in expected)
+        n_candidates = 1
+        for b in blocks:
+            n_candidates *= len(b)
+        if n_candidates <= 256:
+            assert compute_generalized_stable_sets(env, dg) == pairwise_generalized_stable_sets(
+                dg, blocks
+            )
+    assert ties >= 20, "the sample must exercise ties among shortest paths"
+
+
+def test_shortest_path_tie_follows_declaration_order():
+    # s reaches t through x or y in two steps; y is declared first, so both
+    # the per-state BFS and the reverse-distance walk must go through y.
+    keys = ("s", "y", "x", "t")
+    states = tuple(State(k, k) for k in keys)
+    one = frozenset([frozenset([0])])
+    gamma = {("x", "t"): one, ("s", "x"): one, ("y", "t"): one, ("s", "y"): one}
+    profile = Profile.from_orders("R", keys, [["t", "x", "y", "s"]])
+    env = SocialEnvironment(RightsStructure(states, gamma), profile)
+    dg = build_improvement_digraph(env)
+    assert dg.adjacency["s"] == ("y", "x")
+    paths = compute_mss(env, dg).witness["external_paths"]
+    assert paths["s"] == ("s", "y", "t")
+    assert paths == per_state_external_paths(env, dg, frozenset({"t"}))
+
+
+# ---------------------------------------------------------------------------
+# Forged digraphs: adjacency and predecessors that disagree, or an SCC list
+# that is wrong, must still end in the solvers' RuntimeError checks.
+
+
+def _forged(adjacency, predecessors) -> tuple[SocialEnvironment, ImprovementDigraph]:
+    keys = tuple(adjacency)
+    env = SocialEnvironment(
+        RightsStructure(tuple(State(k, k) for k in keys), {}),
+        Profile.from_orders("R", keys, [list(keys)]),
+    )
+    edges = tuple(Edge(a, b, frozenset([0])) for a in keys for b in adjacency[a])
+    dg = ImprovementDigraph(
+        nodes=keys,
+        edges=edges,
+        adjacency=adjacency,
+        predecessors=predecessors,
+        edge_coalitions={(e.source, e.target): (e.coalition,) for e in edges},
+    )
+    return env, dg
+
+
+def test_forged_absorbing_backward_reachability_fails():
+    # a <-> b per adjacency, but predecessors forget b -> a.
+    env, dg = _forged({"a": ("b",), "b": ("a",)}, {"a": (), "b": ("a",)})
+    with pytest.raises(RuntimeError, match="fails mutual reachability at b"):
+        compute_absorbing_sets(env, dg)
+
+
+def test_forged_absorbing_forward_reachability_fails(monkeypatch):
+    # Only b -> a exists, but the SCC step claims {a, b} is one component.
+    env, dg = _forged({"a": (), "b": ("a",)}, {"a": ("b",), "b": ()})
+    monkeypatch.setattr(solvers, "_tarjan_sccs", lambda _dg: [("a", "b")])
+    with pytest.raises(RuntimeError, match="fails mutual reachability at a"):
+        compute_absorbing_sets(env, dg)
+
+
+def test_forged_mss_external_stability_fails_when_unreached():
+    env, dg = _forged({"a": ("b",), "b": ()}, {"a": (), "b": ()})
+    with pytest.raises(RuntimeError, match="iterated external stability fails from a"):
+        compute_mss(env, dg)
+
+
+def test_forged_mss_external_stability_fails_on_missing_step():
+    # Predecessors claim a -> b; adjacency has a -> c -> b instead.
+    env, dg = _forged(
+        {"a": ("c",), "b": (), "c": ("b",)}, {"a": (), "b": ("a",), "c": ()}
+    )
+    with pytest.raises(RuntimeError, match="iterated external stability fails from a"):
+        compute_mss(env, dg)
+
+
+def test_forged_mss_deterrence_fails(monkeypatch):
+    env, dg = _forged({"a": ("b",), "b": ()}, {"a": (), "b": ("a",)})
+    monkeypatch.setattr(solvers, "compute_absorbing_sets", lambda _env, _dg: (("a",),))
+    with pytest.raises(RuntimeError, match="deterrence of external deviations fails at a -> b"):
+        compute_mss(env, dg)
+
+
+def test_forged_generalized_coverage_fails():
+    # Two sinks x and y, but predecessors claim y -> x.
+    env, dg = _forged({"x": (), "y": ()}, {"x": ("y",), "y": ()})
+    with pytest.raises(RuntimeError, match="do not cover the absorbing union"):
+        compute_generalized_stable_sets(env, dg)
