@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..model import CapExceeded, InputError, Profile, SocialChoiceRule
 from ..rights import BASE, Coalition, RightsStructure, SocialEnvironment, State, coalition
@@ -146,24 +146,72 @@ def can_exclusion_block(
     return _entitled(economy, mu, sigma, k)
 
 
-def direct_exclusion_core(economy: Economy) -> tuple[str, ...]:
-    """Allocations no coalition can directly exclusion block, by definition scan."""
-    allocations = house_allocations(economy)
-    coalitions = [
-        frozenset(c)
-        for size in range(1, economy.n_agents + 1)
-        for c in itertools.combinations(range(economy.n_agents), size)
-    ]
-    core = []
-    for mu in allocations:
-        blocked = any(
-            can_exclusion_block(economy, mu, k, sigma)
-            for sigma in allocations
-            if sigma != mu
-            for k in coalitions
+class _Kernel:
+    """An economy compiled for the definition scans.
+
+    Allocations become rows of per-agent house ranks and coalitions become
+    bitmasks (bit i is agent i).  `covered[m][mask]` holds the agents whose
+    house in allocation m is owned by the coalition `mask`, so clause (b)
+    for a move harming the agents `harmed` reads
+    `harmed & ~(mask | covered[m][mask]) == 0`.
+    """
+
+    def __init__(self, economy: Economy):
+        n = economy.n_agents
+        allocations = house_allocations(economy)
+        self.ids = tuple(alloc_id(a) for a in allocations)
+        rank = [{h: r for r, h in enumerate(order)} for order in economy.orders]
+        self.rows = tuple(tuple(rank[i][a[i]] for i in range(n)) for a in allocations)
+        self.bits = tuple(1 << i for i in range(n))
+        self.coalitions = tuple(
+            (frozenset(c), sum(1 << i for i in c))
+            for size in range(1, n + 1)
+            for c in itertools.combinations(range(n), size)
         )
-        if not blocked:
-            core.append(alloc_id(mu))
+        owner_mask = {h: sum(1 << i for i in k) for h, k in economy.owners.items()}
+        covered = []
+        for a in allocations:
+            held = [(1 << j, owner_mask[h]) for j, h in enumerate(a) if h in owner_mask]
+            covered.append(
+                tuple(
+                    sum(bit for bit, owners in held if owners & ~mask == 0)
+                    for mask in range(1 << n)
+                )
+            )
+        self.covered = tuple(covered)
+
+    def moves(self, m: int) -> Iterator[tuple[int, int, int]]:
+        """(s, harmed, gains) for every allocation s != m: the agents who
+        strictly prefer their house in m, and those who strictly prefer
+        their house in s."""
+        row = self.rows[m]
+        for s, other in enumerate(self.rows):
+            if s == m:
+                continue
+            harmed = gains = 0
+            for bit, x, y in zip(self.bits, row, other):
+                if x < y:
+                    harmed |= bit
+                elif y < x:
+                    gains |= bit
+            yield s, harmed, gains
+
+
+def direct_exclusion_core(economy: Economy) -> tuple[str, ...]:
+    """Allocations no coalition can directly exclusion block.
+
+    Clause (b) only gets easier as a coalition grows (fewer outsiders, a
+    larger endowment), so some coalition of gainers blocks mu with sigma
+    exactly when the set of all gainers does.
+    """
+    kernel = _Kernel(economy)
+    core = []
+    for m, covered in enumerate(kernel.covered):
+        for _, harmed, gains in kernel.moves(m):
+            if gains and harmed & ~(gains | covered[gains]) == 0:
+                break
+        else:
+            core.append(kernel.ids[m])
     return tuple(core)
 
 
@@ -171,23 +219,21 @@ def exclusion_rights_structure(economy: Economy) -> RightsStructure:
     """States are all allocations; gamma grants a coalition a move exactly
     when clause (b) holds, so the improvement digraph's strict-gain
     requirement completes direct exclusion blocking."""
-    allocations = house_allocations(economy)
-    states = tuple(State(alloc_id(a), alloc_id(a), BASE) for a in allocations)
-    coalitions = [
-        frozenset(c)
-        for size in range(1, economy.n_agents + 1)
-        for c in itertools.combinations(range(economy.n_agents), size)
-    ]
+    kernel = _Kernel(economy)
+    ids = kernel.ids
+    states = tuple(State(a, a, BASE) for a in ids)
     gamma: dict[tuple[str, str], frozenset[Coalition]] = {}
-    for mu in allocations:
-        for sigma in allocations:
-            if mu == sigma:
-                continue
-            fam = frozenset(
-                k for k in coalitions if _entitled(economy, mu, sigma, k)
-            )
+    for m, covered in enumerate(kernel.covered):
+        # a family depends on mu only through the harmed agents
+        families: dict[int, frozenset[Coalition]] = {}
+        for s, harmed, _ in kernel.moves(m):
+            fam = families.get(harmed)
+            if fam is None:
+                fam = families[harmed] = frozenset(
+                    k for k, mask in kernel.coalitions if harmed & ~(mask | covered[mask]) == 0
+                )
             if fam:
-                gamma[(alloc_id(mu), alloc_id(sigma))] = fam
+                gamma[(ids[m], ids[s])] = fam
     return RightsStructure(states, gamma)
 
 

@@ -75,19 +75,30 @@ class RightsStructure:
         gamma = {}
         targets: dict[str, list[str]] = {}
         checked: dict[frozenset, Coalition] = {}
-        for (a, b), fam in dict(self.gamma).items():
-            if a not in index or b not in index:
-                raise InputError(f"gamma entry on unknown state pair ({a!r}, {b!r})")
-            if a == b:
-                raise InputError(f"gamma is defined on distinct pairs only, got ({a!r}, {a!r})")
+        families: dict = {}
+
+        def validated(fam) -> frozenset[Coalition]:
             valid = set()
             for k in fam:
                 raw = frozenset(k)
                 if raw not in checked:
                     checked[raw] = coalition(raw)
                 valid.add(checked[raw])
+            return frozenset(valid)
+
+        for (a, b), fam in dict(self.gamma).items():
+            if a not in index or b not in index:
+                raise InputError(f"gamma entry on unknown state pair ({a!r}, {b!r})")
+            if a == b:
+                raise InputError(f"gamma is defined on distinct pairs only, got ({a!r}, {a!r})")
+            try:
+                valid = families[fam]
+            except KeyError:
+                valid = families[fam] = validated(fam)
+            except TypeError:  # an unhashable family, such as a list of lists
+                valid = validated(fam)
             if valid:
-                gamma[(a, b)] = frozenset(valid)
+                gamma[(a, b)] = valid
                 targets.setdefault(a, []).append(b)
         object.__setattr__(self, "gamma", gamma)
         for out in targets.values():

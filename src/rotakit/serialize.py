@@ -49,9 +49,17 @@ def _need(doc: Mapping, key: str, path: str) -> Any:
     return doc[key]
 
 
+def _need_int(doc: Mapping, key: str, path: str) -> int:
+    value = _need(doc, key, path)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{path}.{key}: expected an integer, got {value!r}") from None
+
+
 def profiles_from_doc(doc: Mapping) -> tuple[Profile, ...]:
     alternatives = tuple(_need(doc, "alternatives", "$"))
-    agents = int(_need(doc, "agents", "$"))
+    agents = _need_int(doc, "agents", "$")
     out = []
     for i, pdoc in enumerate(_need(doc, "profiles", "$")):
         path = f"$.profiles[{i}]"
@@ -69,6 +77,8 @@ def profiles_from_doc(doc: Mapping) -> tuple[Profile, ...]:
 def scr_from_doc(doc: Mapping) -> SocialChoiceRule:
     profiles = profiles_from_doc(doc)
     table = _need(doc, "scr", "$")
+    if not isinstance(table, Mapping):
+        raise InputError("$.scr: expected an object mapping profile ids to outcome lists")
     choices = {pid: frozenset(vals) for pid, vals in table.items()}
     return SocialChoiceRule(profiles, choices)
 
@@ -212,7 +222,7 @@ def marriage_problems_from_doc(doc: Mapping) -> list[marriage.MarriageProblem]:
 
 
 def economies_from_doc(doc: Mapping) -> list[housing.Economy]:
-    agents = int(_need(doc, "agents", "$"))
+    agents = _need_int(doc, "agents", "$")
     houses = tuple(_need(doc, "houses", "$"))
     outside = str(_need(doc, "outside", "$"))
     owners = {h: frozenset(int(a) for a in k) for h, k in _need(doc, "owners", "$").items()}

@@ -5,16 +5,21 @@ enumeration, dominance scans, backtracking search) without reusing the
 library's algorithmic paths, so a bug in a solver cannot hide behind an
 identical bug in its test.  The reference code at the end is the
 straightforward pair-scan and per-state versions of paths that the
-library now runs in linear time; differential tests compare the two.
+library now runs in linear time, and the housing definition scans that
+it now runs on bitmasks; differential tests compare the two.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
+from rotakit.domains.housing import _entitled, alloc_id, can_exclusion_block, house_allocations
 from rotakit.rights import (
+    BASE,
     Edge,
     ImprovementDigraph,
+    RightsStructure,
+    State,
     coalition_key,
     find_myopic_improvement_path,
     reachable_from,
@@ -199,3 +204,46 @@ def pairwise_generalized_stable_sets(dg, blocks) -> tuple[tuple[str, ...], ...]:
         if all(members & reach[s] for s in dg.nodes if s not in members):
             found.append(tuple(sorted(members, key=order.__getitem__)))
     return tuple(found)
+
+
+# ---------------------------------------------------------------------------
+# Reference code: the housing definition scans that the bitmask kernel in
+# rotakit.domains.housing replaced, one `_entitled` call per
+# (allocation, allocation, coalition).
+
+
+def _all_coalitions(n: int) -> list[frozenset[int]]:
+    return [frozenset(c) for size in range(1, n + 1) for c in combinations(range(n), size)]
+
+
+def scan_direct_exclusion_core(economy) -> tuple[str, ...]:
+    """Allocations no coalition can directly exclusion block, by definition scan."""
+    allocations = house_allocations(economy)
+    coalitions = _all_coalitions(economy.n_agents)
+    core = []
+    for mu in allocations:
+        blocked = any(
+            can_exclusion_block(economy, mu, k, sigma)
+            for sigma in allocations
+            if sigma != mu
+            for k in coalitions
+        )
+        if not blocked:
+            core.append(alloc_id(mu))
+    return tuple(core)
+
+
+def scan_exclusion_rights_structure(economy) -> RightsStructure:
+    """Gamma over all allocations, one clause (b) test per coalition and pair."""
+    allocations = house_allocations(economy)
+    states = tuple(State(alloc_id(a), alloc_id(a), BASE) for a in allocations)
+    coalitions = _all_coalitions(economy.n_agents)
+    gamma = {}
+    for mu in allocations:
+        for sigma in allocations:
+            if mu == sigma:
+                continue
+            fam = frozenset(k for k in coalitions if _entitled(economy, mu, sigma, k))
+            if fam:
+                gamma[(alloc_id(mu), alloc_id(sigma))] = fam
+    return RightsStructure(states, gamma)

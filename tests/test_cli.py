@@ -172,6 +172,27 @@ def test_input_error_exit_code(capsys, tmp_path):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "base, argv",
+    [(XYZ_ENV_DOC, ("check", "--condition", "maskin")), (ECONOMY_DOC, ("domain",))],
+    ids=["environment", "economy"],
+)
+def test_agents_not_an_integer_is_input_error(capsys, tmp_path, base, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(base, agents="two")))
+    code, _, err = _run(capsys, argv[0], str(bad), *argv[1:])
+    assert code == 1
+    assert "$.agents" in err and "Traceback" not in err
+
+
+def test_scr_not_an_object_is_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(XYZ_ENV_DOC, scr=["a"])))
+    code, _, err = _run(capsys, "check", str(bad), "--condition", "maskin")
+    assert code == 1
+    assert "$.scr" in err and "Traceback" not in err
+
+
 def test_unknown_flag_rejected(capsys, env_path):
     code, _, err = _run(capsys, "check", env_path, "--condition", "maskin", "--bogus")
     assert code == 1

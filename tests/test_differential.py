@@ -1,6 +1,6 @@
-"""The linear-time digraph and solver paths against the reference code they
-replaced (tests/oracles.py), plus forged digraphs that must still trip every
-post-hoc re-verification check."""
+"""The linear-time digraph and solver paths and the housing bitmask kernel
+against the reference code they replaced (tests/oracles.py), plus forged
+digraphs that must still trip every post-hoc re-verification check."""
 
 import random
 from collections import deque
@@ -12,8 +12,11 @@ from oracles import (
     pairwise_generalized_stable_sets,
     per_member_absorbing_sets,
     per_state_external_paths,
+    scan_direct_exclusion_core,
+    scan_exclusion_rights_structure,
 )
 from rotakit import solvers
+from rotakit.domains import Economy, direct_exclusion_core, exclusion_rights_structure
 from rotakit.generators import random_environment
 from rotakit.model import Profile
 from rotakit.rights import (
@@ -136,6 +139,49 @@ def test_shortest_path_tie_follows_declaration_order():
     paths = compute_mss(env, dg).witness["external_paths"]
     assert paths["s"] == ("s", "y", "t")
     assert paths == per_state_external_paths(env, dg, frozenset({"t"}))
+
+
+def _random_economies(seed: int, count: int):
+    """Economies of 1-4 agents and 1-4 houses with owner coalitions of any
+    size and the outside option anywhere in each order.  Only the first is
+    4x4: the reference scan takes seconds on each of those."""
+    rng = random.Random(seed)
+    sizes = [(n, m) for n in range(1, 5) for m in range(1, 5) if n * m < 16]
+    for e in range(count):
+        n, m = (4, 4) if e == 0 else rng.choice(sizes)
+        houses = tuple(f"h{i + 1}" for i in range(m))
+        owners = {h: frozenset(rng.sample(range(n), rng.randint(1, n))) for h in houses}
+        orders = []
+        for _ in range(n):
+            order = list(houses) + ["h0"]
+            rng.shuffle(order)
+            orders.append(tuple(order))
+        yield Economy(f"E{e}", n, houses, "h0", owners, tuple(orders))
+
+
+def test_housing_kernel_matches_definition_scans():
+    cores = set()
+    for economy in _random_economies(21, 60):
+        fast, ref = exclusion_rights_structure(economy), scan_exclusion_rights_structure(economy)
+        assert fast.states == ref.states
+        assert list(fast.gamma.items()) == list(ref.gamma.items())
+        assert rights_to_doc(fast) == rights_to_doc(ref)
+        core = direct_exclusion_core(economy)
+        assert core == scan_direct_exclusion_core(economy)
+        cores.add(len(core) / len(fast.states))
+    assert len(cores) > 10, "the sample must give cores of many sizes"
+
+
+def test_equal_families_validate_once_to_equal_results():
+    states = tuple(State(k, k) for k in "abc")
+    fam = frozenset([frozenset([0]), frozenset([0, 1])])
+    again = frozenset([frozenset([1, 0]), frozenset([0])])
+    assert again == fam and again is not fam
+    shared = RightsStructure(states, {("a", "b"): fam, ("b", "c"): again})
+    assert shared.gamma[("a", "b")] is shared.gamma[("b", "c")]
+    listed = RightsStructure(states, {("a", "b"): [[0], [1, 0]], ("b", "c"): [[0], [0, 1]]})
+    assert listed.gamma == shared.gamma
+    assert listed.max_agent() == shared.max_agent() == 1
 
 
 # ---------------------------------------------------------------------------
