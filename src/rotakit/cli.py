@@ -20,7 +20,7 @@ import os
 import sys
 from typing import Any, Mapping
 
-from . import conditions, constructors, serialize, solvers
+from . import conditions, constructors, model, serialize, solvers
 from .model import CapExceeded, InputError, SocialChoiceRule
 from .rights import SocialEnvironment, build_improvement_digraph
 
@@ -38,16 +38,11 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-@dataclasses.dataclass
-class RunConfig:
-    command: str
-    path: str
-    out: str | None
-    fmt: str
-    caps: dict[str, int]
-    forward_iii: bool
-    jobs: int
-    options: dict[str, Any]
+def _positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
 
 
 def _caps_from_env() -> dict[str, int]:
@@ -78,26 +73,23 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="rotakit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("file")
+    def common(sp, file_nargs=None):
+        sp.add_argument("file", nargs=file_nargs, default=None)
         sp.add_argument("--out", default=None)
         sp.add_argument("--format", dest="fmt", choices=("json", "text"), default="text")
-        sp.add_argument("--cap", type=int, default=None, help="ordering search cap")
-        sp.add_argument("--jobs", type=int, default=1)
-        sp.add_argument(
-            "--backward-iii",
-            action="store_true",
-            help="read rotation clause (iii) in the backward direction",
-        )
+
+    def cap(sp):
+        sp.add_argument("--cap", type=_positive_int, default=None, help="ordering search cap")
 
     sp = sub.add_parser("solve", help="run a solution concept on an environment")
     common(sp)
-    sp.add_argument("--profile", required=True)
     sp.add_argument(
-        "--concept",
-        required=True,
-        choices=("core", "mss", "absorbing", "generalized", "partition", "rotation"),
+        "--backward-iii",
+        action="store_true",
+        help="read rotation clause (iii) in the backward direction",
     )
+    sp.add_argument("--profile", required=True)
+    sp.add_argument("--concept", required=True, choices=tuple(_SOLVERS))
     sp.add_argument(
         "--order",
         default=None,
@@ -107,34 +99,19 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("check", help="check a condition on an SCR")
     common(sp)
-    sp.add_argument(
-        "--condition",
-        required=True,
-        choices=(
-            "domain",
-            "efficiency",
-            "maskin",
-            "indirect",
-            "rotation",
-            "property-m",
-            "shared-ordering",
-        ),
-    )
+    cap(sp)
+    sp.add_argument("--condition", required=True, choices=tuple(_CHECKS))
     sp.add_argument("--rule", default=None, help="rule for domain documents")
 
     sp = sub.add_parser("construct", help="build a canonical implementing structure")
     common(sp)
+    cap(sp)
     sp.add_argument("--theorem", required=True, choices=("1", "4"))
     sp.add_argument("--verify", choices=("mss", "rotation"), default=None)
     sp.add_argument("--rule", default=None)
 
     sp = sub.add_parser("domain", help="compile a domain document to SCR JSON")
-    sp.add_argument("file", nargs="?", default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--format", dest="fmt", choices=("json", "text"), default="text")
-    sp.add_argument("--cap", type=int, default=None)
-    sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--backward-iii", action="store_true")
+    common(sp, file_nargs="?")
     sp.add_argument("--rule", default=None)
     sp.add_argument(
         "--sample",
@@ -143,8 +120,8 @@ def _build_parser() -> _Parser:
         help="emit a seeded random domain document instead of compiling a file",
     )
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--agents", type=int, default=3)
-    sp.add_argument("--profiles", type=int, default=2)
+    sp.add_argument("--agents", type=_positive_int, default=3)
+    sp.add_argument("--profiles", type=_positive_int, default=2)
 
     sp = sub.add_parser("export-dot", help="emit the improvement digraph as DOT")
     common(sp)
@@ -158,217 +135,264 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(config: RunConfig, payload: Mapping[str, Any], text: str | None = None) -> None:
-    if config.fmt == "json" or text is None:
-        body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        body = text if text.endswith("\n") else text + "\n"
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
+def _write(out: str | None, body: str) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(body)
     else:
         sys.stdout.write(body)
 
 
-def _load_scr(config: RunConfig) -> SocialChoiceRule:
-    doc = serialize.load_document(config.path)
+def _emit(ns: argparse.Namespace, payload: Mapping[str, Any], text: str | None = None) -> None:
+    if ns.fmt == "json" or text is None:
+        body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    else:
+        body = text if text.endswith("\n") else text + "\n"
+    _write(ns.out, body)
+
+
+def _load_scr(ns: argparse.Namespace) -> tuple[SocialChoiceRule, conditions.OrderingWitness | None]:
+    """The document's SCR, plus the canonical orderings a domain rule defines."""
+    doc = serialize.load_document(ns.file)
     if serialize.is_domain_doc(doc):
-        scr, _ = serialize.domain_scr(doc, config.options.get("rule"))
-        return scr
-    return serialize.scr_from_doc(doc)
+        return serialize.domain_scr(doc, ns.rule)
+    return serialize.scr_from_doc(doc), None
 
 
-def _load_environment(config: RunConfig, profile_id: str) -> SocialEnvironment:
-    doc = serialize.load_document(config.path)
+def _load_environment(ns: argparse.Namespace) -> SocialEnvironment:
+    doc = serialize.load_document(ns.file)
     if serialize.is_domain_doc(doc):
-        return serialize.domain_environment(doc, profile_id)
-    return serialize.environment_from_doc(doc, profile_id)
+        return serialize.domain_environment(doc, ns.profile)
+    return serialize.environment_from_doc(doc, ns.profile)
 
 
-def _cmd_solve(config: RunConfig) -> int:
-    env = _load_environment(config, config.options["profile"])
+# solve: concept -> fn(ns, caps, env, digraph) -> (payload, text, exit code)
+
+
+def _report(label: str, report: solvers.SolutionReport):
+    text = f"{label} states: {list(report.sets[0])}\noutcomes: {list(report.outcomes[0])}"
+    return report.as_dict(), text, EXIT_OK
+
+
+def _numbered(label: str, sets) -> str:
+    return "\n".join(f"{label} {i + 1}: {list(v)}" for i, v in enumerate(sets))
+
+
+def _solve_core(ns, caps, env, dg):
+    return _report("core", solvers.compute_core(env, dg))
+
+
+def _solve_mss(ns, caps, env, dg):
+    return _report("MSS", solvers.compute_mss(env, dg))
+
+
+def _solve_absorbing(ns, caps, env, dg):
+    blocks = solvers.compute_absorbing_sets(env, dg)
+    payload = {"concept": "absorbing", "sets": [list(b) for b in blocks]}
+    return payload, _numbered("absorbing set", blocks), EXIT_OK
+
+
+def _solve_generalized(ns, caps, env, dg):
+    sets = solvers.compute_generalized_stable_sets(env, dg, cap=caps["product"])
+    payload = {"concept": "generalized", "sets": [list(v) for v in sets]}
+    return payload, _numbered("generalized stable set", sets), EXIT_OK
+
+
+def _solve_partition(ns, caps, env, dg):
+    mss = solvers.compute_mss(env, dg)
+    result = solvers.partition_into_rotation_programs(env, mss.states, dg)
+    payload = {
+        "concept": "partition",
+        "ok": result.ok,
+        "blocks": [list(b) for b in result.blocks],
+        "witness": result.witness_state,
+        "reason": result.reason,
+    }
+    if not result.ok:
+        return payload, f"no partition: {result.reason} (witness {result.witness_state})", EXIT_SOLVE
+    return payload, _numbered("rotation program", result.blocks), EXIT_OK
+
+
+def _solve_rotation(ns, caps, env, dg):
+    if not ns.order:
+        raise InputError("--concept rotation needs --order s1,s2,...")
+    sep = ";" if ";" in ns.order else ","
+    verdict = solvers.is_rotation_program(
+        env, [s.strip() for s in ns.order.split(sep)], forward=not ns.backward_iii, digraph=dg
+    )
+    payload = {
+        "concept": "rotation-program",
+        "ok": verdict.ok,
+        "clause": verdict.clause,
+        "detail": verdict.detail,
+    }
+    text = "rotation program" if verdict.ok else (
+        f"not a rotation program (clause {verdict.clause}): {verdict.detail}"
+    )
+    return payload, text, EXIT_OK
+
+
+_SOLVERS = {
+    "core": _solve_core,
+    "mss": _solve_mss,
+    "absorbing": _solve_absorbing,
+    "generalized": _solve_generalized,
+    "partition": _solve_partition,
+    "rotation": _solve_rotation,
+}
+
+
+# check: condition -> fn(scr, ordering cap) -> (payload, text, exit code)
+
+
+def _check_domain(scr, cap):
+    bad = [
+        (p.id, v.pair)
+        for p in scr.profiles
+        for v in [model.validate_domain_restriction(p)]
+        if not v.ok
+    ]
+    payload = {"condition": "domain-restriction", "ok": not bad, "violations": bad}
+    return payload, "ok" if not bad else f"violated: {bad}", EXIT_OK
+
+
+def _check_efficiency(scr, cap):
+    v = model.check_efficiency(scr)
+    payload = {
+        "condition": "efficiency",
+        "ok": v.ok,
+        "counterexample": None
+        if v.ok
+        else {"profile": v.profile_id, "outcome": v.outcome, "dominator": v.dominator},
+    }
+    text = "ok" if v.ok else (
+        f"violated: {v.dominator} dominates chosen {v.outcome} at {v.profile_id}"
+    )
+    return payload, text, EXIT_OK
+
+
+def _check_maskin(scr, cap):
+    v = conditions.check_maskin_monotonicity(scr)
+    payload = {"condition": "maskin-monotonicity", "ok": v.ok, "counterexample": v.counterexample}
+    return payload, "ok" if v.ok else f"violated at (R, R', z) = {v.counterexample}", EXIT_OK
+
+
+def _check_indirect(scr, cap):
+    v = conditions.check_indirect_monotonicity(scr)
+    payload = {
+        "condition": "indirect-monotonicity",
+        "ok": v.ok,
+        "failing": v.failing,
+        "witnesses": [dataclasses.asdict(w) for w in v.witnesses],
+    }
+    return payload, "ok" if v.ok else f"violated at (R, R', z) = {v.failing}", EXIT_OK
+
+
+def _check_rotation(scr, cap):
+    v = conditions.check_rotation_monotonicity(scr, cap=cap)
+    payload = {
+        "condition": "rotation-monotonicity",
+        "ok": v.ok,
+        "orderings": {pid: list(o) for pid, o in v.witness.orderings.items()}
+        if v.witness
+        else None,
+        "obstructions": [
+            {
+                "profile": o.profile_id,
+                "failures": [
+                    {"ordering": list(ordering), "other": rp, "outcome": x}
+                    for ordering, rp, x in o.failures
+                ],
+            }
+            for o in v.obstructions
+        ],
+    }
+    text = (
+        f"satisfied; orderings {dict(v.witness.orderings)}"
+        if v.ok
+        else "violated for every circular ordering at "
+        + ", ".join(o.profile_id for o in v.obstructions)
+    )
+    return payload, text, EXIT_OK
+
+
+def _check_property_m(scr, cap):
+    rot = conditions.check_rotation_monotonicity(scr, cap=cap)
+    if rot.witness is None:
+        payload = {"condition": "property-m", "ok": False, "note": "no rotation-monotone ordering"}
+        return payload, "cannot evaluate: rotation monotonicity already fails", EXIT_OK
+    v = conditions.check_property_m(scr, rot.witness)
+    payload = {
+        "condition": "property-m",
+        "ok": v.ok,
+        "failure": dataclasses.asdict(v.failure) if v.failure else None,
+    }
+    return payload, "ok" if v.ok else f"violated: {v.failure}", EXIT_OK
+
+
+def _check_shared_ordering(scr, cap):
+    witness = conditions.find_shared_ordering(scr, cap=cap)
+    payload = {
+        "condition": "shared-ordering",
+        "ok": witness is not None,
+        "orderings": dict(witness.orderings) if witness else None,
+    }
+    text = f"found {dict(witness.orderings)}" if witness else "no shared ordering exists"
+    return payload, text, EXIT_OK
+
+
+_CHECKS = {
+    "domain": _check_domain,
+    "efficiency": _check_efficiency,
+    "maskin": _check_maskin,
+    "indirect": _check_indirect,
+    "rotation": _check_rotation,
+    "property-m": _check_property_m,
+    "shared-ordering": _check_shared_ordering,
+}
+
+
+# subcommands: fn(ns, caps) -> exit code
+
+
+def _cmd_solve(ns: argparse.Namespace, caps: dict[str, int]) -> int:
+    env = _load_environment(ns)
     dg = build_improvement_digraph(env)
-    concept = config.options["concept"]
-    if concept == "core":
-        report = solvers.compute_core(env, dg)
-        payload = report.as_dict()
-        text = f"core states: {list(report.sets[0])}\noutcomes: {list(report.outcomes[0])}"
-    elif concept == "mss":
-        report = solvers.compute_mss(env, dg)
-        payload = report.as_dict()
-        text = f"MSS states: {list(report.sets[0])}\noutcomes: {list(report.outcomes[0])}"
-    elif concept == "absorbing":
-        blocks = solvers.compute_absorbing_sets(env, dg)
-        payload = {"concept": "absorbing", "sets": [list(b) for b in blocks]}
-        text = "\n".join(f"absorbing set {i + 1}: {list(b)}" for i, b in enumerate(blocks))
-    elif concept == "generalized":
-        sets = solvers.compute_generalized_stable_sets(env, dg, cap=config.caps["product"])
-        payload = {"concept": "generalized", "sets": [list(v) for v in sets]}
-        text = "\n".join(f"generalized stable set {i + 1}: {list(v)}" for i, v in enumerate(sets))
-    elif concept == "rotation":
-        raw = config.options.get("order")
-        if not raw:
-            raise InputError("--concept rotation needs --order s1,s2,...")
-        sep = ";" if ";" in raw else ","
-        verdict = solvers.is_rotation_program(
-            env, [s.strip() for s in raw.split(sep)], forward=config.forward_iii, digraph=dg
-        )
-        payload = {
-            "concept": "rotation-program",
-            "ok": verdict.ok,
-            "clause": verdict.clause,
-            "detail": verdict.detail,
-        }
-        text = "rotation program" if verdict.ok else (
-            f"not a rotation program (clause {verdict.clause}): {verdict.detail}"
-        )
-    else:  # partition
-        mss = solvers.compute_mss(env, dg)
-        result = solvers.partition_into_rotation_programs(env, mss.states, dg)
-        payload = {
-            "concept": "partition",
-            "ok": result.ok,
-            "blocks": [list(b) for b in result.blocks],
-            "witness": result.witness_state,
-            "reason": result.reason,
-        }
-        if result.ok:
-            text = "\n".join(
-                f"rotation program {i + 1}: {list(b)}" for i, b in enumerate(result.blocks)
-            )
-        else:
-            text = f"no partition: {result.reason} (witness {result.witness_state})"
-        _emit(config, payload, text)
-        return EXIT_OK if result.ok else EXIT_SOLVE
-    _emit(config, payload, text)
-    return EXIT_OK
+    payload, text, code = _SOLVERS[ns.concept](ns, caps, env, dg)
+    _emit(ns, payload, text)
+    return code
 
 
-def _cmd_check(config: RunConfig) -> int:
-    condition = config.options["condition"]
-    scr = _load_scr(config)
-    cap = config.options.get("cap") or config.caps["ordering"]
-    if condition == "domain":
-        from .model import validate_domain_restriction
-
-        bad = [
-            (p.id, v.pair)
-            for p in scr.profiles
-            for v in [validate_domain_restriction(p)]
-            if not v.ok
-        ]
-        payload = {"condition": "domain-restriction", "ok": not bad, "violations": bad}
-        text = "ok" if not bad else f"violated: {bad}"
-    elif condition == "efficiency":
-        from .model import check_efficiency
-
-        v = check_efficiency(scr)
-        payload = {
-            "condition": "efficiency",
-            "ok": v.ok,
-            "counterexample": None
-            if v.ok
-            else {"profile": v.profile_id, "outcome": v.outcome, "dominator": v.dominator},
-        }
-        text = "ok" if v.ok else (
-            f"violated: {v.dominator} dominates chosen {v.outcome} at {v.profile_id}"
-        )
-    elif condition == "maskin":
-        v = conditions.check_maskin_monotonicity(scr)
-        payload = {"condition": "maskin-monotonicity", "ok": v.ok, "counterexample": v.counterexample}
-        text = "ok" if v.ok else f"violated at (R, R', z) = {v.counterexample}"
-    elif condition == "indirect":
-        v = conditions.check_indirect_monotonicity(scr)
-        payload = {
-            "condition": "indirect-monotonicity",
-            "ok": v.ok,
-            "failing": v.failing,
-            "witnesses": [dataclasses.asdict(w) for w in v.witnesses],
-        }
-        text = "ok" if v.ok else f"violated at (R, R', z) = {v.failing}"
-    elif condition == "rotation":
-        v = conditions.check_rotation_monotonicity(scr, cap=cap)
-        payload = {
-            "condition": "rotation-monotonicity",
-            "ok": v.ok,
-            "orderings": {pid: list(o) for pid, o in v.witness.orderings.items()}
-            if v.witness
-            else None,
-            "obstructions": [
-                {
-                    "profile": o.profile_id,
-                    "failures": [
-                        {"ordering": list(ordering), "other": rp, "outcome": x}
-                        for ordering, rp, x in o.failures
-                    ],
-                }
-                for o in v.obstructions
-            ],
-        }
-        text = (
-            f"satisfied; orderings {dict(v.witness.orderings)}"
-            if v.ok
-            else "violated for every circular ordering at "
-            + ", ".join(o.profile_id for o in v.obstructions)
-        )
-    elif condition == "property-m":
-        rot = conditions.check_rotation_monotonicity(scr, cap=cap)
-        if rot.witness is None:
-            payload = {"condition": "property-m", "ok": False, "note": "no rotation-monotone ordering"}
-            text = "cannot evaluate: rotation monotonicity already fails"
-            _emit(config, payload, text)
-            return EXIT_OK
-        v = conditions.check_property_m(scr, rot.witness)
-        payload = {
-            "condition": "property-m",
-            "ok": v.ok,
-            "failure": dataclasses.asdict(v.failure) if v.failure else None,
-        }
-        text = "ok" if v.ok else f"violated: {v.failure}"
-    else:  # shared-ordering
-        witness = conditions.find_shared_ordering(scr, cap=cap)
-        payload = {
-            "condition": "shared-ordering",
-            "ok": witness is not None,
-            "orderings": dict(witness.orderings) if witness else None,
-        }
-        text = f"found {dict(witness.orderings)}" if witness else "no shared ordering exists"
-    _emit(config, payload, text)
-    return EXIT_OK
+def _cmd_check(ns: argparse.Namespace, caps: dict[str, int]) -> int:
+    scr, _ = _load_scr(ns)
+    payload, text, code = _CHECKS[ns.condition](scr, ns.cap or caps["ordering"])
+    _emit(ns, payload, text)
+    return code
 
 
-def _cmd_construct(config: RunConfig) -> int:
-    scr = _load_scr(config)
-    cap = config.options.get("cap") or config.caps["ordering"]
-    theorem = config.options["theorem"]
-    if theorem == "1":
+def _cmd_construct(ns: argparse.Namespace, caps: dict[str, int]) -> int:
+    scr, witness = _load_scr(ns)
+    if ns.theorem == "1":
         structure = constructors.build_thm1_structure(scr)
     else:
-        doc = serialize.load_document(config.path)
-        witness = None
-        if serialize.is_domain_doc(doc):
-            _, witness = serialize.domain_scr(doc, config.options.get("rule"))
         if witness is None:
-            witness = conditions.find_shared_ordering(scr, cap=cap)
+            witness = conditions.find_shared_ordering(scr, cap=ns.cap or caps["ordering"])
         if witness is None:
             _emit(
-                config,
+                ns,
                 {"ok": False, "obstruction": "no ordering satisfies rotation monotonicity and Property M"},
                 "no shared ordering exists",
             )
             return EXIT_OBSTRUCTION
         structure = constructors.build_thm4_structure(scr, witness)
     payload: dict[str, Any] = serialize.environment_to_doc(scr, scr.profiles, structure)
-    verify = config.options.get("verify")
     code = EXIT_OK
-    lines = [f"built theorem-{theorem} structure with {len(structure.states)} states"]
-    if verify:
-        if verify == "mss":
-            report = constructors.verify_implementation_in_mss(structure, scr, jobs=config.jobs)
+    lines = [f"built theorem-{ns.theorem} structure with {len(structure.states)} states"]
+    if ns.verify:
+        if ns.verify == "mss":
+            report = constructors.verify_implementation_in_mss(structure, scr)
         else:
-            report = constructors.verify_implementation_in_rotation_programs(
-                structure, scr, jobs=config.jobs
-            )
+            report = constructors.verify_implementation_in_rotation_programs(structure, scr)
         payload["verification"] = {
             "kind": report.kind,
             "ok": report.ok,
@@ -389,43 +413,40 @@ def _cmd_construct(config: RunConfig) -> int:
             )
         if not report.ok:
             code = EXIT_SOLVE
-    _emit(config, payload, "\n".join(lines))
+    _emit(ns, payload, "\n".join(lines))
     return code
 
 
-def _cmd_domain(config: RunConfig) -> int:
-    sample = config.options.get("sample")
-    if sample:
-        payload = _sample_domain(config, sample)
-        _emit(config, payload, None)
-        return EXIT_OK
-    if config.path is None:
-        raise InputError("domain needs a file or --sample")
-    doc = serialize.load_document(config.path)
-    if not serialize.is_domain_doc(doc):
-        raise InputError("not a domain document")
-    scr, witness = serialize.domain_scr(doc, config.options.get("rule"))
-    payload = serialize.scr_to_doc(scr)
-    if witness is not None:
-        payload["orderings"] = {pid: list(o) for pid, o in witness.orderings.items()}
-    _emit(config, payload, None)
+def _cmd_domain(ns: argparse.Namespace, caps: dict[str, int]) -> int:
+    if ns.sample:
+        payload = _sample_domain(ns)
+    else:
+        if ns.file is None:
+            raise InputError("domain needs a file or --sample")
+        doc = serialize.load_document(ns.file)
+        if not serialize.is_domain_doc(doc):
+            raise InputError("not a domain document")
+        scr, witness = serialize.domain_scr(doc, ns.rule)
+        payload = serialize.scr_to_doc(scr)
+        if witness is not None:
+            payload["orderings"] = {pid: list(o) for pid, o in witness.orderings.items()}
+    _emit(ns, payload)
     return EXIT_OK
 
 
-def _sample_domain(config: RunConfig, sample: str) -> dict:
+def _sample_domain(ns: argparse.Namespace) -> dict:
     import random
 
     from . import generators
     from .domains.housing import Economy
 
-    rng = random.Random(config.options.get("seed", 0))
-    n = config.options.get("agents", 3)
-    k = config.options.get("profiles", 2)
-    if sample == "jobs-common-best":
+    rng = random.Random(ns.seed)
+    n, k = ns.agents, ns.profiles
+    if ns.sample == "jobs-common-best":
         return serialize.jobs_to_doc(generators.random_common_best_domain(rng, n, k))
-    if sample == "jobs-hat":
+    if ns.sample == "jobs-hat":
         return serialize.jobs_to_doc(generators.random_hat_domain(rng, n, k))
-    if sample == "marriage":
+    if ns.sample == "marriage":
         problems = [
             generators.random_marriage_problem(rng, f"R{i}", n, n) for i in range(k)
         ]
@@ -440,26 +461,21 @@ def _sample_domain(config: RunConfig, sample: str) -> dict:
     return serialize.economy_to_doc(economies)
 
 
-def _cmd_export_dot(config: RunConfig) -> int:
-    env = _load_environment(config, config.options["profile"])
+def _cmd_export_dot(ns: argparse.Namespace, caps: dict[str, int]) -> int:
+    env = _load_environment(ns)
     dg = build_improvement_digraph(env)
     highlight: tuple[str, ...] = ()
     blocks = None
-    if config.options.get("highlight") == "mss":
+    if ns.highlight == "mss":
         highlight = tuple(solvers.compute_mss(env, dg).states)
-    elif config.options.get("highlight") == "core":
+    elif ns.highlight == "core":
         highlight = solvers.compute_core(env, dg).sets[0]
-    if config.options.get("partition"):
+    if ns.partition:
         mss = solvers.compute_mss(env, dg)
         result = solvers.partition_into_rotation_programs(env, mss.states, dg)
         if result.ok:
             blocks = result.blocks
-    dot = serialize.digraph_to_dot(dg, env, highlight, blocks)
-    if config.out:
-        with open(config.out, "w", encoding="utf-8") as fh:
-            fh.write(dot)
-    else:
-        sys.stdout.write(dot)
+    _write(ns.out, serialize.digraph_to_dot(dg, env, highlight, blocks))
     return EXIT_OK
 
 
@@ -476,27 +492,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-        caps = _caps_from_env()
-        if getattr(ns, "jobs", 1) < 1:
-            raise InputError("--jobs must be positive")
-        if getattr(ns, "cap", None) is not None and ns.cap < 1:
-            raise InputError("--cap must be positive")
-        options = {
-            k: v
-            for k, v in vars(ns).items()
-            if k not in ("command", "file", "out", "fmt", "jobs", "backward_iii")
-        }
-        config = RunConfig(
-            command=ns.command,
-            path=ns.file,
-            out=ns.out,
-            fmt=ns.fmt,
-            caps=caps,
-            forward_iii=not ns.backward_iii,
-            jobs=ns.jobs,
-            options=options,
-        )
-        return _COMMANDS[ns.command](config)
+        return _COMMANDS[ns.command](ns, _caps_from_env())
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -29,6 +29,7 @@ from .model import (
     InputError,
     Profile,
     SocialChoiceRule,
+    Verdict,
     is_monotonic_transformation,
     lower_contour_set,
 )
@@ -37,12 +38,9 @@ ORDER_SEARCH_CAP = 8
 
 
 @dataclass(frozen=True)
-class MaskinVerdict:
+class MaskinVerdict(Verdict):
     ok: bool
     counterexample: tuple[str, str, str] | None = None  # (R, R', z)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def check_maskin_monotonicity(scr: SocialChoiceRule) -> MaskinVerdict:
@@ -68,13 +66,10 @@ class IndirectWitness:
 
 
 @dataclass(frozen=True)
-class IndirectVerdict:
+class IndirectVerdict(Verdict):
     ok: bool
     witnesses: tuple[IndirectWitness, ...] = ()
     failing: tuple[str, str, str] | None = None  # (R, R', z)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _reversal_somewhere(r: Profile, rp: Profile, x: str) -> int | None:
@@ -279,13 +274,10 @@ class RotationObstruction:
 
 
 @dataclass(frozen=True)
-class RotationVerdict:
+class RotationVerdict(Verdict):
     ok: bool
     witness: OrderingWitness | None = None
     obstructions: tuple[RotationObstruction, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def check_rotation_monotonicity(
@@ -359,12 +351,9 @@ class PropertyMFailure:
 
 
 @dataclass(frozen=True)
-class PropertyMVerdict:
+class PropertyMVerdict(Verdict):
     ok: bool
     failure: PropertyMFailure | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _ordering_property_m_ok(

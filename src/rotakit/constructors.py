@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .model import Profile, SocialChoiceRule, lower_contour_set
+from .model import Profile, SocialChoiceRule, Verdict, lower_contour_set
 from .conditions import OrderingWitness, coerce_orderings
 from .rights import (
     GRAPH,
@@ -191,7 +191,7 @@ def compute_diagnostic_sets(
 
 
 @dataclass(frozen=True)
-class ProfileVerdict:
+class ProfileVerdict(Verdict):
     profile_id: str
     ok: bool
     expected: frozenset[str]
@@ -205,32 +205,17 @@ class ProfileVerdict:
     def extra(self) -> frozenset[str]:
         return self.actual - self.expected
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 @dataclass(frozen=True)
-class ImplementationReport:
+class ImplementationReport(Verdict):
     kind: str  # "mss" | "rotation-programs"
     ok: bool
     per_profile: tuple[ProfileVerdict, ...]
     partitions: Mapping[str, PartitionResult] | None = None
 
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def _map_profiles(scr: SocialChoiceRule, fn, jobs: int) -> list:
-    if jobs <= 1:
-        return [fn(p) for p in scr.profiles]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, scr.profiles))
-
 
 def verify_implementation_in_mss(
-    structure: RightsStructure, scr: SocialChoiceRule, jobs: int = 1
+    structure: RightsStructure, scr: SocialChoiceRule
 ) -> ImplementationReport:
     """Per profile, does h(MSS) equal the chosen set exactly?"""
 
@@ -240,12 +225,12 @@ def verify_implementation_in_mss(
         expected = scr.choice(p.id)
         return ProfileVerdict(p.id, actual == expected, expected, actual)
 
-    verdicts = _map_profiles(scr, check, jobs)
+    verdicts = [check(p) for p in scr.profiles]
     return ImplementationReport("mss", all(v.ok for v in verdicts), tuple(verdicts))
 
 
 def verify_implementation_in_rotation_programs(
-    structure: RightsStructure, scr: SocialChoiceRule, jobs: int = 1
+    structure: RightsStructure, scr: SocialChoiceRule
 ) -> ImplementationReport:
     """MSS equality plus a rotation-program partition with blocks onto F(R)."""
 
@@ -266,7 +251,7 @@ def verify_implementation_in_rotation_programs(
             ok = False
         return ProfileVerdict(p.id, ok, expected, actual), partition
 
-    results = _map_profiles(scr, check, jobs)
+    results = [check(p) for p in scr.profiles]
     verdicts = tuple(v for v, _ in results)
     partitions = {v.profile_id: part for v, part in results}
     return ImplementationReport(

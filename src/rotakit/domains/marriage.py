@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from ..conditions import OrderingWitness
-from ..model import CapExceeded, InputError, Profile, SocialChoiceRule
+from ..model import CapExceeded, InputError, Profile, SocialChoiceRule, Verdict
 
 MATCHING_CAP = 5  # per side; matching spaces are enumerated brute force
 
@@ -195,13 +195,10 @@ def deferred_acceptance(problem: MarriageProblem, proposing: str = "men") -> Mat
 
 
 @dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(Verdict):
     ok: bool
     blocking_pair: tuple[str, str] | None = None
     ir_violator: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def is_stable(matching: Matching, problem: MarriageProblem) -> StabilityVerdict:

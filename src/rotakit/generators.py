@@ -139,7 +139,15 @@ def random_common_best_domain(
 def random_hat_domain(
     rng: random.Random, n: int, n_profiles: int = 2
 ) -> list[JobRotationProblem]:
-    """Distinct job profiles where agents 1 and 2 share a (varying) top job."""
+    """Distinct job profiles where agents 1 and 2 share a (varying) top job.
+
+    Only n * ((n-1)!)^2 * (n!)^(n-2) distinct profiles exist on this domain
+    (two for n=2); the request is clamped to that.
+    """
+    import math
+
+    available = n * math.factorial(n - 1) ** 2 * math.factorial(n) ** (n - 2)
+    n_profiles = min(n_profiles, available)
     jobs = tuple(f"j{i + 1}" for i in range(n))
     problems: list[JobRotationProblem] = []
     while len(problems) < n_profiles:

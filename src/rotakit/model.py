@@ -29,6 +29,13 @@ class CapExceeded(RuntimeError):
         self.needed = needed
 
 
+class Verdict:
+    """Base of the verdict records: a verdict is truthy exactly when its `ok` field is."""
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+
 def _normalise_ranks(ranks: Sequence[int]) -> tuple[int, ...]:
     """Map arbitrary integer ranks onto the contiguous block 0..k, order-preserving."""
     order = {r: i for i, r in enumerate(sorted(set(ranks)))}
@@ -153,12 +160,9 @@ def lower_contour_set(profile: Profile, agent: int, x: str) -> frozenset[str]:
 
 
 @dataclass(frozen=True)
-class DomainRestrictionVerdict:
+class DomainRestrictionVerdict(Verdict):
     ok: bool
     pair: tuple[str, str] | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def validate_domain_restriction(profile: Profile) -> DomainRestrictionVerdict:
@@ -258,14 +262,11 @@ class SocialChoiceRule:
 
 
 @dataclass(frozen=True)
-class EfficiencyVerdict:
+class EfficiencyVerdict(Verdict):
     ok: bool
     profile_id: str | None = None
     outcome: str | None = None
     dominator: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def check_efficiency(scr: SocialChoiceRule) -> EfficiencyVerdict:

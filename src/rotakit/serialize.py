@@ -44,9 +44,24 @@ def load_document(path: str) -> dict:
 
 
 def _need(doc: Mapping, key: str, path: str) -> Any:
-    if key not in doc:
-        raise InputError(f"missing field {path}.{key}")
-    return doc[key]
+    try:
+        return doc[key]
+    except KeyError:
+        raise InputError(f"missing field {path}.{key}") from None
+    except TypeError:
+        raise InputError(f"{path}: expected an object") from None
+
+
+def _read(convert, value: Any, path: str) -> Any:
+    """`convert(value)`, with a value of the wrong shape reported at `path`."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"{path}: malformed value: {exc}") from None
+
+
+def _rows(value: Any) -> tuple[tuple, ...]:
+    return tuple(tuple(row) for row in value)
 
 
 def _need_int(doc: Mapping, key: str, path: str) -> int:
@@ -58,13 +73,13 @@ def _need_int(doc: Mapping, key: str, path: str) -> int:
 
 
 def profiles_from_doc(doc: Mapping) -> tuple[Profile, ...]:
-    alternatives = tuple(_need(doc, "alternatives", "$"))
+    alternatives = _read(tuple, _need(doc, "alternatives", "$"), "$.alternatives")
     agents = _need_int(doc, "agents", "$")
     out = []
-    for i, pdoc in enumerate(_need(doc, "profiles", "$")):
+    for i, pdoc in _read(enumerate, _need(doc, "profiles", "$"), "$.profiles"):
         path = f"$.profiles[{i}]"
         pid = str(_need(pdoc, "id", path))
-        ranks = _need(pdoc, "ranks", path)
+        ranks = _read(_rows, _need(pdoc, "ranks", path), f"{path}.ranks")
         if len(ranks) != agents:
             raise InputError(f"{path}.ranks: expected {agents} agent rows")
         try:
@@ -79,7 +94,7 @@ def scr_from_doc(doc: Mapping) -> SocialChoiceRule:
     table = _need(doc, "scr", "$")
     if not isinstance(table, Mapping):
         raise InputError("$.scr: expected an object mapping profile ids to outcome lists")
-    choices = {pid: frozenset(vals) for pid, vals in table.items()}
+    choices = {pid: _read(frozenset, vals, f"$.scr.{pid}") for pid, vals in table.items()}
     return SocialChoiceRule(profiles, choices)
 
 
@@ -98,33 +113,33 @@ def scr_to_doc(scr: SocialChoiceRule) -> dict:
 def rights_from_doc(doc: Mapping) -> RightsStructure:
     rdoc = _need(doc, "rights", "$")
     states = []
-    for i, sdoc in enumerate(_need(rdoc, "states", "$.rights")):
+    for i, sdoc in _read(enumerate, _need(rdoc, "states", "$.rights"), "$.rights.states"):
         path = f"$.rights.states[{i}]"
+        key = str(_need(sdoc, "id", path))
         kind = sdoc.get("kind", BASE)
         if kind not in (BASE, GRAPH, OPAQUE):
             raise InputError(f"{path}.kind: unknown kind {kind!r}")
-        states.append(
-            State(
-                str(_need(sdoc, "id", path)),
-                str(_need(sdoc, "outcome", path)),
-                kind,
-                sdoc.get("profile"),
-            )
-        )
+        states.append(State(key, str(_need(sdoc, "outcome", path)), kind, sdoc.get("profile")))
     gamma: dict[tuple[str, str], frozenset] = {}
     provenance: dict[tuple[str, str], str] = {}
-    for i, gdoc in enumerate(rdoc.get("gamma", [])):
-        path = f"$.rights.gamma[{i}]"
-        pair = (str(_need(gdoc, "from", path)), str(_need(gdoc, "to", path)))
-        fam = frozenset(
-            frozenset(int(a) for a in members)
-            for members in _need(gdoc, "coalitions", path)
-        )
-        if pair in gamma:
-            fam = fam | gamma[pair]
-        gamma[pair] = fam
-        if gdoc.get("rule"):
-            provenance[pair] = str(gdoc["rule"])
+    entries = _read(enumerate, rdoc.get("gamma", []), "$.rights.gamma")
+    try:  # one handler for the whole loop: nothing is added per entry
+        for i, gdoc in entries:
+            path = f"$.rights.gamma[{i}]"
+            pair = (str(_need(gdoc, "from", path)), str(_need(gdoc, "to", path)))
+            fam = frozenset(
+                frozenset(int(a) for a in members)
+                for members in _need(gdoc, "coalitions", path)
+            )
+            if pair in gamma:
+                fam = fam | gamma[pair]
+            gamma[pair] = fam
+            if gdoc.get("rule"):
+                provenance[pair] = str(gdoc["rule"])
+    except InputError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{path}.coalitions: expected lists of agent indices: {exc}") from None
     return RightsStructure(tuple(states), gamma, provenance)
 
 
@@ -187,47 +202,58 @@ def is_domain_doc(doc: Mapping) -> bool:
 
 
 def jobs_problems_from_doc(doc: Mapping) -> list[jobs.JobRotationProblem]:
-    job_ids = tuple(_need(doc, "jobs", "$"))
+    job_ids = _read(tuple, _need(doc, "jobs", "$"), "$.jobs")
     out = []
-    for i, pdoc in enumerate(_need(doc, "profiles", "$")):
+    for i, pdoc in _read(enumerate, _need(doc, "profiles", "$"), "$.profiles"):
         path = f"$.profiles[{i}]"
         out.append(
             jobs.JobRotationProblem(
                 str(_need(pdoc, "id", path)),
                 job_ids,
-                tuple(tuple(o) for o in _need(pdoc, "orders", path)),
+                _read(_rows, _need(pdoc, "orders", path), f"{path}.orders"),
             )
         )
     return out
 
 
+def _prefs(value: Any) -> dict:
+    return {person: tuple(order) for person, order in value.items()}
+
+
 def marriage_problems_from_doc(doc: Mapping) -> list[marriage.MarriageProblem]:
-    men = tuple(_need(doc, "men", "$"))
-    women = tuple(_need(doc, "women", "$"))
+    men = _read(tuple, _need(doc, "men", "$"), "$.men")
+    women = _read(tuple, _need(doc, "women", "$"), "$.women")
     pure = bool(doc.get("pure", False))
     out = []
-    for i, pdoc in enumerate(_need(doc, "profiles", "$")):
+    for i, pdoc in _read(enumerate, _need(doc, "profiles", "$"), "$.profiles"):
         path = f"$.profiles[{i}]"
         out.append(
             marriage.MarriageProblem(
                 str(_need(pdoc, "id", path)),
                 men,
                 women,
-                {m: tuple(v) for m, v in _need(pdoc, "men", path).items()},
-                {w: tuple(v) for w, v in _need(pdoc, "women", path).items()},
+                _read(_prefs, _need(pdoc, "men", path), f"{path}.men"),
+                _read(_prefs, _need(pdoc, "women", path), f"{path}.women"),
                 pure,
             )
         )
     return out
 
 
+def _agent_set(members: Any) -> frozenset[int]:
+    return frozenset(int(a) for a in members)
+
+
 def economies_from_doc(doc: Mapping) -> list[housing.Economy]:
     agents = _need_int(doc, "agents", "$")
-    houses = tuple(_need(doc, "houses", "$"))
+    houses = _read(tuple, _need(doc, "houses", "$"), "$.houses")
     outside = str(_need(doc, "outside", "$"))
-    owners = {h: frozenset(int(a) for a in k) for h, k in _need(doc, "owners", "$").items()}
+    owners = {
+        h: _read(_agent_set, members, f"$.owners.{h}")
+        for h, members in _read(lambda o: o.items(), _need(doc, "owners", "$"), "$.owners")
+    }
     out = []
-    for i, pdoc in enumerate(_need(doc, "profiles", "$")):
+    for i, pdoc in _read(enumerate, _need(doc, "profiles", "$"), "$.profiles"):
         path = f"$.profiles[{i}]"
         out.append(
             housing.Economy(
@@ -236,7 +262,7 @@ def economies_from_doc(doc: Mapping) -> list[housing.Economy]:
                 houses,
                 outside,
                 owners,
-                tuple(tuple(o) for o in _need(pdoc, "orders", path)),
+                _read(_rows, _need(pdoc, "orders", path), f"{path}.orders"),
             )
         )
     return out

@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .model import CapExceeded, InputError
+from .model import CapExceeded, InputError, Verdict
 from .rights import (
     ImprovementDigraph,
     SocialEnvironment,
@@ -284,13 +284,10 @@ def compute_generalized_stable_sets(
 
 
 @dataclass(frozen=True)
-class RotationProgramVerdict:
+class RotationProgramVerdict(Verdict):
     ok: bool
     clause: str | None = None
     detail: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def _entitled_worsening(env: SocialEnvironment, a: str, b: str) -> bool:
@@ -358,14 +355,11 @@ def is_rotation_program(
 
 
 @dataclass(frozen=True)
-class PartitionResult:
+class PartitionResult(Verdict):
     ok: bool
     blocks: tuple[tuple[str, ...], ...] = ()
     witness_state: str | None = None
     reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def partition_into_rotation_programs(

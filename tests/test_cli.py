@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -348,3 +349,101 @@ def test_solve_rotation_semicolon_order_for_comma_state_ids(capsys, economy_path
     )
     assert code == 0
     assert "not a rotation program" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "FILE", "--profile", "Rp", "--concept", "mss", "--jobs", "1"),
+        ("check", "FILE", "--condition", "maskin", "--jobs", "1"),
+        ("construct", "FILE", "--theorem", "1", "--jobs", "1"),
+        ("domain", "--sample", "economy", "--jobs", "1"),
+        ("export-dot", "FILE", "--profile", "Rp", "--jobs", "1"),
+        ("solve", "FILE", "--profile", "Rp", "--concept", "mss", "--cap", "3"),
+        ("export-dot", "FILE", "--profile", "Rp", "--cap", "3"),
+        ("domain", "--sample", "economy", "--cap", "3"),
+        ("check", "FILE", "--condition", "maskin", "--backward-iii"),
+        ("construct", "FILE", "--theorem", "1", "--backward-iii"),
+        ("domain", "--sample", "economy", "--backward-iii"),
+        ("export-dot", "FILE", "--profile", "Rp", "--backward-iii"),
+    ],
+)
+def test_flag_not_taken_by_subcommand_rejected(capsys, env_path, argv):
+    code, out, err = _run(capsys, *(env_path if a == "FILE" else a for a in argv))
+    assert code == 1 and out == ""
+    assert "unrecognized arguments" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("domain", "--sample", "jobs-common-best", "--profiles", "0"),
+        ("domain", "--sample", "jobs-hat", "--profiles", "0"),
+        ("domain", "--sample", "marriage", "--profiles", "0"),
+        ("domain", "--sample", "economy", "--profiles", "0"),
+        ("domain", "--sample", "jobs-hat", "--agents", "0"),
+        ("domain", "--sample", "jobs-common-best", "--agents", "0"),
+        ("domain", "--sample", "economy", "--agents", "-2"),
+        ("domain", "--sample", "economy", "--agents", "two"),
+        ("check", "FILE", "--condition", "rotation", "--cap", "0"),
+        ("construct", "FILE", "--theorem", "4", "--cap", "-1"),
+    ],
+)
+def test_non_positive_count_rejected(capsys, env_path, argv):
+    code, out, err = _run(capsys, *(env_path if a == "FILE" else a for a in argv))
+    assert code == 1 and out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
+def test_domain_sample_hat_clamps_to_distinct_profiles(capsys):
+    # two jobs admit only two hat profiles; asking for more must not loop
+    code, out, _ = _run(
+        capsys, "domain", "--sample", "jobs-hat", "--agents", "2", "--profiles", "3"
+    )
+    assert code == 0 and len(json.loads(out)["profiles"]) == 2
+
+
+@pytest.mark.parametrize(
+    "fixture, where, value, argv, named",
+    [
+        ("example-environment", ("alternatives",), 7, ("check", "--condition", "maskin"),
+         "$.alternatives"),
+        ("example-environment", ("profiles",), 7, ("check", "--condition", "maskin"),
+         "$.profiles"),
+        ("example-environment", ("profiles", 0, "ranks"), None,
+         ("check", "--condition", "maskin"), "$.profiles[0].ranks"),
+        ("example-environment", ("rights", "states"), 7, ("solve", "--profile", "R",
+         "--concept", "mss"), "$.rights.states"),
+        ("example-environment", ("rights", "states", 1), ["y"], ("solve", "--profile", "R",
+         "--concept", "mss"), "$.rights.states[1]"),
+        ("example-environment", ("rights", "gamma", 2, "coalitions"), 7, ("solve",
+         "--profile", "R", "--concept", "mss"), "$.rights.gamma[2].coalitions"),
+        ("example-environment", ("rights", "gamma", 2, "coalitions", 1), ["a"], ("solve",
+         "--profile", "R", "--concept", "mss"), "$.rights.gamma[2].coalitions"),
+        ("example-environment", ("scr", "Rp"), 7, ("check", "--condition", "maskin"),
+         "$.scr.Rp"),
+        ("jobs-domain", ("jobs",), 7, ("domain",), "$.jobs"),
+        ("jobs-domain", ("profiles", 1, "orders"), 7, ("domain",), "$.profiles[1].orders"),
+        ("economy-domain", ("owners",), ["h1"], ("domain",), "$.owners"),
+        ("economy-domain", ("owners", "h2"), 7, ("domain",), "$.owners.h2"),
+        ("economy-domain", ("owners", "h2"), ["b"], ("domain",), "$.owners.h2"),
+        ("economy-domain", ("houses",), 7, ("domain",), "$.houses"),
+        ("economy-domain", ("profiles", 0, "orders"), 7, ("solve", "--profile", "R",
+         "--concept", "core"), "$.profiles[0].orders"),
+        ("marriage-domain", ("profiles", 1, "women"), [], ("domain",),
+         "$.profiles[1].women"),
+    ],
+)
+def test_malformed_document_names_json_path(capsys, tmp_path, fixture, where, value, argv,
+                                            named):
+    root = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+    doc = json.loads((root / f"{fixture}.json").read_text())
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, argv[0], str(bad), *argv[1:])
+    assert code == 1 and out == ""
+    assert f"error: {named}" in err and "Traceback" not in err

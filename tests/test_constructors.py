@@ -194,13 +194,6 @@ def test_thm4_chain_instance_end_to_end():
         assert {structure.outcome(s) for s in block} == {"a"}
 
 
-def test_parallel_verification_matches_serial(xyz_scr):
-    structure = build_thm1_structure(xyz_scr)
-    serial = verify_implementation_in_mss(structure, xyz_scr, jobs=1)
-    parallel = verify_implementation_in_mss(structure, xyz_scr, jobs=4)
-    assert serial.per_profile == parallel.per_profile
-
-
 def test_thm4_duplicate_content_profiles_partition_into_parallel_blocks():
     # two profiles with identical preferences under different ids: neither
     # tagged cycle can escape at the other profile, so the MSS carries two
