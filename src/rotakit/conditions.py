@@ -72,14 +72,6 @@ class IndirectVerdict(Verdict):
     failing: tuple[str, str, str] | None = None  # (R, R', z)
 
 
-def _reversal_somewhere(r: Profile, rp: Profile, x: str) -> int | None:
-    """First agent whose lower contour of x shrank from r to rp, if any."""
-    for i in range(r.n_agents):
-        if not lower_contour_set(r, i, x) <= lower_contour_set(rp, i, x):
-            return i
-    return None
-
-
 def check_indirect_monotonicity(scr: SocialChoiceRule) -> IndirectVerdict:
     """Triggered triples must reach a preference reversal inside F(R).
 
@@ -122,7 +114,7 @@ def _indirect_walk(
                     continue
                 seen.add(b)
                 parent[b] = (a, agent)
-                rev = _reversal_somewhere(r, rp, b)
+                rev = _preference_reversal(r, rp, b)
                 if rev is not None:
                     path = [b]
                     agents = []
@@ -132,7 +124,9 @@ def _indirect_walk(
                         path.append(prev)
                     path.reverse()
                     agents.reverse()
-                    return IndirectWitness(r.id, rp.id, z, tuple(path), tuple(agents), rev)
+                    return IndirectWitness(
+                        r.id, rp.id, z, tuple(path), tuple(agents), rev[0]
+                    )
                 nxt.append(b)
         frontier = nxt
     return None
@@ -221,15 +215,25 @@ def _ordering_rotation_ok(
     return True, None
 
 
-def _circular_orderings(outcomes: Sequence[str]) -> Iterable[tuple[str, ...]]:
-    """All circular orderings, first element fixed, lexicographic tail order."""
-    outcomes = sorted(outcomes)
+def _searched_orderings(
+    scr: SocialChoiceRule, r: Profile, cap: int
+) -> Iterable[tuple[str, ...]]:
+    """All circular orderings of F(r), first element fixed, lexicographic tail order.
+
+    Raises CapExceeded, before any ordering is tried, if F(r) exceeds `cap`.
+    """
+    outcomes = sorted(scr.choice(r.id))
+    if len(outcomes) > cap:
+        raise CapExceeded(
+            f"ordering search over {len(outcomes)} outcomes at {r.id!r} "
+            f"exceeds the cap of {cap}",
+            cap=cap,
+            needed=len(outcomes),
+        )
     if len(outcomes) <= 1:
-        yield tuple(outcomes)
-        return
+        return [tuple(outcomes)]
     head = outcomes[0]
-    for tail in itertools.permutations(outcomes[1:]):
-        yield (head,) + tail
+    return ((head,) + tail for tail in itertools.permutations(outcomes[1:]))
 
 
 @dataclass(frozen=True)
@@ -294,17 +298,9 @@ def check_rotation_monotonicity(
     orderings: dict[str, tuple[str, ...]] = {}
     obstructions: list[RotationObstruction] = []
     for r in scr.profiles:
-        chosen = scr.choice(r.id)
-        if len(chosen) > cap:
-            raise CapExceeded(
-                f"ordering search over {len(chosen)} outcomes at {r.id!r} "
-                f"exceeds the cap of {cap}",
-                cap=cap,
-                needed=len(chosen),
-            )
         failures = []
         found = None
-        for ordering in _circular_orderings(chosen):
+        for ordering in _searched_orderings(scr, r, cap):
             ok, failure = _ordering_rotation_ok(scr, r, ordering)
             if ok:
                 found = ordering
@@ -421,16 +417,8 @@ def find_shared_ordering(
     """
     orderings: dict[str, tuple[str, ...]] = {}
     for r in scr.profiles:
-        chosen = scr.choice(r.id)
-        if len(chosen) > cap:
-            raise CapExceeded(
-                f"ordering search over {len(chosen)} outcomes at {r.id!r} "
-                f"exceeds the cap of {cap}",
-                cap=cap,
-                needed=len(chosen),
-            )
         found = None
-        for ordering in _circular_orderings(chosen):
+        for ordering in _searched_orderings(scr, r, cap):
             ok, _ = _ordering_rotation_ok(scr, r, ordering)
             if ok and _ordering_property_m_ok(scr, r, ordering) is None:
                 found = ordering

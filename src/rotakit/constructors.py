@@ -48,67 +48,52 @@ def graph_state_key(alt: str, profile_id: str) -> str:
     return f"{alt}@{profile_id}"
 
 
-def _states_for(scr: SocialChoiceRule) -> tuple[State, ...]:
-    states = []
-    for p in scr.profiles:
-        chosen = scr.choice(p.id)
-        for a in scr.alternatives:
-            if a in chosen:
-                states.append(State(graph_state_key(a, p.id), a, GRAPH, p.id))
-    states.extend(State(a, a, BASE) for a in scr.alternatives)
-    return tuple(states)
+def _five_rule_structure(
+    scr: SocialChoiceRule, rule1: Mapping[str, Mapping[str, Sequence[str]]]
+) -> RightsStructure:
+    """States Gr(F) plus the bare alternatives, with gamma from the five rules.
 
-
-def _rules_2_to_4(
-    scr: SocialChoiceRule,
-    gamma: dict[tuple[str, str], set[Coalition]],
-    provenance: dict[tuple[str, str], str],
-) -> None:
+    `rule1[profile id][z]` lists the chosen alternatives that everyone may
+    move the state (z, R) to; one walk of the chosen states grants those
+    moves and Rules 2 and 3, and the alternatives then get Rule 4.
+    """
     agents = range(scr.n_agents)
-    singletons = {i: frozenset([i]) for i in agents}
-    everyone = frozenset(singletons.values())
-    graph_keys = [
-        (graph_state_key(a, p.id), a, p)
-        for p in scr.profiles
-        for a in scr.alternatives
-        if a in scr.choice(p.id)
-    ]
-    for key, z, p in graph_keys:
+    singletons = [frozenset([i]) for i in agents]
+    everyone = frozenset(singletons)
+    states: list[State] = []
+    gamma: dict[tuple[str, str], frozenset[Coalition]] = {}
+    provenance: dict[tuple[str, str], str] = {}
+
+    def grant(pair: tuple[str, str], fam: frozenset[Coalition], rule: str) -> None:
+        gamma[pair] = fam
+        provenance[pair] = rule
+
+    for z, p in scr.graph():
+        key = graph_state_key(z, p.id)
+        states.append(State(key, z, GRAPH, p.id))
+        for x in rule1[p.id].get(z, ()):
+            grant((key, graph_state_key(x, p.id)), everyone, RULE1)
         contours = [lower_contour_set(p, i, z) for i in agents]
         for x in scr.alternatives:
             fam = frozenset(singletons[i] for i in agents if x in contours[i])
             if fam:
-                gamma[(key, x)] = set(fam)
-                provenance[(key, x)] = RULE2
+                grant((key, x), fam, RULE2)
+            grant((x, key), everyone, RULE3)
     for x in scr.alternatives:
-        for key, _, _ in graph_keys:
-            gamma[(x, key)] = set(everyone)
-            provenance[(x, key)] = RULE3
+        states.append(State(x, x, BASE))
         for y in scr.alternatives:
             if x != y:
-                gamma[(x, y)] = set(everyone)
-                provenance[(x, y)] = RULE4
+                grant((x, y), everyone, RULE4)
+    return RightsStructure(tuple(states), gamma, provenance)
 
 
 def build_thm1_structure(scr: SocialChoiceRule) -> RightsStructure:
     """Five-rule structure with Rule 1 joining every same-profile chosen pair."""
-    gamma: dict[tuple[str, str], set[Coalition]] = {}
-    provenance: dict[tuple[str, str], str] = {}
-    everyone = frozenset(frozenset([i]) for i in range(scr.n_agents))
+    rule1 = {}
     for p in scr.profiles:
         chosen = sorted(scr.choice(p.id))
-        for z in chosen:
-            for x in chosen:
-                if z != x:
-                    pair = (graph_state_key(z, p.id), graph_state_key(x, p.id))
-                    gamma[pair] = set(everyone)
-                    provenance[pair] = RULE1
-    _rules_2_to_4(scr, gamma, provenance)
-    return RightsStructure(
-        _states_for(scr),
-        {pair: frozenset(fam) for pair, fam in gamma.items()},
-        provenance,
-    )
+        rule1[p.id] = {z: [x for x in chosen if x != z] for z in chosen}
+    return _five_rule_structure(scr, rule1)
 
 
 def build_thm4_structure(
@@ -120,28 +105,11 @@ def build_thm4_structure(
     (x(k,R),R) -> (x(k+1,R),R), indices wrapping; a singleton chosen set
     contributes no Rule 1 entries.
     """
-    table = coerce_orderings(scr, orderings)
-    gamma: dict[tuple[str, str], set[Coalition]] = {}
-    provenance: dict[tuple[str, str], str] = {}
-    everyone = frozenset(frozenset([i]) for i in range(scr.n_agents))
-    for p in scr.profiles:
-        ordering = table[p.id]
+    rule1 = {}
+    for pid, ordering in coerce_orderings(scr, orderings).items():
         m = len(ordering)
-        if m == 1:
-            continue
-        for k in range(m):
-            pair = (
-                graph_state_key(ordering[k], p.id),
-                graph_state_key(ordering[(k + 1) % m], p.id),
-            )
-            gamma[pair] = set(everyone)
-            provenance[pair] = RULE1
-    _rules_2_to_4(scr, gamma, provenance)
-    return RightsStructure(
-        _states_for(scr),
-        {pair: frozenset(fam) for pair, fam in gamma.items()},
-        provenance,
-    )
+        rule1[pid] = {ordering[k - 1]: [ordering[k]] for k in range(m)} if m > 1 else {}
+    return _five_rule_structure(scr, rule1)
 
 
 @dataclass(frozen=True)

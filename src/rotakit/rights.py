@@ -170,14 +170,20 @@ class ImprovementDigraph:
     `nodes` follow state declaration order; `adjacency` lists, per node,
     the distinct improvement targets in declaration order; `edge_coalitions`
     lists, per (source, target), the witnessing coalitions sorted by size
-    then members.
+    then members, with its pairs by source, then by target.
     """
 
     nodes: tuple[str, ...]
-    edges: tuple[Edge, ...]
     adjacency: Mapping[str, tuple[str, ...]]
     predecessors: Mapping[str, tuple[str, ...]]
     edge_coalitions: Mapping[tuple[str, str], tuple[Coalition, ...]]
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every move (s, t, K), flattened from `edge_coalitions` in its order."""
+        return tuple(
+            Edge(a, b, k) for (a, b), winners in self.edge_coalitions.items() for k in winners
+        )
 
     def has_edge(self, a: str, b: str) -> bool:
         return (a, b) in self.edge_coalitions
@@ -196,7 +202,6 @@ def build_improvement_digraph(env: SocialEnvironment) -> ImprovementDigraph:
     keys = rights.keys()
     by_outcome = {h: tuple(p.rank(h) for p in prefs) for h in {s.outcome for s in rights.states}}
     ranks = {s.key: by_outcome[s.outcome] for s in rights.states}
-    edges: list[Edge] = []
     adjacency: dict[str, list[str]] = {k: [] for k in keys}
     predecessors: dict[str, list[str]] = {k: [] for k in keys}
     edge_coalitions: dict[tuple[str, str], tuple[Coalition, ...]] = {}
@@ -219,10 +224,8 @@ def build_improvement_digraph(env: SocialEnvironment) -> ImprovementDigraph:
             edge_coalitions[(a, b)] = tuple(winners)
             out.append(b)
             predecessors[b].append(a)
-            edges.extend(Edge(a, b, k) for k in winners)
     return ImprovementDigraph(
         nodes=keys,
-        edges=tuple(edges),
         adjacency={k: tuple(v) for k, v in adjacency.items()},
         predecessors={k: tuple(v) for k, v in predecessors.items()},
         edge_coalitions=edge_coalitions,

@@ -60,26 +60,53 @@ def _read(convert, value: Any, path: str) -> Any:
         raise InputError(f"{path}: malformed value: {exc}") from None
 
 
-def _rows(value: Any) -> tuple[tuple, ...]:
-    return tuple(tuple(row) for row in value)
-
-
 def _need_int(doc: Mapping, key: str, path: str) -> int:
     value = _need(doc, key, path)
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise InputError(f"{path}.{key}: expected an integer, got {value!r}") from None
+    if type(value) is not int:
+        raise InputError(f"{path}.{key}: expected an integer, got {value!r}")
+    return value
+
+
+def _list(value: Any, path: str, kind: type = object) -> tuple:
+    """A JSON list whose entries all have type `kind`, as a tuple.
+
+    A string is not read as a list of characters, and an entry of another
+    type (a bool where an integer belongs, say) is reported at its own path.
+    """
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"{path}: expected a list, got {value!r}")
+    if kind is not object:
+        for i, v in enumerate(value):
+            if type(v) is not kind:
+                raise InputError(f"{path}[{i}]: expected {kind.__name__}, got {v!r}")
+    return tuple(value)
+
+
+def _ids(value: Any, path: str) -> tuple[str, ...]:
+    return _list(value, path, str)
+
+
+def _rows(value: Any, path: str, kind: type) -> tuple[tuple, ...]:
+    """A list of lists of `kind`: rank rows of ints, or preference orders of ids."""
+    return tuple(_list(row, f"{path}[{a}]", kind) for a, row in enumerate(_list(value, path)))
+
+
+def _agents(members: Any) -> frozenset[int]:
+    """A coalition's agent indices, each a JSON integer (not a bool, float or string)."""
+    for a in members:
+        if type(a) is not int:
+            raise TypeError(f"agent index {a!r} is not an integer")
+    return frozenset(members)
 
 
 def profiles_from_doc(doc: Mapping) -> tuple[Profile, ...]:
-    alternatives = _read(tuple, _need(doc, "alternatives", "$"), "$.alternatives")
+    alternatives = _ids(_need(doc, "alternatives", "$"), "$.alternatives")
     agents = _need_int(doc, "agents", "$")
     out = []
     for i, pdoc in _read(enumerate, _need(doc, "profiles", "$"), "$.profiles"):
         path = f"$.profiles[{i}]"
         pid = str(_need(pdoc, "id", path))
-        ranks = _read(_rows, _need(pdoc, "ranks", path), f"{path}.ranks")
+        ranks = _rows(_need(pdoc, "ranks", path), f"{path}.ranks", int)
         if len(ranks) != agents:
             raise InputError(f"{path}.ranks: expected {agents} agent rows")
         try:
@@ -94,7 +121,7 @@ def scr_from_doc(doc: Mapping) -> SocialChoiceRule:
     table = _need(doc, "scr", "$")
     if not isinstance(table, Mapping):
         raise InputError("$.scr: expected an object mapping profile ids to outcome lists")
-    choices = {pid: _read(frozenset, vals, f"$.scr.{pid}") for pid, vals in table.items()}
+    choices = {pid: frozenset(_ids(vals, f"$.scr.{pid}")) for pid, vals in table.items()}
     return SocialChoiceRule(profiles, choices)
 
 
@@ -127,10 +154,7 @@ def rights_from_doc(doc: Mapping) -> RightsStructure:
         for i, gdoc in entries:
             path = f"$.rights.gamma[{i}]"
             pair = (str(_need(gdoc, "from", path)), str(_need(gdoc, "to", path)))
-            fam = frozenset(
-                frozenset(int(a) for a in members)
-                for members in _need(gdoc, "coalitions", path)
-            )
+            fam = frozenset(map(_agents, _need(gdoc, "coalitions", path)))
             if pair in gamma:
                 fam = fam | gamma[pair]
             gamma[pair] = fam
@@ -202,7 +226,7 @@ def is_domain_doc(doc: Mapping) -> bool:
 
 
 def jobs_problems_from_doc(doc: Mapping) -> list[jobs.JobRotationProblem]:
-    job_ids = _read(tuple, _need(doc, "jobs", "$"), "$.jobs")
+    job_ids = _ids(_need(doc, "jobs", "$"), "$.jobs")
     out = []
     for i, pdoc in _read(enumerate, _need(doc, "profiles", "$"), "$.profiles"):
         path = f"$.profiles[{i}]"
@@ -210,20 +234,24 @@ def jobs_problems_from_doc(doc: Mapping) -> list[jobs.JobRotationProblem]:
             jobs.JobRotationProblem(
                 str(_need(pdoc, "id", path)),
                 job_ids,
-                _read(_rows, _need(pdoc, "orders", path), f"{path}.orders"),
+                _rows(_need(pdoc, "orders", path), f"{path}.orders", str),
             )
         )
     return out
 
 
-def _prefs(value: Any) -> dict:
-    return {person: tuple(order) for person, order in value.items()}
+def _prefs(value: Any, path: str) -> dict:
+    if not isinstance(value, Mapping):
+        raise InputError(f"{path}: expected an object, got {value!r}")
+    return {person: _ids(order, f"{path}.{person}") for person, order in value.items()}
 
 
 def marriage_problems_from_doc(doc: Mapping) -> list[marriage.MarriageProblem]:
-    men = _read(tuple, _need(doc, "men", "$"), "$.men")
-    women = _read(tuple, _need(doc, "women", "$"), "$.women")
-    pure = bool(doc.get("pure", False))
+    men = _ids(_need(doc, "men", "$"), "$.men")
+    women = _ids(_need(doc, "women", "$"), "$.women")
+    pure = doc.get("pure", False)
+    if type(pure) is not bool:
+        raise InputError(f"$.pure: expected true or false, got {pure!r}")
     out = []
     for i, pdoc in _read(enumerate, _need(doc, "profiles", "$"), "$.profiles"):
         path = f"$.profiles[{i}]"
@@ -232,24 +260,20 @@ def marriage_problems_from_doc(doc: Mapping) -> list[marriage.MarriageProblem]:
                 str(_need(pdoc, "id", path)),
                 men,
                 women,
-                _read(_prefs, _need(pdoc, "men", path), f"{path}.men"),
-                _read(_prefs, _need(pdoc, "women", path), f"{path}.women"),
+                _prefs(_need(pdoc, "men", path), f"{path}.men"),
+                _prefs(_need(pdoc, "women", path), f"{path}.women"),
                 pure,
             )
         )
     return out
 
 
-def _agent_set(members: Any) -> frozenset[int]:
-    return frozenset(int(a) for a in members)
-
-
 def economies_from_doc(doc: Mapping) -> list[housing.Economy]:
     agents = _need_int(doc, "agents", "$")
-    houses = _read(tuple, _need(doc, "houses", "$"), "$.houses")
+    houses = _ids(_need(doc, "houses", "$"), "$.houses")
     outside = str(_need(doc, "outside", "$"))
     owners = {
-        h: _read(_agent_set, members, f"$.owners.{h}")
+        h: _read(_agents, members, f"$.owners.{h}")
         for h, members in _read(lambda o: o.items(), _need(doc, "owners", "$"), "$.owners")
     }
     out = []
@@ -262,7 +286,7 @@ def economies_from_doc(doc: Mapping) -> list[housing.Economy]:
                 houses,
                 outside,
                 owners,
-                _read(_rows, _need(pdoc, "orders", path), f"{path}.orders"),
+                _rows(_need(pdoc, "orders", path), f"{path}.orders", str),
             )
         )
     return out

@@ -16,7 +16,6 @@ from itertools import combinations, product
 from rotakit.domains.housing import _entitled, alloc_id, can_exclusion_block, house_allocations
 from rotakit.rights import (
     BASE,
-    Edge,
     ImprovementDigraph,
     RightsStructure,
     State,
@@ -126,7 +125,6 @@ def pair_scan_digraph(env):
     """The improvement digraph built by scanning every ordered state pair."""
     rights, profile = env.rights, env.profile
     keys = rights.keys()
-    edges = []
     adjacency = {k: [] for k in keys}
     predecessors = {k: [] for k in keys}
     edge_coalitions = {}
@@ -146,10 +144,8 @@ def pair_scan_digraph(env):
             edge_coalitions[(a, b)] = tuple(winners)
             adjacency[a].append(b)
             predecessors[b].append(a)
-            edges.extend(Edge(a, b, k) for k in winners)
     return ImprovementDigraph(
         nodes=keys,
-        edges=tuple(edges),
         adjacency={k: tuple(v) for k, v in adjacency.items()},
         predecessors={k: tuple(v) for k, v in predecessors.items()},
         edge_coalitions=edge_coalitions,

@@ -432,6 +432,45 @@ def test_domain_sample_hat_clamps_to_distinct_profiles(capsys):
          "--concept", "core"), "$.profiles[0].orders"),
         ("marriage-domain", ("profiles", 1, "women"), [], ("domain",),
          "$.profiles[1].women"),
+        # id lists take strings only, and a string is not a list of characters
+        ("jobs-domain", ("jobs",), [7, "j2", "j3"], ("domain",), "$.jobs[0]"),
+        ("marriage-domain", ("men",), [7, "m2", "m3"], ("domain",), "$.men[0]"),
+        ("marriage-domain", ("women",), ["w1", "w2", 7], ("domain",), "$.women[2]"),
+        ("economy-domain", ("houses",), [["q"], "h2", "h3"], ("domain",), "$.houses[0]"),
+        ("example-environment", ("alternatives",), [["q"], "y", "z"],
+         ("check", "--condition", "maskin"), "$.alternatives[0]"),
+        ("example-environment", ("alternatives",), "xyz", ("solve", "--profile", "R",
+         "--concept", "mss"), "$.alternatives"),
+        ("example-environment", ("scr", "Rp"), "xy", ("check", "--condition", "maskin"),
+         "$.scr.Rp"),
+        ("example-environment", ("scr", "Rp"), ["x", 7], ("check", "--condition", "maskin"),
+         "$.scr.Rp[1]"),
+        # so do preference orders and rank rows
+        ("jobs-domain", ("profiles", 0, "orders", 1, 0), 7, ("domain",),
+         "$.profiles[0].orders[1][0]"),
+        ("economy-domain", ("profiles", 0, "orders", 2), "h1h2", ("domain",),
+         "$.profiles[0].orders[2]"),
+        ("marriage-domain", ("profiles", 0, "men", "m2", 1), None, ("domain",),
+         "$.profiles[0].men.m2[1]"),
+        ("marriage-domain", ("pure",), "false", ("domain",), "$.pure"),
+        ("example-environment", ("profiles", 1, "ranks", 2, 0), "1",
+         ("check", "--condition", "maskin"), "$.profiles[1].ranks[2][0]"),
+        # agent indices and counts are JSON integers, not bools, floats or strings
+        ("example-environment", ("agents",), 3.5, ("check", "--condition", "maskin"),
+         "$.agents"),
+        ("example-environment", ("agents",), "3", ("check", "--condition", "maskin"),
+         "$.agents"),
+        ("example-environment", ("agents",), True, ("check", "--condition", "maskin"),
+         "$.agents"),
+        ("economy-domain", ("agents",), 3.0, ("domain",), "$.agents"),
+        ("example-environment", ("rights", "gamma", 0, "coalitions"), [[2.9]], ("solve",
+         "--profile", "R", "--concept", "mss"), "$.rights.gamma[0].coalitions"),
+        ("example-environment", ("rights", "gamma", 1, "coalitions"), [[True]], ("solve",
+         "--profile", "R", "--concept", "mss"), "$.rights.gamma[1].coalitions"),
+        ("example-environment", ("rights", "gamma", 1, "coalitions"), [["0"]], ("solve",
+         "--profile", "R", "--concept", "mss"), "$.rights.gamma[1].coalitions"),
+        ("economy-domain", ("owners", "h2"), [1.0], ("domain",), "$.owners.h2"),
+        ("economy-domain", ("owners", "h3"), [False], ("domain",), "$.owners.h3"),
     ],
 )
 def test_malformed_document_names_json_path(capsys, tmp_path, fixture, where, value, argv,

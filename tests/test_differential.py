@@ -20,7 +20,6 @@ from rotakit.domains import Economy, direct_exclusion_core, exclusion_rights_str
 from rotakit.generators import random_environment
 from rotakit.model import Profile
 from rotakit.rights import (
-    Edge,
     ImprovementDigraph,
     RightsStructure,
     SocialEnvironment,
@@ -195,13 +194,11 @@ def _forged(adjacency, predecessors) -> tuple[SocialEnvironment, ImprovementDigr
         RightsStructure(tuple(State(k, k) for k in keys), {}),
         Profile.from_orders("R", keys, [list(keys)]),
     )
-    edges = tuple(Edge(a, b, frozenset([0])) for a in keys for b in adjacency[a])
     dg = ImprovementDigraph(
         nodes=keys,
-        edges=edges,
         adjacency=adjacency,
         predecessors=predecessors,
-        edge_coalitions={(e.source, e.target): (e.coalition,) for e in edges},
+        edge_coalitions={(a, b): (frozenset([0]),) for a in keys for b in adjacency[a]},
     )
     return env, dg
 

@@ -38,6 +38,29 @@ def test_xyz_digraph_at_second_profile(xyz_structure, xyz_profiles):
     assert all(t in {"x", "y"} for s in ("x", "y") for t in dg.targets(s))
 
 
+def test_edges_follow_source_then_target_then_coalition_order():
+    # gamma is declared out of order; (a, b) and (b, c) have several winners
+    rights = RightsStructure(
+        (State("a", "x"), State("b", "y"), State("c", "z")),
+        {
+            ("b", "c"): [[2], [1], [0, 1], [0]],
+            ("c", "a"): [[0]],
+            ("a", "c"): [[0, 1, 2]],
+            ("a", "b"): [[1, 0], [2]],
+        },
+    )
+    profile = Profile.from_orders("R", ALTS, [["z", "y", "x"], ["z", "y", "x"], ["y", "z", "x"]])
+    dg = build_improvement_digraph(SocialEnvironment(rights, profile))
+    assert [(e.source, e.target, sorted(e.coalition)) for e in dg.edges] == [
+        ("a", "b", [2]),
+        ("a", "b", [0, 1]),
+        ("a", "c", [0, 1, 2]),
+        ("b", "c", [0]),
+        ("b", "c", [1]),
+        ("b", "c", [0, 1]),
+    ]
+
+
 def test_edge_soundness_random():
     rng = random.Random(3)
     for _ in range(30):
