@@ -145,7 +145,7 @@ def _write(out: str | None, body: str) -> None:
 
 def _emit(ns: argparse.Namespace, payload: Mapping[str, Any], text: str | None = None) -> None:
     if ns.fmt == "json" or text is None:
-        body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        body = serialize.dumps(payload) + "\n"
     else:
         body = text if text.endswith("\n") else text + "\n"
     _write(ns.out, body)
@@ -385,7 +385,8 @@ def _cmd_construct(ns: argparse.Namespace, caps: dict[str, int]) -> int:
             )
             return EXIT_OBSTRUCTION
         structure = constructors.build_thm4_structure(scr, witness)
-    payload: dict[str, Any] = serialize.environment_to_doc(scr, scr.profiles, structure)
+    # the structure itself, which `serialize.dumps` writes as `rights_to_doc` would
+    payload: dict[str, Any] = {**serialize.scr_to_doc(scr), "rights": structure}
     code = EXIT_OK
     lines = [f"built theorem-{ns.theorem} structure with {len(structure.states)} states"]
     if ns.verify:
@@ -490,15 +491,17 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    ns = None  # arguments that fail to parse have no --format yet
     try:
         ns = parser.parse_args(argv)
         return _COMMANDS[ns.command](ns, _caps_from_env())
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CapExceeded as exc:
-        print(f"search truncated: {exc}", file=sys.stderr)
-        return EXIT_CAPPED
+    except (InputError, CapExceeded) as exc:
+        code = EXIT_INPUT if isinstance(exc, InputError) else EXIT_CAPPED
+        label = "error" if code == EXIT_INPUT else "search truncated"
+        report = {"error": str(exc), "path": getattr(exc, "path", None), "exit": code}
+        json_out = getattr(ns, "fmt", None) == "json"  # one object that scripts can parse
+        print(json.dumps(report) if json_out else f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

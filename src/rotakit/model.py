@@ -17,7 +17,11 @@ from typing import Iterator, Mapping, Sequence
 
 
 class InputError(ValueError):
-    """Malformed input: unknown ids, bad shapes, violated preconditions."""
+    """Malformed input (unknown ids, bad shapes, broken preconditions) at JSON `path`, if known."""
+
+    def __init__(self, message: str, path: str | None = None):
+        super().__init__(message)
+        self.path = path
 
 
 class CapExceeded(RuntimeError):

@@ -1,4 +1,4 @@
-"""JSON schemas shared by the library and the CLI, plus DOT export.
+"""JSON schemas shared by the library and the CLI, their writer, and DOT export.
 
 Environment documents carry `alternatives`, `agents`, `profiles` (rank
 matrices aligned with the alternatives list), an optional `scr` table,
@@ -10,6 +10,7 @@ same SCR / environment shapes every other module consumes.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Mapping, Sequence
 
 from .domains import housing, jobs, marriage
@@ -26,6 +27,8 @@ from .rights import (
 )
 
 DOMAIN_KINDS = ("jobs", "marriage", "economy")
+# how `dumps` writes a list of one scalar type, in one join
+_SCALAR_LISTS = {frozenset([str]): _quote, frozenset([int]): int.__repr__}
 
 
 def load_document(path: str) -> dict:
@@ -39,17 +42,26 @@ def load_document(path: str) -> dict:
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     if not isinstance(doc, dict):
-        raise InputError(f"{path}: top-level JSON value must be an object")
+        raise InputError(f"{path}: top-level JSON value must be an object", "$")
     return doc
 
 
-def _need(doc: Mapping, key: str, path: str) -> Any:
+def _error(path: str, detail: str) -> InputError:
+    return InputError(f"{path}: {detail}", path)
+
+
+def _need(doc: Mapping, key: str, path: str, kind: type = object) -> Any:
+    """`doc[key]`, which must have type `kind` (int or str) when one is given."""
     try:
-        return doc[key]
+        value = doc[key]
     except KeyError:
-        raise InputError(f"missing field {path}.{key}") from None
+        raise InputError(f"missing field {path}.{key}", f"{path}.{key}") from None
     except TypeError:
-        raise InputError(f"{path}: expected an object") from None
+        raise _error(path, "expected an object") from None
+    if kind is not object and type(value) is not kind:
+        what = "an integer" if kind is int else "a string"
+        raise _error(f"{path}.{key}", f"expected {what}, got {value!r}")
+    return value
 
 
 def _read(convert, value: Any, path: str) -> Any:
@@ -57,14 +69,7 @@ def _read(convert, value: Any, path: str) -> Any:
     try:
         return convert(value)
     except (TypeError, ValueError, AttributeError) as exc:
-        raise InputError(f"{path}: malformed value: {exc}") from None
-
-
-def _need_int(doc: Mapping, key: str, path: str) -> int:
-    value = _need(doc, key, path)
-    if type(value) is not int:
-        raise InputError(f"{path}.{key}: expected an integer, got {value!r}")
-    return value
+        raise _error(path, f"malformed value: {exc}") from None
 
 
 def _list(value: Any, path: str, kind: type = object) -> tuple:
@@ -74,11 +79,11 @@ def _list(value: Any, path: str, kind: type = object) -> tuple:
     type (a bool where an integer belongs, say) is reported at its own path.
     """
     if not isinstance(value, (list, tuple)):
-        raise InputError(f"{path}: expected a list, got {value!r}")
+        raise _error(path, f"expected a list, got {value!r}")
     if kind is not object:
         for i, v in enumerate(value):
             if type(v) is not kind:
-                raise InputError(f"{path}[{i}]: expected {kind.__name__}, got {v!r}")
+                raise _error(f"{path}[{i}]", f"expected {kind.__name__}, got {v!r}")
     return tuple(value)
 
 
@@ -101,18 +106,18 @@ def _agents(members: Any) -> frozenset[int]:
 
 def profiles_from_doc(doc: Mapping) -> tuple[Profile, ...]:
     alternatives = _ids(_need(doc, "alternatives", "$"), "$.alternatives")
-    agents = _need_int(doc, "agents", "$")
+    agents = _need(doc, "agents", "$", int)
     out = []
     for i, pdoc in _read(enumerate, _need(doc, "profiles", "$"), "$.profiles"):
         path = f"$.profiles[{i}]"
-        pid = str(_need(pdoc, "id", path))
+        pid = _need(pdoc, "id", path, str)
         ranks = _rows(_need(pdoc, "ranks", path), f"{path}.ranks", int)
         if len(ranks) != agents:
-            raise InputError(f"{path}.ranks: expected {agents} agent rows")
+            raise _error(f"{path}.ranks", f"expected {agents} agent rows")
         try:
             out.append(Profile.from_ranks(pid, alternatives, ranks))
         except InputError as exc:
-            raise InputError(f"{path}: {exc}") from exc
+            raise _error(path, str(exc)) from exc
     return tuple(out)
 
 
@@ -120,7 +125,7 @@ def scr_from_doc(doc: Mapping) -> SocialChoiceRule:
     profiles = profiles_from_doc(doc)
     table = _need(doc, "scr", "$")
     if not isinstance(table, Mapping):
-        raise InputError("$.scr: expected an object mapping profile ids to outcome lists")
+        raise _error("$.scr", "expected an object mapping profile ids to outcome lists")
     choices = {pid: frozenset(_ids(vals, f"$.scr.{pid}")) for pid, vals in table.items()}
     return SocialChoiceRule(profiles, choices)
 
@@ -142,38 +147,39 @@ def rights_from_doc(doc: Mapping) -> RightsStructure:
     states = []
     for i, sdoc in _read(enumerate, _need(rdoc, "states", "$.rights"), "$.rights.states"):
         path = f"$.rights.states[{i}]"
-        key = str(_need(sdoc, "id", path))
+        key = _need(sdoc, "id", path, str)
         kind = sdoc.get("kind", BASE)
         if kind not in (BASE, GRAPH, OPAQUE):
-            raise InputError(f"{path}.kind: unknown kind {kind!r}")
-        states.append(State(key, str(_need(sdoc, "outcome", path)), kind, sdoc.get("profile")))
+            raise _error(f"{path}.kind", f"unknown kind {kind!r}")
+        profile = _need(sdoc, "profile", path, str) if kind == GRAPH or "profile" in sdoc else None
+        states.append(State(key, _need(sdoc, "outcome", path, str), kind, profile))
     gamma: dict[tuple[str, str], frozenset] = {}
     provenance: dict[tuple[str, str], str] = {}
     entries = _read(enumerate, rdoc.get("gamma", []), "$.rights.gamma")
     try:  # one handler for the whole loop: nothing is added per entry
         for i, gdoc in entries:
             path = f"$.rights.gamma[{i}]"
-            pair = (str(_need(gdoc, "from", path)), str(_need(gdoc, "to", path)))
+            pair = (_need(gdoc, "from", path, str), _need(gdoc, "to", path, str))
             fam = frozenset(map(_agents, _need(gdoc, "coalitions", path)))
             if pair in gamma:
                 fam = fam | gamma[pair]
             gamma[pair] = fam
-            if gdoc.get("rule"):
-                provenance[pair] = str(gdoc["rule"])
+            if "rule" in gdoc and _need(gdoc, "rule", path, str):
+                provenance[pair] = gdoc["rule"]
     except InputError:
         raise
     except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}.coalitions: expected lists of agent indices: {exc}") from None
+        raise _error(f"{path}.coalitions", f"expected lists of agent indices: {exc}") from None
     return RightsStructure(tuple(states), gamma, provenance)
 
 
+def _state_doc(s: State) -> dict:
+    doc = {"id": s.key, "kind": s.kind, "outcome": s.outcome}
+    return doc if s.profile_id is None else {**doc, "profile": s.profile_id}
+
+
 def rights_to_doc(structure: RightsStructure) -> dict:
-    states = []
-    for s in structure.states:
-        sdoc = {"id": s.key, "kind": s.kind, "outcome": s.outcome}
-        if s.profile_id is not None:
-            sdoc["profile"] = s.profile_id
-        states.append(sdoc)
+    """The `rights` block of a document; `dumps` writes the same JSON from the structure."""
     gamma = []
     for a in structure.keys():
         for b in structure.targets_from(a):
@@ -186,7 +192,7 @@ def rights_to_doc(structure: RightsStructure) -> dict:
             if rule:
                 entry["rule"] = rule
             gamma.append(entry)
-    return {"states": states, "gamma": gamma}
+    return {"states": [_state_doc(s) for s in structure.states], "gamma": gamma}
 
 
 def environment_from_doc(doc: Mapping, profile_id: str) -> SocialEnvironment:
@@ -217,6 +223,53 @@ def environment_to_doc(
     return base
 
 
+def dumps(payload: Any) -> str:
+    """`json.dumps(payload, indent=2, sort_keys=True)`, byte for byte, for dicts with
+    string keys, lists, tuples, strings, ints, bools, None and rights structures
+    (written as `rights_to_doc` would); anything else raises TypeError."""
+    return _encode(payload, "\n")
+
+
+def _encode(value: Any, nl: str) -> str:
+    """`value` as JSON; `nl` is the newline and indent of the line it starts on."""
+    if value is None or isinstance(value, (str, int)):
+        return json.dumps(value)
+    inner = nl + "  "
+    if isinstance(value, (list, tuple)):
+        scalar = _SCALAR_LISTS.get(frozenset(map(type, value)))
+        items = map(scalar, value) if scalar else [_encode(v, inner) for v in value]
+        brackets = "[]"
+    elif isinstance(value, dict):
+        items = [_quote(k) + ": " + _encode(v, inner) for k, v in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, RightsStructure):
+        return _encode_rights(value, nl)
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    body = ("," + inner).join(items)
+    return brackets[0] + inner + body + nl + brackets[1] if body else brackets
+
+
+def _encode_rights(structure: RightsStructure, nl: str) -> str:
+    """`rights_to_doc(structure)` as JSON, without json's pure-Python encoder that
+    `indent` forces: one template per gamma entry, one block per coalition family."""
+    n1, n2, n3 = nl + "  ", nl + "    ", nl + "      "
+    blocks: dict[frozenset, str] = {}
+    entries = []
+    for a in structure.keys():
+        head = f'{n3}"from": {_quote(a)},'
+        for b in structure.targets_from(a):
+            fam = structure.gamma[(a, b)]
+            if fam not in blocks:
+                blocks[fam] = f'{{{n3}"coalitions": {_encode(sorted(sorted(k) for k in fam), n3)},'
+            rule = structure.provenance.get((a, b))
+            rule = f'{n3}"rule": {_quote(rule)},' if rule else ""
+            entries.append(f'{blocks[fam]}{head}{rule}{n3}"to": {_quote(b)}{n2}}}')
+    gamma = "[" + n2 + ("," + n2).join(entries) + n1 + "]" if entries else "[]"
+    states = _encode([_state_doc(s) for s in structure.states], n1)
+    return f'{{{n1}"gamma": {gamma},{n1}"states": {states}{nl}}}'
+
+
 # ---------------------------------------------------------------------------
 # domain documents
 
@@ -232,7 +285,7 @@ def jobs_problems_from_doc(doc: Mapping) -> list[jobs.JobRotationProblem]:
         path = f"$.profiles[{i}]"
         out.append(
             jobs.JobRotationProblem(
-                str(_need(pdoc, "id", path)),
+                _need(pdoc, "id", path, str),
                 job_ids,
                 _rows(_need(pdoc, "orders", path), f"{path}.orders", str),
             )
@@ -242,7 +295,7 @@ def jobs_problems_from_doc(doc: Mapping) -> list[jobs.JobRotationProblem]:
 
 def _prefs(value: Any, path: str) -> dict:
     if not isinstance(value, Mapping):
-        raise InputError(f"{path}: expected an object, got {value!r}")
+        raise _error(path, f"expected an object, got {value!r}")
     return {person: _ids(order, f"{path}.{person}") for person, order in value.items()}
 
 
@@ -251,13 +304,13 @@ def marriage_problems_from_doc(doc: Mapping) -> list[marriage.MarriageProblem]:
     women = _ids(_need(doc, "women", "$"), "$.women")
     pure = doc.get("pure", False)
     if type(pure) is not bool:
-        raise InputError(f"$.pure: expected true or false, got {pure!r}")
+        raise _error("$.pure", f"expected true or false, got {pure!r}")
     out = []
     for i, pdoc in _read(enumerate, _need(doc, "profiles", "$"), "$.profiles"):
         path = f"$.profiles[{i}]"
         out.append(
             marriage.MarriageProblem(
-                str(_need(pdoc, "id", path)),
+                _need(pdoc, "id", path, str),
                 men,
                 women,
                 _prefs(_need(pdoc, "men", path), f"{path}.men"),
@@ -269,9 +322,9 @@ def marriage_problems_from_doc(doc: Mapping) -> list[marriage.MarriageProblem]:
 
 
 def economies_from_doc(doc: Mapping) -> list[housing.Economy]:
-    agents = _need_int(doc, "agents", "$")
+    agents = _need(doc, "agents", "$", int)
     houses = _ids(_need(doc, "houses", "$"), "$.houses")
-    outside = str(_need(doc, "outside", "$"))
+    outside = _need(doc, "outside", "$", str)
     owners = {
         h: _read(_agents, members, f"$.owners.{h}")
         for h, members in _read(lambda o: o.items(), _need(doc, "owners", "$"), "$.owners")
@@ -281,7 +334,7 @@ def economies_from_doc(doc: Mapping) -> list[housing.Economy]:
         path = f"$.profiles[{i}]"
         out.append(
             housing.Economy(
-                str(_need(pdoc, "id", path)),
+                _need(pdoc, "id", path, str),
                 agents,
                 houses,
                 outside,

@@ -120,6 +120,35 @@ def test_unknown_cap_name_rejected(capsys, env_path, monkeypatch):
     assert "'ordring'" in err and "ordering" in err and "product" in err
 
 
+def test_json_format_reports_input_error_as_one_object(capsys, tmp_path):
+    doc = json.loads(json.dumps(XYZ_ENV_DOC))
+    doc["profiles"][0]["id"] = None
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "check", str(path), "--condition", "maskin", "--format", "json")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "$.profiles[0].id: expected a string, got None",
+        "path": "$.profiles[0].id",
+        "exit": 1,
+    }
+    # text format keeps its wording
+    code, _, err = _run(capsys, "check", str(path), "--condition", "maskin")
+    assert code == 1 and err == "error: $.profiles[0].id: expected a string, got None\n"
+
+
+def test_json_format_reports_cap_refusal_as_one_object(capsys, env_path, monkeypatch):
+    monkeypatch.setenv("ROTAKIT_CAPS", "ordering=1")
+    code, out, err = _run(capsys, "check", env_path, "--condition", "rotation", "--format", "json")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1
+    report = json.loads(err)
+    assert report["exit"] == 3 and report["path"] is None
+    assert report["error"] and set(report) == {"error", "path", "exit"}
+    code, _, text_err = _run(capsys, "check", env_path, "--condition", "rotation")
+    assert code == 3 and text_err == f"search truncated: {report['error']}\n"
+
+
 def test_construct_thm1_verify(capsys, env_path):
     code, out, _ = _run(
         capsys, "construct", env_path, "--theorem", "1", "--verify", "mss"
@@ -471,6 +500,27 @@ def test_domain_sample_hat_clamps_to_distinct_profiles(capsys):
          "--profile", "R", "--concept", "mss"), "$.rights.gamma[1].coalitions"),
         ("economy-domain", ("owners", "h2"), [1.0], ("domain",), "$.owners.h2"),
         ("economy-domain", ("owners", "h3"), [False], ("domain",), "$.owners.h3"),
+        # ids, outcomes, gamma endpoints, rules and the outside option are JSON strings
+        ("example-environment", ("profiles", 0, "id"), None, ("check", "--condition",
+         "maskin"), "$.profiles[0].id"),
+        ("example-environment", ("rights", "states", 1, "id"), 7, ("solve", "--profile", "R",
+         "--concept", "mss"), "$.rights.states[1].id"),
+        ("example-environment", ("rights", "states", 2, "outcome"), ["z"], ("solve",
+         "--profile", "R", "--concept", "mss"), "$.rights.states[2].outcome"),
+        ("example-environment", ("rights", "states", 0, "profile"), 7, ("solve",
+         "--profile", "R", "--concept", "mss"), "$.rights.states[0].profile"),
+        ("example-environment", ("rights", "states", 0, "kind"), "graph", ("solve",
+         "--profile", "R", "--concept", "mss"), "missing field $.rights.states[0].profile"),
+        ("example-environment", ("rights", "gamma", 1, "from"), ["x"], ("solve",
+         "--profile", "R", "--concept", "mss"), "$.rights.gamma[1].from"),
+        ("example-environment", ("rights", "gamma", 0, "to"), None, ("solve",
+         "--profile", "R", "--concept", "mss"), "$.rights.gamma[0].to"),
+        ("example-environment", ("rights", "gamma", 0, "rule"), 7, ("solve",
+         "--profile", "R", "--concept", "mss"), "$.rights.gamma[0].rule"),
+        ("jobs-domain", ("profiles", 0, "id"), 7, ("domain",), "$.profiles[0].id"),
+        ("marriage-domain", ("profiles", 1, "id"), ["R"], ("domain",), "$.profiles[1].id"),
+        ("economy-domain", ("profiles", 0, "id"), False, ("domain",), "$.profiles[0].id"),
+        ("economy-domain", ("outside",), None, ("domain",), "$.outside"),
     ],
 )
 def test_malformed_document_names_json_path(capsys, tmp_path, fixture, where, value, argv,
