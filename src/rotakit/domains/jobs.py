@@ -139,6 +139,13 @@ def reverse_preferences(problem: JobRotationProblem) -> JobRotationProblem:
 
 def top_job_groups(problem: JobRotationProblem) -> dict[int, tuple[str, ...]]:
     """Efficient allocations grouped by who receives the common best job."""
+    return _frontier_groups(problem)[2]
+
+
+def _frontier_groups(
+    problem: JobRotationProblem,
+) -> tuple[str, frozenset[str], dict[int, tuple[str, ...]]]:
+    """The common best job, the Pareto frontier, and `top_job_groups`."""
     j_star = common_best_job(problem)
     if j_star is None:
         raise InputError("agents do not share a best job")
@@ -148,7 +155,7 @@ def top_job_groups(problem: JobRotationProblem) -> dict[int, tuple[str, ...]]:
         aid = alloc_id(alloc)
         if aid in frontier:
             groups[alloc.index(j_star)].append(aid)
-    return {i: tuple(g) for i, g in groups.items()}
+    return j_star, frontier, {i: tuple(g) for i, g in groups.items()}
 
 
 def second_best_swap(problem: JobRotationProblem, alloc: Allocation) -> Allocation:
@@ -174,7 +181,7 @@ def circular_arrangement(problem: JobRotationProblem) -> tuple[str, ...]:
     tail groups, then repeated passes append one allocation from each
     still-active group until everything is placed.
     """
-    groups = top_job_groups(problem)
+    j_star, frontier, groups = _frontier_groups(problem)
     entries = sorted(
         ((agent, list(g)) for agent, g in groups.items() if g),
         key=lambda e: (-len(e[1]), e[0]),
@@ -212,13 +219,11 @@ def circular_arrangement(problem: JobRotationProblem) -> tuple[str, ...]:
                 arrangement.append(pools[idx].pop(0))
         active -= 1
 
-    _validate_arrangement(problem, arrangement)
+    _validate_arrangement(arrangement, j_star, frontier)
     return tuple(arrangement)
 
 
-def _validate_arrangement(problem: JobRotationProblem, arrangement: Sequence[str]) -> None:
-    j_star = common_best_job(problem)
-    frontier = pareto_frontier(extend_job_preferences(problem))
+def _validate_arrangement(arrangement: Sequence[str], j_star: str, frontier: frozenset) -> None:
     if sorted(arrangement) != sorted(frontier):
         raise RuntimeError("arrangement is not a permutation of the Pareto frontier")
     if len(arrangement) < 2:

@@ -6,14 +6,16 @@ An absent gamma entry means nobody is entitled to that move.  Pairing a
 rights structure with a preference profile gives a social environment,
 whose improvement digraph has an edge (s, t, K) exactly when K is
 entitled to move from s to t and every member of K strictly prefers
-h(t) to h(s).
+h(t) to h(s).  A rights structure is compiled once, when built, to ints
+and coalition bitmasks; each profile's digraph is built and solved on ints.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .model import InputError, Profile
 
@@ -54,13 +56,28 @@ class State:
             raise InputError(f"graph state {self.key!r} needs a profile id")
 
 
+class CompiledRights(NamedTuple):
+    """A rights structure on ints.  `rows[a]` holds, by target id, one
+    `(b, p, single, multi, family, masks)` per gamma entry (a, b): `p` numbers
+    the outcome pair (h(a), h(b)), whose outcome ids are `pair_a[p]` and
+    `pair_b[p]`; `family` is the entry's coalitions sorted by `coalition_key`
+    and `masks` their agent bitmasks; `single` is the union of the one-agent
+    masks and `multi` the other masks."""
+
+    keys: tuple[str, ...]
+    outcomes: tuple[str, ...]
+    pair_a: tuple[int, ...]
+    pair_b: tuple[int, ...]
+    rows: tuple[tuple[tuple, ...], ...]
+
+
 @dataclass(frozen=True)
 class RightsStructure:
     states: tuple[State, ...]
     gamma: Mapping[tuple[str, str], frozenset[Coalition]]
     provenance: Mapping[tuple[str, str], str] = field(default_factory=dict)
     _index: Mapping[str, int] = field(init=False, repr=False, compare=False)
-    _targets: Mapping[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _core: CompiledRights = field(init=False, repr=False, compare=False)
     _max_agent: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -72,38 +89,57 @@ class RightsStructure:
         if len(index) != len(states):
             raise InputError("duplicate state keys")
         object.__setattr__(self, "_index", index)
+        outcomes: dict[str, int] = {}
+        outcome_of = [outcomes.setdefault(s.outcome, len(outcomes)) for s in states]
+        n_out = len(outcomes)
         gamma = {}
-        targets: dict[str, list[str]] = {}
+        rows: list[list[tuple]] = [[] for _ in states]
+        pairs: dict[int, int] = {}
         checked: dict[frozenset, Coalition] = {}
         families: dict = {}
 
-        def validated(fam) -> frozenset[Coalition]:
+        def validated(fam) -> tuple:
+            """The family, checked, with its `(single, multi, family, masks)`."""
             valid = set()
             for k in fam:
                 raw = frozenset(k)
                 if raw not in checked:
                     checked[raw] = coalition(raw)
                 valid.add(checked[raw])
-            return frozenset(valid)
+            ordered = tuple(sorted(valid, key=coalition_key))
+            masks = tuple(sum(1 << i for i in k) for k in ordered)
+            single = sum(m for k, m in zip(ordered, masks) if len(k) == 1)
+            multi = tuple(m for k, m in zip(ordered, masks) if len(k) > 1)
+            return frozenset(valid), (single, multi, ordered, masks)
 
         for (a, b), fam in dict(self.gamma).items():
-            if a not in index or b not in index:
+            ia, ib = index.get(a), index.get(b)
+            if ia is None or ib is None:
                 raise InputError(f"gamma entry on unknown state pair ({a!r}, {b!r})")
-            if a == b:
+            if ia == ib:
                 raise InputError(f"gamma is defined on distinct pairs only, got ({a!r}, {a!r})")
             try:
-                valid = families[fam]
+                valid, compiled = families[fam]
             except KeyError:
-                valid = families[fam] = validated(fam)
+                valid, compiled = families[fam] = validated(fam)
             except TypeError:  # an unhashable family, such as a list of lists
-                valid = validated(fam)
+                valid, compiled = validated(fam)
             if valid:
                 gamma[(a, b)] = valid
-                targets.setdefault(a, []).append(b)
+                code = outcome_of[ia] * n_out + outcome_of[ib]
+                p = pairs.setdefault(code, len(pairs))
+                rows[ia].append((ib, p) + compiled)
         object.__setattr__(self, "gamma", gamma)
-        for out in targets.values():
-            out.sort(key=index.__getitem__)
-        object.__setattr__(self, "_targets", {a: tuple(out) for a, out in targets.items()})
+        for row in rows:
+            row.sort(key=lambda entry: entry[0])
+        core = CompiledRights(
+            tuple(index),
+            tuple(outcomes),
+            tuple(code // n_out for code in pairs),
+            tuple(code % n_out for code in pairs),
+            tuple(map(tuple, rows)),
+        )
+        object.__setattr__(self, "_core", core)
         object.__setattr__(self, "_max_agent", max((max(k) for k in checked.values()), default=-1))
 
     def index(self, key: str) -> int:
@@ -119,7 +155,7 @@ class RightsStructure:
         return self.state(key).outcome
 
     def keys(self) -> tuple[str, ...]:
-        return tuple(s.key for s in self.states)
+        return self._core.keys
 
     def entitled(self, a: str, b: str) -> frozenset[Coalition]:
         self.index(a), self.index(b)
@@ -127,7 +163,8 @@ class RightsStructure:
 
     def targets_from(self, a: str) -> tuple[str, ...]:
         """States b with a nonempty gamma entry (a, b), in declaration order."""
-        return self._targets.get(a, ())
+        row = self._core.rows[self._index[a]] if a in self._index else ()
+        return tuple(self._core.keys[entry[0]] for entry in row)
 
     def is_individual_based(self) -> bool:
         return all(len(k) == 1 for fam in self.gamma.values() for k in fam)
@@ -163,20 +200,43 @@ class Edge:
     coalition: Coalition
 
 
-@dataclass(frozen=True)
 class ImprovementDigraph:
     """Improvement moves of one environment, with deterministic ordering.
 
-    `nodes` follow state declaration order; `adjacency` lists, per node,
-    the distinct improvement targets in declaration order; `edge_coalitions`
-    lists, per (source, target), the witnessing coalitions sorted by size
-    then members, with its pairs by source, then by target.
+    The solvers read ints: `nodes` in declaration order, `id_of` a node's
+    id, and per id its distinct improvement targets (`succ`) and sources
+    (`pred`) in declaration order.  The string views are built on first
+    read: `adjacency` and `predecessors` per node; `edge_coalitions` per
+    (source, target), by source then target, the winning coalitions
+    sorted by size then members.  Its length is known without building it.
+    Built from string maps, as here, the digraph keeps them as given.
     """
 
-    nodes: tuple[str, ...]
-    adjacency: Mapping[str, tuple[str, ...]]
-    predecessors: Mapping[str, tuple[str, ...]]
-    edge_coalitions: Mapping[tuple[str, str], tuple[Coalition, ...]]
+    def __init__(
+        self,
+        nodes: Sequence[str],
+        adjacency: Mapping[str, tuple[str, ...]],
+        predecessors: Mapping[str, tuple[str, ...]],
+        edge_coalitions: Mapping[tuple[str, str], tuple[Coalition, ...]],
+    ):
+        self.nodes = tuple(nodes)
+        self.id_of = {k: i for i, k in enumerate(self.nodes)}
+        self.succ = [[self.id_of[b] for b in adjacency.get(a, ())] for a in self.nodes]
+        self.pred = [[self.id_of[b] for b in predecessors.get(a, ())] for a in self.nodes]
+        self.adjacency, self.predecessors = adjacency, predecessors
+        self.edge_coalitions = edge_coalitions
+
+    @cached_property
+    def adjacency(self) -> Mapping[str, tuple[str, ...]]:
+        return self._view(self.succ)
+
+    @cached_property
+    def predecessors(self) -> Mapping[str, tuple[str, ...]]:
+        return self._view(self.pred)
+
+    def _view(self, lists: list[list[int]]) -> dict[str, tuple[str, ...]]:
+        keys = self.nodes
+        return {k: tuple(keys[j] for j in out) for k, out in zip(keys, lists)}
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -186,76 +246,107 @@ class ImprovementDigraph:
         )
 
     def has_edge(self, a: str, b: str) -> bool:
-        return (a, b) in self.edge_coalitions
+        i = self.id_of.get(a)
+        return i is not None and self.id_of.get(b) in self.succ[i]
 
     def targets(self, a: str) -> tuple[str, ...]:
         return self.adjacency.get(a, ())
+
+    def __eq__(self, other) -> bool:
+        views = ("nodes", "adjacency", "predecessors", "edge_coalitions")
+        return isinstance(other, ImprovementDigraph) and all(
+            getattr(self, v) == getattr(other, v) for v in views
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+class _EdgeTable(Mapping):
+    """`edge_coalitions` of a built digraph: its length is the edge count, and
+    the table is built from the compiled rows on first lookup."""
+
+    def __init__(self, core: CompiledRights, gain: list[int], size: int):
+        self._core, self._gain, self._size = core, gain, size
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, pair: tuple[str, str]) -> tuple[Coalition, ...]:
+        return self._table[pair]
+
+    def __iter__(self):
+        return iter(self._table)
+
+    @cached_property
+    def _table(self) -> dict[tuple[str, str], tuple[Coalition, ...]]:
+        keys, gain, table = self._core.keys, self._gain, {}
+        for a, row in enumerate(self._core.rows):
+            for b, p, _, _, family, masks in row:
+                g = gain[p]
+                winners = tuple(k for k, m in zip(family, masks) if m & g == m)
+                if winners:
+                    table[(keys[a], keys[b])] = winners
+        return table
 
 
 def build_improvement_digraph(env: SocialEnvironment) -> ImprovementDigraph:
     """All edges (s, t, K) with K entitled and h(t) strictly preferred by every member.
 
-    Walks gamma source by source, so the cost is linear in the number of
-    gamma entries, not in the number of state pairs.
+    One bitmask of strict gainers per outcome pair that gamma uses; then,
+    per gamma entry, K wins when its mask lies inside the gainers of the
+    entry's pair.  The cost is linear in the gamma entries and outcome
+    pairs, not in the number of state pairs.
     """
-    rights, prefs = env.rights, env.profile.prefs
-    keys = rights.keys()
-    by_outcome = {h: tuple(p.rank(h) for p in prefs) for h in {s.outcome for s in rights.states}}
-    ranks = {s.key: by_outcome[s.outcome] for s in rights.states}
-    adjacency: dict[str, list[str]] = {k: [] for k in keys}
-    predecessors: dict[str, list[str]] = {k: [] for k in keys}
-    edge_coalitions: dict[tuple[str, str], tuple[Coalition, ...]] = {}
-    for a in keys:
-        ra = ranks[a]
-        out = adjacency[a]
-        for b in rights.targets_from(a):
-            rb = ranks[b]
-            winners = []
-            for k in rights.gamma[(a, b)]:
-                for i in k:
-                    if rb[i] >= ra[i]:
+    rights = env.rights
+    core = rights._core
+    gain = [0] * len(core.pair_a)
+    for i, pref in enumerate(env.profile.prefs[: rights.max_agent() + 1]):
+        bit, rank = 1 << i, [pref.rank(h) for h in core.outcomes]
+        gain = [
+            g | bit if rank[b] < rank[a] else g for g, a, b in zip(gain, core.pair_a, core.pair_b)
+        ]
+    succ: list[list[int]] = [[] for _ in core.keys]
+    pred: list[list[int]] = [[] for _ in core.keys]
+    for a, row in enumerate(core.rows):
+        out = succ[a]
+        for b, p, single, multi, _, _ in row:
+            g = gain[p]
+            if not g:
+                continue
+            if not g & single:
+                for m in multi:
+                    if m & g == m:
                         break
                 else:
-                    winners.append(k)
-            if not winners:
-                continue
-            if len(winners) > 1:
-                winners.sort(key=coalition_key)
-            edge_coalitions[(a, b)] = tuple(winners)
+                    continue
             out.append(b)
-            predecessors[b].append(a)
-    return ImprovementDigraph(
-        nodes=keys,
-        adjacency={k: tuple(v) for k, v in adjacency.items()},
-        predecessors={k: tuple(v) for k, v in predecessors.items()},
-        edge_coalitions=edge_coalitions,
-    )
+            pred[b].append(a)
+    dg = ImprovementDigraph.__new__(ImprovementDigraph)
+    dg.nodes, dg.id_of, dg.succ, dg.pred = core.keys, rights._index, succ, pred
+    dg.edge_coalitions = _EdgeTable(core, gain, sum(map(len, succ)))
+    return dg
 
 
-def reachable_from(dg: ImprovementDigraph, sources: Iterable[str]) -> frozenset[str]:
-    """States reachable from `sources` along improvement edges (sources included)."""
-    seen = set(sources)
-    queue = deque(seen)
-    while queue:
-        a = queue.popleft()
-        for b in dg.adjacency.get(a, ()):
-            if b not in seen:
+def search(
+    neighbours: Sequence[Sequence[int]],
+    starts: Iterable[int],
+    within: Collection[int] | None = None,
+) -> set[int]:
+    """Ids reachable from `starts` along `neighbours` (starts included),
+    without leaving `within` when it is given."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for b in neighbours[stack.pop()]:
+            if b not in seen and (within is None or b in within):
                 seen.add(b)
-                queue.append(b)
-    return frozenset(seen)
+                stack.append(b)
+    return seen
 
 
 def can_reach(dg: ImprovementDigraph, targets: Iterable[str]) -> frozenset[str]:
     """States with some improvement path into `targets` (targets included)."""
-    seen = set(targets)
-    queue = deque(seen)
-    while queue:
-        b = queue.popleft()
-        for a in dg.predecessors.get(b, ()):
-            if a not in seen:
-                seen.add(a)
-                queue.append(a)
-    return frozenset(seen)
+    return frozenset(dg.nodes[i] for i in search(dg.pred, map(dg.id_of.__getitem__, targets)))
 
 
 @dataclass(frozen=True)
@@ -299,28 +390,26 @@ def find_myopic_improvement_path(
     if start in target_set:
         return ImprovementPath(start, ())
     dg = digraph if digraph is not None else build_improvement_digraph(env)
-    parent: dict[str, str] = {}
-    queue = deque([start])
-    seen = {start}
+    keys, goals = dg.nodes, {dg.id_of[t] for t in target_set}
+    origin = dg.id_of[start]
+    parent = {origin: origin}
+    queue = deque([origin])
     goal = None
     while queue and goal is None:
         a = queue.popleft()
-        for b in dg.adjacency.get(a, ()):
-            if b in seen:
+        for b in dg.succ[a]:
+            if b in parent:
                 continue
-            seen.add(b)
             parent[b] = a
-            if b in target_set:
+            if b in goals:
                 goal = b
                 break
             queue.append(b)
     if goal is None:
         return None
     chain = [goal]
-    while chain[-1] != start:
+    while chain[-1] != origin:
         chain.append(parent[chain[-1]])
     chain.reverse()
-    steps = tuple(
-        PathStep(dg.edge_coalitions[(a, b)][0], b) for a, b in zip(chain, chain[1:])
-    )
-    return ImprovementPath(start, steps)
+    pairs = [(keys[a], keys[b]) for a, b in zip(chain, chain[1:])]
+    return ImprovementPath(start, tuple(PathStep(dg.edge_coalitions[p][0], p[1]) for p in pairs))

@@ -14,18 +14,11 @@ trusting that characterisation.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .model import CapExceeded, InputError, Verdict
-from .rights import (
-    ImprovementDigraph,
-    SocialEnvironment,
-    build_improvement_digraph,
-    can_reach,
-    reachable_from,
-)
+from .rights import ImprovementDigraph, SocialEnvironment, build_improvement_digraph, search
 
 GENERALIZED_PRODUCT_CAP = 4096
 
@@ -75,54 +68,52 @@ def compute_core(
 ) -> SolutionReport:
     """States from which no entitled coalition strictly improves."""
     dg = digraph if digraph is not None else build_improvement_digraph(env)
-    core = tuple(s for s in dg.nodes if not dg.adjacency.get(s))
+    core = tuple(k for k, out in zip(dg.nodes, dg.succ) if not out)
     return SolutionReport("core", (core,), (_outcomes_of(env, core),))
 
 
 def _tarjan_sccs(dg: ImprovementDigraph) -> list[tuple[str, ...]]:
-    """Strongly connected components, iterative Tarjan, nodes in declaration order."""
-    index_of: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
+    """Strongly connected components, iterative Tarjan on the successor ids,
+    roots in declaration order."""
+    succ, keys = dg.succ, dg.nodes
+    index, low = [-1] * len(keys), [0] * len(keys)
+    on_stack = [False] * len(keys)
+    stack: list[int] = []
+    work: list = []
     sccs: list[tuple[str, ...]] = []
     counter = itertools.count()
 
-    for root in dg.nodes:
-        if root in index_of:
+    def enter(v: int) -> None:
+        index[v] = low[v] = next(counter)
+        stack.append(v)
+        on_stack[v] = True
+        work.append((v, iter(succ[v])))
+
+    for root in range(len(keys)):
+        if index[root] >= 0:
             continue
-        work = [(root, iter(dg.adjacency.get(root, ())))]
-        index_of[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
+        enter(root)
         while work:
             node, it = work[-1]
-            advanced = False
             for nxt in it:
-                if nxt not in index_of:
-                    index_of[nxt] = low[nxt] = next(counter)
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(dg.adjacency.get(nxt, ()))))
-                    advanced = True
+                if index[nxt] < 0:
+                    enter(nxt)
                     break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index_of[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index_of[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                sccs.append(tuple(comp))
+                if on_stack[nxt] and index[nxt] < low[node]:
+                    low[node] = index[nxt]
+            else:
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(keys[w])
+                        if w == node:
+                            break
+                    sccs.append(tuple(comp))
     return sccs
 
 
@@ -139,38 +130,27 @@ def compute_absorbing_sets(
     the set outside it.  Each search is linear in the set and its edges.
     """
     dg = digraph if digraph is not None else build_improvement_digraph(env)
-    order = {k: i for i, k in enumerate(dg.nodes)}
+    succ, keys = dg.succ, dg.nodes
     terminal = []
     for comp in _tarjan_sccs(dg):
-        members = set(comp)
-        if all(t in members for s in comp for t in dg.adjacency.get(s, ())):
-            terminal.append(tuple(sorted(comp, key=order.__getitem__)))
-    terminal.sort(key=lambda block: order[block[0]])
-    for block in terminal:
-        members = frozenset(block)
-        if not members <= reachable_from(dg, block[:1]):
+        ids = sorted(map(dg.id_of.__getitem__, comp))
+        members = set(ids)
+        if all(t in members for s in ids for t in succ[s]):
+            terminal.append(ids)
+    terminal.sort(key=lambda ids: ids[0])
+    blocks = []
+    for ids in terminal:
+        block, members = tuple(keys[s] for s in ids), set(ids)
+        if not members <= search(succ, ids[:1]):
             raise RuntimeError(f"absorbing set {block} fails mutual reachability at {block[0]}")
-        back = _reach_within(dg.predecessors, block[0], members)
-        for s in block:
+        back = search(dg.pred, ids[:1], members)
+        for s in ids:
             if s not in back:
-                raise RuntimeError(f"absorbing set {block} fails mutual reachability at {s}")
-        if reachable_from(dg, block) != members:
+                raise RuntimeError(f"absorbing set {block} fails mutual reachability at {keys[s]}")
+        if search(succ, ids) != members:
             raise RuntimeError(f"absorbing set {block} has an escaping improvement path")
-    return tuple(terminal)
-
-
-def _reach_within(
-    neighbours: Mapping[str, tuple[str, ...]], start: str, allowed: frozenset[str]
-) -> set[str]:
-    """States of `allowed` reachable from `start` along `neighbours` without leaving it."""
-    seen = {start}
-    queue = deque(seen)
-    while queue:
-        for b in neighbours.get(queue.popleft(), ()):
-            if b in allowed and b not in seen:
-                seen.add(b)
-                queue.append(b)
-    return seen
+        blocks.append(block)
+    return tuple(blocks)
 
 
 def compute_mss(
@@ -184,51 +164,56 @@ def compute_mss(
     """
     dg = digraph if digraph is not None else build_improvement_digraph(env)
     blocks = compute_absorbing_sets(env, dg)
-    members = frozenset(s for b in blocks for s in b)
-    mss = tuple(s for s in dg.nodes if s in members)
-    for s in mss:
-        for t in dg.adjacency.get(s, ()):
-            if t not in members:
-                raise RuntimeError(f"deterrence of external deviations fails at {s} -> {t}")
-    external_paths = _shortest_paths_into(dg, members)
+    keys, inside = dg.nodes, bytearray(len(dg.nodes))
+    for s in (s for b in blocks for s in b):
+        inside[dg.id_of[s]] = 1
+    mss = tuple(k for k, x in zip(keys, inside) if x)
+    for s, out in enumerate(dg.succ):
+        if not inside[s]:
+            continue
+        for t in out:
+            if not inside[t]:
+                raise RuntimeError(
+                    f"deterrence of external deviations fails at {keys[s]} -> {keys[t]}"
+                )
     witness = {
         "absorbing_sets": [list(b) for b in blocks],
         "deterrence": True,
-        "external_paths": external_paths,
+        "external_paths": _shortest_paths_into(dg, inside),
     }
     return SolutionReport("mss", (mss,), (_outcomes_of(env, mss),), witness)
 
 
-def _shortest_paths_into(
-    dg: ImprovementDigraph, targets: frozenset[str]
-) -> dict[str, tuple[str, ...]]:
-    """For every state outside `targets`, in declaration order, a shortest
-    improvement path into `targets`.
+def _shortest_paths_into(dg: ImprovementDigraph, inside: bytearray) -> dict[str, tuple[str, ...]]:
+    """For every state outside the flagged ids, in declaration order, a
+    shortest improvement path into them.
 
-    One reverse BFS gives each state its distance to `targets`; a path then
-    steps, at every state, to the first target in adjacency order that is
-    one step closer.  That is the lexicographically smallest shortest path,
+    One reverse BFS gives each state its distance to the targets and a next
+    hop: the first successor, in adjacency order, that is one step closer.
+    Following next hops gives the lexicographically smallest shortest path,
     the one a forward BFS with declaration-order tie-breaks finds.  Every
-    step is checked against the forward adjacency.
+    hop is checked against the forward successor lists.
     """
-    dist = dict.fromkeys(targets, 0)
-    paths = {t: (t,) for t in targets}
-    queue = deque(targets)
-    while queue:
-        b = queue.popleft()
-        for a in dg.predecessors.get(b, ()):
-            if a not in dist:
-                dist[a] = dist[b] + 1
+    keys, succ = dg.nodes, dg.succ
+    dist = [0 if x else -1 for x in inside]
+    hop = [-1] * len(keys)
+    queue = [s for s, x in enumerate(inside) if x]
+    for b in queue:  # grows while it is read: a FIFO queue
+        closer = dist[b]
+        for a in dg.pred[b]:
+            if dist[a] < 0:
+                dist[a] = closer + 1
                 queue.append(a)
-                closer = dist[b]
-                nxt = next((t for t in dg.adjacency.get(a, ()) if dist.get(t) == closer), None)
-                if nxt is None:
-                    raise RuntimeError(f"iterated external stability fails from {a}")
-                paths[a] = (a,) + paths[nxt]
-    for s in dg.nodes:
-        if s not in dist:
-            raise RuntimeError(f"iterated external stability fails from {s}")
-    return {s: paths[s] for s in dg.nodes if s not in targets}
+                hop[a] = next((t for t in succ[a] if dist[t] == closer), -1)
+                if hop[a] < 0:
+                    raise RuntimeError(f"iterated external stability fails from {keys[a]}")
+    if -1 in dist:
+        raise RuntimeError(f"iterated external stability fails from {keys[dist.index(-1)]}")
+    paths: list = [(k,) for k in keys]
+    for a in queue:
+        if hop[a] >= 0:
+            paths[a] = (keys[a],) + paths[hop[a]]
+    return {keys[s]: paths[s] for s, x in enumerate(inside) if not x}
 
 
 def compute_generalized_stable_sets(
@@ -256,29 +241,25 @@ def compute_generalized_stable_sets(
             cap=cap,
             needed=n_candidates,
         )
-    order = {k: i for i, k in enumerate(dg.nodes)}
     # reaches[s] has bit j when s has an improvement path into blocks[j].
     # Each block is strongly connected (compute_absorbing_sets verified
     # it), so s reaches a state of blocks[j] exactly when bit j is set.
-    reaches = dict.fromkeys(dg.nodes, 0)
+    reaches = [0] * len(dg.nodes)
     own = {}
-    for j, block in enumerate(blocks):
-        for s in can_reach(dg, block):
+    id_blocks = [[dg.id_of[s] for s in b] for b in blocks]
+    for j, ids in enumerate(id_blocks):
+        for s in search(dg.pred, ids):
             reaches[s] |= 1 << j
-        for s in block:
-            own[s] = 1 << j
+        own.update(dict.fromkeys(ids, 1 << j))
     # A candidate takes one state from every block, so a state outside it
     # reaches a member exactly when it reaches some block, and a member
     # reaches another member exactly when it reaches a block not its own.
-    externally_stable = all(reaches[s] for s in dg.nodes)
     found: list[tuple[str, ...]] = []
-    if externally_stable:
-        stable_picks = [tuple(s for s in b if reaches[s] == own[s]) for b in blocks]
+    if all(reaches):
+        stable_picks = [[s for s in ids if reaches[s] == own[s]] for ids in id_blocks]
         for pick in itertools.product(*stable_picks):
-            found.append(tuple(sorted(pick, key=order.__getitem__)))
-    absorbing_union = frozenset(own)
-    union = frozenset(s for v in found for s in v)
-    if union != absorbing_union:
+            found.append(tuple(dg.nodes[s] for s in sorted(pick)))
+    if {s for v in found for s in v} != {dg.nodes[s] for s in own}:
         raise RuntimeError("generalized stable sets do not cover the absorbing union")
     return tuple(found)
 
@@ -330,13 +311,12 @@ def is_rotation_program(
     if len(set(outcomes)) != m:
         return RotationProgramVerdict(False, "i", "two states share an outcome")
 
-    for i, s in enumerate(ordered):
-        succ = ordered[(i + 1) % m]
-        for t in dg.adjacency.get(s, ()):
-            if m == 1 or t != succ:
-                return RotationProgramVerdict(
-                    False, "ii", f"entitled improvement {s} -> {t} leaves the cycle"
-                )
+    ids = [dg.id_of[s] for s in ordered]
+    for i, s in enumerate(ids):
+        for t in dg.succ[s]:
+            if m == 1 or t != ids[(i + 1) % m]:
+                detail = f"entitled improvement {ordered[i]} -> {dg.nodes[t]} leaves the cycle"
+                return RotationProgramVerdict(False, "ii", detail)
 
     if m > 1:
         for i, s in enumerate(ordered):
@@ -378,63 +358,55 @@ def partition_into_rotation_programs(
     members = set(mss_states)
     for s in members:
         env.rights.index(s)
-    order = {k: i for i, k in enumerate(dg.nodes)}
+    keys = dg.nodes
+    ids = sorted(dg.id_of[s] for s in members)
+    inside = set(ids)
 
-    succ: dict[str, str | None] = {}
-    for s in sorted(members, key=order.__getitem__):
-        targets = dg.adjacency.get(s, ())
-        outside = [t for t in targets if t not in members]
-        if outside:
-            return PartitionResult(
-                False, witness_state=s, reason=f"improvement exit to {outside[0]} leaves the MSS"
-            )
-        if len(targets) > 1:
-            return PartitionResult(
-                False,
-                witness_state=s,
-                reason=f"two improvement targets {targets[0]} and {targets[1]}",
-            )
+    succ: dict[int, int | None] = {}
+    for s in ids:
+        targets = dg.succ[s]
+        outside = [keys[t] for t in targets if t not in inside]
+        reason = f"improvement exit to {outside[0]} leaves the MSS" if outside else None
+        if len(targets) > 1 and not outside:
+            reason = f"two improvement targets {keys[targets[0]]} and {keys[targets[1]]}"
+        if reason:
+            return PartitionResult(False, witness_state=keys[s], reason=reason)
         succ[s] = targets[0] if targets else None
 
     blocks: list[tuple[str, ...]] = []
-    assigned: set[str] = set()
-    for s in sorted(members, key=order.__getitem__):
+    assigned: set[int] = set()
+    for s in ids:
         if s in assigned:
             continue
         if succ[s] is None:
-            blocks.append((s,))
+            blocks.append((keys[s],))
             assigned.add(s)
             continue
         # Walk the forced successor chain; it must come back to s.
         cycle = [s]
         cur = succ[s]
-        while cur is not None and cur != s and cur not in assigned and len(cycle) <= len(members):
+        while cur is not None and cur != s and cur not in assigned and len(cycle) <= len(ids):
             cycle.append(cur)
             cur = succ[cur]
         if cur != s:
             return PartitionResult(
-                False, witness_state=s, reason="successor chain does not close into a cycle"
+                False, witness_state=keys[s], reason="successor chain does not close into a cycle"
             )
-        blocks.append(tuple(cycle))
+        blocks.append(tuple(keys[c] for c in cycle))
         assigned.update(cycle)
 
     outcome_sets = [frozenset(env.outcome(s) for s in b) for b in blocks]
     for b, outs in zip(blocks, outcome_sets):
-        if len(outs) != len(b):
-            return PartitionResult(
-                False, witness_state=b[0], reason="repeated outcome inside a block"
-            )
-        if outs != outcome_sets[0]:
-            return PartitionResult(
-                False,
-                witness_state=b[0],
-                reason="blocks have different outcome sets",
-            )
+        if len(outs) != len(b) or outs != outcome_sets[0]:
+            reason = "repeated outcome inside a block"
+            if len(outs) == len(b):
+                reason = "blocks have different outcome sets"
+            return PartitionResult(False, witness_state=b[0], reason=reason)
     for b in blocks:
         verdict = is_rotation_program(env, b, digraph=dg)
         if not verdict:
             return PartitionResult(
                 False, witness_state=b[0], reason=f"clause ({verdict.clause}): {verdict.detail}"
             )
-    blocks.sort(key=lambda b: order[b[0]])
+    blocks.sort(key=lambda b: dg.id_of[b[0]])
     return PartitionResult(True, tuple(blocks))

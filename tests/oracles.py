@@ -5,15 +5,19 @@ enumeration, dominance scans, backtracking search) without reusing the
 library's algorithmic paths, so a bug in a solver cannot hide behind an
 identical bug in its test.  The reference code at the end is the
 straightforward pair-scan and per-state versions of paths that the
-library now runs in linear time, and the housing definition scans that
-it now runs on bitmasks; differential tests compare the two.
+library now runs in linear time, the string-keyed digraph and solvers
+that the library now runs on int ids, and the housing definition scans
+that it now runs on bitmasks; differential tests compare the two.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import deque
 from itertools import combinations, product
 
 from rotakit.domains.housing import _entitled, alloc_id, can_exclusion_block, house_allocations
+from rotakit.model import CapExceeded
 from rotakit.rights import (
     BASE,
     ImprovementDigraph,
@@ -21,9 +25,8 @@ from rotakit.rights import (
     State,
     coalition_key,
     find_myopic_improvement_path,
-    reachable_from,
 )
-from rotakit.solvers import _tarjan_sccs
+from rotakit.solvers import PartitionResult, RotationProgramVerdict, SolutionReport
 
 
 def digraph_adjacency(dg) -> dict[str, set[str]]:
@@ -156,7 +159,7 @@ def per_member_absorbing_sets(dg) -> tuple[tuple[str, ...], ...]:
     """Terminal SCCs, each re-verified by one forward search per member."""
     order = {k: i for i, k in enumerate(dg.nodes)}
     terminal = []
-    for comp in _tarjan_sccs(dg):
+    for comp in string_tarjan_sccs(dg):
         members = set(comp)
         if all(t in members for s in comp for t in dg.adjacency.get(s, ())):
             terminal.append(tuple(sorted(comp, key=order.__getitem__)))
@@ -164,9 +167,9 @@ def per_member_absorbing_sets(dg) -> tuple[tuple[str, ...], ...]:
     for block in terminal:
         members = frozenset(block)
         for s in block:
-            if not members <= reachable_from(dg, [s]):
+            if not members <= string_reachable(dg.adjacency, [s]):
                 raise RuntimeError(f"absorbing set {block} fails mutual reachability at {s}")
-        if reachable_from(dg, block) != members:
+        if string_reachable(dg.adjacency, block) != members:
             raise RuntimeError(f"absorbing set {block} has an escaping improvement path")
     return tuple(terminal)
 
@@ -185,7 +188,7 @@ def per_state_external_paths(env, dg, members) -> dict[str, tuple[str, ...]]:
 
 
 def pairwise_reachability(dg) -> dict[str, frozenset[str]]:
-    return {s: reachable_from(dg, [s]) for s in dg.nodes}
+    return {s: string_reachable(dg.adjacency, [s]) for s in dg.nodes}
 
 
 def pairwise_generalized_stable_sets(dg, blocks) -> tuple[tuple[str, ...], ...]:
@@ -200,6 +203,283 @@ def pairwise_generalized_stable_sets(dg, blocks) -> tuple[tuple[str, ...], ...]:
         if all(members & reach[s] for s in dg.nodes if s not in members):
             found.append(tuple(sorted(members, key=order.__getitem__)))
     return tuple(found)
+
+
+# ---------------------------------------------------------------------------
+# Reference code: the string-keyed digraph build and solvers that the int
+# core in rotakit.rights and rotakit.solvers replaced.  They read only the
+# digraph's string views (`adjacency`, `predecessors`, `edge_coalitions`).
+
+
+def string_digraph(env) -> ImprovementDigraph:
+    """The improvement digraph built gamma entry by gamma entry on state keys."""
+    rights, prefs = env.rights, env.profile.prefs
+    keys = rights.keys()
+    by_outcome = {h: tuple(p.rank(h) for p in prefs) for h in {s.outcome for s in rights.states}}
+    ranks = {s.key: by_outcome[s.outcome] for s in rights.states}
+    adjacency: dict[str, list[str]] = {k: [] for k in keys}
+    predecessors: dict[str, list[str]] = {k: [] for k in keys}
+    edge_coalitions = {}
+    for a in keys:
+        ra = ranks[a]
+        out = adjacency[a]
+        for b in rights.targets_from(a):
+            rb = ranks[b]
+            winners = []
+            for k in rights.gamma[(a, b)]:
+                for i in k:
+                    if rb[i] >= ra[i]:
+                        break
+                else:
+                    winners.append(k)
+            if not winners:
+                continue
+            if len(winners) > 1:
+                winners.sort(key=coalition_key)
+            edge_coalitions[(a, b)] = tuple(winners)
+            out.append(b)
+            predecessors[b].append(a)
+    return ImprovementDigraph(
+        nodes=keys,
+        adjacency={k: tuple(v) for k, v in adjacency.items()},
+        predecessors={k: tuple(v) for k, v in predecessors.items()},
+        edge_coalitions=edge_coalitions,
+    )
+
+
+def string_reachable(neighbours, starts, allowed=None) -> frozenset[str]:
+    """Keys reachable from `starts` along a key -> keys map, inside `allowed` if given."""
+    seen = set(starts)
+    queue = deque(seen)
+    while queue:
+        for b in neighbours.get(queue.popleft(), ()):
+            if b not in seen and (allowed is None or b in allowed):
+                seen.add(b)
+                queue.append(b)
+    return frozenset(seen)
+
+
+def string_tarjan_sccs(dg) -> list[tuple[str, ...]]:
+    """Strongly connected components, iterative Tarjan, nodes in declaration order."""
+    index_of: dict[str, int] = {}
+    low: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    sccs: list[tuple[str, ...]] = []
+    counter = itertools.count()
+
+    for root in dg.nodes:
+        if root in index_of:
+            continue
+        work = [(root, iter(dg.adjacency.get(root, ())))]
+        index_of[root] = low[root] = next(counter)
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for nxt in it:
+                if nxt not in index_of:
+                    index_of[nxt] = low[nxt] = next(counter)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(dg.adjacency.get(nxt, ()))))
+                    advanced = True
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index_of[nxt])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index_of[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == node:
+                        break
+                sccs.append(tuple(comp))
+    return sccs
+
+
+def string_core(env, dg) -> SolutionReport:
+    core = tuple(s for s in dg.nodes if not dg.adjacency.get(s))
+    return SolutionReport("core", (core,), (_outcomes_of(env, core),))
+
+
+def _outcomes_of(env, states) -> tuple[str, ...]:
+    return tuple(sorted({env.outcome(s) for s in states}))
+
+
+def string_absorbing_sets(dg) -> tuple[tuple[str, ...], ...]:
+    """Terminal SCCs with the forward, confined backward and escape searches."""
+    order = {k: i for i, k in enumerate(dg.nodes)}
+    terminal = []
+    for comp in string_tarjan_sccs(dg):
+        members = set(comp)
+        if all(t in members for s in comp for t in dg.adjacency.get(s, ())):
+            terminal.append(tuple(sorted(comp, key=order.__getitem__)))
+    terminal.sort(key=lambda block: order[block[0]])
+    for block in terminal:
+        members = frozenset(block)
+        if not members <= string_reachable(dg.adjacency, block[:1]):
+            raise RuntimeError(f"absorbing set {block} fails mutual reachability at {block[0]}")
+        back = string_reachable(dg.predecessors, block[:1], members)
+        for s in block:
+            if s not in back:
+                raise RuntimeError(f"absorbing set {block} fails mutual reachability at {s}")
+        if string_reachable(dg.adjacency, block) != members:
+            raise RuntimeError(f"absorbing set {block} has an escaping improvement path")
+    return tuple(terminal)
+
+
+def string_mss(env, dg) -> SolutionReport:
+    blocks = string_absorbing_sets(dg)
+    members = frozenset(s for b in blocks for s in b)
+    mss = tuple(s for s in dg.nodes if s in members)
+    for s in mss:
+        for t in dg.adjacency.get(s, ()):
+            if t not in members:
+                raise RuntimeError(f"deterrence of external deviations fails at {s} -> {t}")
+    witness = {
+        "absorbing_sets": [list(b) for b in blocks],
+        "deterrence": True,
+        "external_paths": string_shortest_paths_into(dg, members),
+    }
+    return SolutionReport("mss", (mss,), (_outcomes_of(env, mss),), witness)
+
+
+def string_shortest_paths_into(dg, targets) -> dict[str, tuple[str, ...]]:
+    """Reverse BFS distances, then the first one-step-closer target per state."""
+    dist = dict.fromkeys(targets, 0)
+    paths = {t: (t,) for t in targets}
+    queue = deque(targets)
+    while queue:
+        b = queue.popleft()
+        for a in dg.predecessors.get(b, ()):
+            if a not in dist:
+                dist[a] = dist[b] + 1
+                queue.append(a)
+                closer = dist[b]
+                nxt = next((t for t in dg.adjacency.get(a, ()) if dist.get(t) == closer), None)
+                if nxt is None:
+                    raise RuntimeError(f"iterated external stability fails from {a}")
+                paths[a] = (a,) + paths[nxt]
+    for s in dg.nodes:
+        if s not in dist:
+            raise RuntimeError(f"iterated external stability fails from {s}")
+    return {s: paths[s] for s in dg.nodes if s not in targets}
+
+
+def string_generalized_stable_sets(dg, cap: int) -> tuple[tuple[str, ...], ...]:
+    """One-per-block candidates on bitmasks of the absorbing sets each state reaches."""
+    blocks = string_absorbing_sets(dg)
+    n_candidates = 1
+    for b in blocks:
+        n_candidates *= len(b)
+    if n_candidates > cap:
+        raise CapExceeded(f"{n_candidates} candidate selections exceed the cap of {cap}")
+    order = {k: i for i, k in enumerate(dg.nodes)}
+    reaches = dict.fromkeys(dg.nodes, 0)
+    own = {}
+    for j, block in enumerate(blocks):
+        for s in string_reachable(dg.predecessors, block):
+            reaches[s] |= 1 << j
+        for s in block:
+            own[s] = 1 << j
+    found = []
+    if all(reaches[s] for s in dg.nodes):
+        stable_picks = [tuple(s for s in b if reaches[s] == own[s]) for b in blocks]
+        for pick in itertools.product(*stable_picks):
+            found.append(tuple(sorted(pick, key=order.__getitem__)))
+    if frozenset(s for v in found for s in v) != frozenset(own):
+        raise RuntimeError("generalized stable sets do not cover the absorbing union")
+    return tuple(found)
+
+
+def string_is_rotation_program(env, dg, ordered) -> RotationProgramVerdict:
+    """Clauses (i)-(iii) of a rotation program, forward reading of (iii)."""
+    m = len(ordered)
+    if len({env.outcome(s) for s in ordered}) != m:
+        return RotationProgramVerdict(False, "i", "two states share an outcome")
+    for i, s in enumerate(ordered):
+        succ = ordered[(i + 1) % m]
+        for t in dg.adjacency.get(s, ()):
+            if m == 1 or t != succ:
+                return RotationProgramVerdict(
+                    False, "ii", f"entitled improvement {s} -> {t} leaves the cycle"
+                )
+    if m > 1:
+        for i, s in enumerate(ordered):
+            succ = ordered[(i + 1) % m]
+            if (s, succ) not in dg.edge_coalitions:
+                return RotationProgramVerdict(
+                    False, "iii", f"no entitled improvement {s} -> {succ}"
+                )
+    return RotationProgramVerdict(True)
+
+
+def string_partition(env, dg, mss_states) -> PartitionResult:
+    """The forced-successor partition of an MSS into rotation programs."""
+    members = set(mss_states)
+    order = {k: i for i, k in enumerate(dg.nodes)}
+    succ = {}
+    for s in sorted(members, key=order.__getitem__):
+        targets = dg.adjacency.get(s, ())
+        outside = [t for t in targets if t not in members]
+        if outside:
+            return PartitionResult(
+                False, witness_state=s, reason=f"improvement exit to {outside[0]} leaves the MSS"
+            )
+        if len(targets) > 1:
+            return PartitionResult(
+                False,
+                witness_state=s,
+                reason=f"two improvement targets {targets[0]} and {targets[1]}",
+            )
+        succ[s] = targets[0] if targets else None
+    blocks = []
+    assigned = set()
+    for s in sorted(members, key=order.__getitem__):
+        if s in assigned:
+            continue
+        if succ[s] is None:
+            blocks.append((s,))
+            assigned.add(s)
+            continue
+        cycle = [s]
+        cur = succ[s]
+        while cur is not None and cur != s and cur not in assigned and len(cycle) <= len(members):
+            cycle.append(cur)
+            cur = succ[cur]
+        if cur != s:
+            return PartitionResult(
+                False, witness_state=s, reason="successor chain does not close into a cycle"
+            )
+        blocks.append(tuple(cycle))
+        assigned.update(cycle)
+    outcome_sets = [frozenset(env.outcome(s) for s in b) for b in blocks]
+    for b, outs in zip(blocks, outcome_sets):
+        if len(outs) != len(b):
+            return PartitionResult(
+                False, witness_state=b[0], reason="repeated outcome inside a block"
+            )
+        if outs != outcome_sets[0]:
+            return PartitionResult(
+                False, witness_state=b[0], reason="blocks have different outcome sets"
+            )
+    for b in blocks:
+        verdict = string_is_rotation_program(env, dg, b)
+        if not verdict:
+            return PartitionResult(
+                False, witness_state=b[0], reason=f"clause ({verdict.clause}): {verdict.detail}"
+            )
+    blocks.sort(key=lambda b: order[b[0]])
+    return PartitionResult(True, tuple(blocks))
 
 
 # ---------------------------------------------------------------------------

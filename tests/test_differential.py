@@ -1,7 +1,10 @@
-"""The linear-time digraph and solver paths and the housing bitmask kernel
-against the reference code they replaced (tests/oracles.py), plus forged
-digraphs that must still trip every post-hoc re-verification check."""
+"""The int-indexed digraph and solver core, the linear-time paths and the
+housing bitmask kernel against the reference code they replaced
+(tests/oracles.py), plus forged digraphs that must still trip every
+post-hoc re-verification check."""
 
+import itertools
+import pathlib
 import random
 from collections import deque
 
@@ -14,11 +17,20 @@ from oracles import (
     per_state_external_paths,
     scan_direct_exclusion_core,
     scan_exclusion_rights_structure,
+    string_absorbing_sets,
+    string_core,
+    string_digraph,
+    string_generalized_stable_sets,
+    string_mss,
+    string_partition,
+    string_tarjan_sccs,
 )
 from rotakit import solvers
+from rotakit.conditions import find_shared_ordering
+from rotakit.constructors import build_thm1_structure, build_thm4_structure
 from rotakit.domains import Economy, direct_exclusion_core, exclusion_rights_structure
-from rotakit.generators import random_environment
-from rotakit.model import Profile
+from rotakit.generators import random_environment, random_scr, random_weak_profile
+from rotakit.model import CapExceeded, Profile
 from rotakit.rights import (
     ImprovementDigraph,
     RightsStructure,
@@ -26,12 +38,17 @@ from rotakit.rights import (
     State,
     build_improvement_digraph,
 )
-from rotakit.serialize import rights_to_doc
+from rotakit.serialize import domain_scr, is_domain_doc, load_document, rights_to_doc, scr_from_doc
 from rotakit.solvers import (
+    SolutionReport,
     compute_absorbing_sets,
+    compute_core,
     compute_generalized_stable_sets,
     compute_mss,
+    partition_into_rotation_programs,
 )
+
+FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _shuffled_gamma(env: SocialEnvironment, rng: random.Random) -> SocialEnvironment:
@@ -122,6 +139,132 @@ def test_solvers_match_reference_on_sparse_environments():
                 dg, blocks
             )
     assert ties >= 20, "the sample must exercise ties among shortest paths"
+
+
+def _assert_int_core_matches_strings(env: SocialEnvironment, cap: int = 256) -> SolutionReport:
+    """Every view and solver result of the int core equals, in order, what the
+    string-keyed reference code computes on the string-keyed digraph."""
+    fast, ref = build_improvement_digraph(env), string_digraph(env)
+    assert len(fast.edge_coalitions) == len(ref.edge_coalitions)
+    assert fast.nodes == ref.nodes
+    assert list(fast.adjacency.items()) == list(ref.adjacency.items())
+    assert list(fast.predecessors.items()) == list(ref.predecessors.items())
+    assert list(fast.edge_coalitions.items()) == list(ref.edge_coalitions.items())
+    assert fast.edges == ref.edges
+    assert fast == ref
+    assert solvers._tarjan_sccs(fast) == string_tarjan_sccs(ref)
+    assert compute_core(env, fast) == string_core(env, ref)
+    assert compute_absorbing_sets(env, fast) == string_absorbing_sets(ref)
+    report, expected = compute_mss(env, fast), string_mss(env, ref)
+    assert report == expected
+    paths = report.witness["external_paths"]
+    assert list(paths.items()) == list(expected.witness["external_paths"].items())
+    try:
+        generalized = compute_generalized_stable_sets(env, fast, cap=cap)
+    except CapExceeded:
+        with pytest.raises(CapExceeded):
+            string_generalized_stable_sets(ref, cap)
+    else:
+        assert generalized == string_generalized_stable_sets(ref, cap)
+    partition = partition_into_rotation_programs(env, report.states, fast)
+    assert partition == string_partition(env, ref, report.states)
+    return report
+
+
+def test_int_core_matches_strings_on_sparse_environments():
+    for env in _sparse_environments(14, 150):
+        _assert_int_core_matches_strings(env)
+
+
+def _own_outcome_environments(seed: int, count: int):
+    """Every state its own outcome and a few targets per state, mostly with
+    every agent entitled alone: the shape in which one SCC holds most states."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, n_agents = rng.randint(2, 40), rng.randint(2, 5)
+        states = tuple(State(f"s{i}", f"x{i}") for i in range(n))
+        keys = [s.key for s in states]
+        singletons = frozenset(frozenset([i]) for i in range(n_agents))
+        coalitions = [
+            frozenset(c)
+            for size in range(1, n_agents + 1)
+            for c in itertools.combinations(range(n_agents), size)
+        ]
+        gamma = {}
+        for a in keys:
+            for b in rng.sample(keys, min(n, rng.randint(2, 5))):
+                if a != b and rng.random() < 0.7:
+                    gamma[(a, b)] = singletons
+                elif a != b:
+                    gamma[(a, b)] = frozenset(rng.sample(coalitions, min(2, len(coalitions))))
+        profile = random_weak_profile(rng, "R", [s.outcome for s in states], n_agents)
+        yield _shuffled_gamma(SocialEnvironment(RightsStructure(states, gamma), profile), rng)
+
+
+def test_int_core_matches_strings_when_every_state_has_its_own_outcome():
+    giant = 0
+    for env in _own_outcome_environments(15, 120):
+        report = _assert_int_core_matches_strings(env)
+        largest = max(len(b) for b in report.witness["absorbing_sets"])
+        giant += len(env.rights.states) >= 10 and largest * 2 >= len(env.rights.states)
+    assert giant >= 10, "the sample must include absorbing sets holding most states"
+
+
+def _theorem_structures(scr, witness=None):
+    yield build_thm1_structure(scr)
+    witness = witness or find_shared_ordering(scr)
+    if witness is not None:
+        yield build_thm4_structure(scr, witness)
+
+
+def test_int_core_matches_strings_on_theorem_structures():
+    checked = 0
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = load_document(str(path))
+        scr, witness = domain_scr(doc) if is_domain_doc(doc) else (scr_from_doc(doc), None)
+        for structure in _theorem_structures(scr, witness):
+            for p in scr.profiles:
+                _assert_int_core_matches_strings(SocialEnvironment(structure, p))
+                checked += 1
+    rng = random.Random(16)
+    for _ in range(60):
+        n_agents = rng.randint(1, 3)
+        scr = random_scr(
+            rng,
+            n_alternatives=rng.randint(2, 5),
+            n_agents=n_agents,
+            n_profiles=rng.randint(1, 3),
+            # one linear agent has a one-outcome frontier: random_scr would redraw forever
+            multi_valued=n_agents > 1 and rng.random() < 0.5,
+        )
+        for structure in _theorem_structures(scr):
+            for p in scr.profiles:
+                _assert_int_core_matches_strings(SocialEnvironment(structure, p))
+                checked += 1
+    assert checked >= 150
+
+
+def test_partition_matches_strings_on_arbitrary_state_sets():
+    rng = random.Random(18)
+    reasons = set()
+    for env in _sparse_environments(18, 150):
+        keys = env.rights.keys()
+        fast, ref = build_improvement_digraph(env), string_digraph(env)
+        for _ in range(4):
+            members = rng.sample(keys, rng.randint(1, len(keys)))
+            result = partition_into_rotation_programs(env, members, fast)
+            assert result == string_partition(env, ref, members)
+            reasons.add(result.reason.split(" ")[0] if result.reason else "ok")
+    assert reasons >= {"ok", "improvement", "two", "successor", "blocks"}, reasons
+
+
+def test_edge_count_is_read_without_building_the_table():
+    for env in _sparse_environments(17, 20):
+        dg, ref = build_improvement_digraph(env), string_digraph(env)
+        assert len(dg.edge_coalitions) == len(ref.edge_coalitions)
+        assert "_table" not in vars(dg.edge_coalitions)
+        assert "adjacency" not in vars(dg) and "predecessors" not in vars(dg)
+        assert list(dg.edge_coalitions.items()) == list(ref.edge_coalitions.items())
 
 
 def test_shortest_path_tie_follows_declaration_order():
