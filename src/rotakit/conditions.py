@@ -16,6 +16,13 @@ from the walk agents: a reversal pairs an exit right at the ordering's
 own profile with a strict gain at the triggering one, which needs no
 preceding walk and no particular walker.  The consecutive-rights
 construction turns exactly these certificates into improvement paths.
+
+The searches read tables built from `Profile.contour_masks`: per (R, R'),
+which outcomes of F(R) have a preference reversal, and per (R', a, b),
+the first agent for whom b improves on a.  An ordering passes R' exactly
+when some outcome has a reversal and every outcome without one steps to
+its successor, so a candidate costs O(m) per trigger.  Candidates are
+still tried in lexicographic order, all of them when none passes.
 """
 
 from __future__ import annotations
@@ -31,7 +38,6 @@ from .model import (
     SocialChoiceRule,
     Verdict,
     is_monotonic_transformation,
-    lower_contour_set,
 )
 
 ORDER_SEARCH_CAP = 8
@@ -80,6 +86,7 @@ def check_indirect_monotonicity(scr: SocialChoiceRule) -> IndirectVerdict:
     F(R), each step strictly improving for some agent at R', ending at a
     z_h != z whose lower contour shrank for someone from R to R'.
     """
+    tables = _Tables(scr)
     witnesses = []
     for r in scr.profiles:
         chosen = scr.choice(r.id)
@@ -88,65 +95,229 @@ def check_indirect_monotonicity(scr: SocialChoiceRule) -> IndirectVerdict:
             for z in sorted(dropped):
                 if not is_monotonic_transformation(r, rp, z):
                     continue
-                witness = _indirect_walk(scr, r, rp, z)
+                witness = _indirect_walk(tables, r, rp, z)
                 if witness is None:
                     return IndirectVerdict(False, tuple(witnesses), (r.id, rp.id, z))
                 witnesses.append(witness)
     return IndirectVerdict(True, tuple(witnesses))
 
 
-def _indirect_walk(
-    scr: SocialChoiceRule, r: Profile, rp: Profile, z: str
-) -> IndirectWitness | None:
+# Outcomes below are ints: index j is the j-th alternative in sorted-id
+# order, which is also its bit in `Profile.contour_masks`.
+
+
+def _step(rp: Profile, a: int, b: int) -> int | None:
+    """First agent strictly preferring b to a at rp: b lies outside L_i(a, rp)."""
+    bit = 1 << b
+    for i, low in enumerate(rp.contour_masks):
+        if not low[a] & bit:
+            return i
+    return None
+
+
+def _reversal(r: Profile, rp: Profile, x: int) -> tuple[int, int] | None:
+    """First (agent, z) with x weakly above z at r but z strictly above x at rp.
+
+    z is the smallest id in L_i(x, r) minus L_i(x, rp): its lowest set bit.
+    """
+    for i, (low, low_p) in enumerate(zip(r.contour_masks, rp.contour_masks)):
+        shrank = low[x] & ~low_p[x]
+        if shrank:
+            return i, (shrank & -shrank).bit_length() - 1
+    return None
+
+
+def _indirect_walk(tables: _Tables, r: Profile, rp: Profile, z: str) -> IndirectWitness | None:
     """BFS over F(R) with edges a -> b iff some agent has b P' a."""
-    nodes = sorted(scr.choice(r.id))
-    parent: dict[str, tuple[str, int]] = {}
-    seen = {z}
-    frontier = [z]
+    nodes = tables.outcomes(r.id)
+    start = tables.index[z]
+    parent: dict[int, tuple[int, int]] = {}
+    seen = {start}
+    frontier = [start]
     while frontier:
         nxt = []
         for a in frontier:
             for b in nodes:
                 if b in seen:
                     continue
-                agent = _step_improver(rp, a, b)
+                agent = tables.step(rp, a, b)
                 if agent is None:
                     continue
                 seen.add(b)
                 parent[b] = (a, agent)
-                rev = _preference_reversal(r, rp, b)
+                rev = _reversal(r, rp, b)
                 if rev is not None:
                     path = [b]
                     agents = []
-                    while path[-1] != z:
+                    while path[-1] != start:
                         prev, ag = parent[path[-1]]
                         agents.append(ag)
                         path.append(prev)
                     path.reverse()
                     agents.reverse()
                     return IndirectWitness(
-                        r.id, rp.id, z, tuple(path), tuple(agents), rev[0]
+                        r.id, rp.id, z, tables.names(path), tuple(agents), rev[0]
                     )
                 nxt.append(b)
         frontier = nxt
     return None
 
 
-def _step_improver(rp: Profile, a: str, b: str) -> int | None:
-    """First agent strictly preferring b to a at rp, if any."""
-    for i in range(rp.n_agents):
-        if rp.strictly_prefers(i, b, a):
-            return i
-    return None
+class _Tables:
+    """Reversal and step tables of one SCR, each filled when first read.
 
+    Reversals are kept per (R, R') for every outcome of F(R); they do not
+    depend on the ordering.  Steps are kept per (R', a, b), shared by all R.
+    Checking one ordering against one R' then reads one reversal and at
+    most one step per outcome.
+    """
 
-def _preference_reversal(r: Profile, rp: Profile, x: str) -> tuple[int, str] | None:
-    """First (agent, z) with x weakly above z at r but z strictly above x at rp."""
-    for i in range(r.n_agents):
-        shrank = lower_contour_set(r, i, x) - lower_contour_set(rp, i, x)
-        if shrank:
-            return i, min(shrank)
-    return None
+    def __init__(self, scr: SocialChoiceRule):
+        self.scr = scr
+        self.alts = tuple(sorted(scr.alternatives))
+        self.index = {a: j for j, a in enumerate(self.alts)}
+        self._outcomes: dict[str, tuple[int, ...]] = {}
+        self._reversals: dict[tuple[str, str], int] = {}
+        self._steps: dict[tuple[str, int, int], int | None] = {}
+        self._triggers: dict[str, list[Profile]] = {}
+
+    def outcomes(self, pid: str) -> tuple[int, ...]:
+        """F(R) in sorted-id order."""
+        outcomes = self._outcomes.get(pid)
+        if outcomes is None:
+            outcomes = self._outcomes[pid] = self.ids(sorted(self.scr.choice(pid)))
+        return outcomes
+
+    def ids(self, names: Sequence[str]) -> tuple[int, ...]:
+        return tuple(map(self.index.__getitem__, names))
+
+    def names(self, ids: Iterable[int]) -> tuple[str, ...]:
+        return tuple(map(self.alts.__getitem__, ids))
+
+    def reversals(self, r: Profile, rp: Profile) -> int:
+        """The outcomes of F(R) with a preference reversal from R to R', as a bitmask."""
+        key = (r.id, rp.id)
+        mask = self._reversals.get(key)
+        if mask is None:
+            pairs = tuple(zip(r.contour_masks, rp.contour_masks))
+            mask = 0
+            for x in self.outcomes(r.id):
+                for low, low_p in pairs:  # _reversal(r, rp, x) is not None, inlined
+                    if low[x] & ~low_p[x]:
+                        mask |= 1 << x
+                        break
+            self._reversals[key] = mask
+        return mask
+
+    def step(self, rp: Profile, a: int, b: int) -> int | None:
+        """`_step(rp, a, b)`, memoised per (R', a, b)."""
+        key = (rp.id, a, b)
+        try:
+            return self._steps[key]
+        except KeyError:
+            agent = self._steps[key] = _step(rp, a, b)
+            return agent
+
+    def certified(self, r: Profile, rp: Profile, ordering: Sequence[int]) -> list[bool]:
+        """Per position of `ordering`, does its outcome have a certificate against rp?
+
+        An outcome has one exactly when walking forward from it, through
+        outcomes without a reversal that each step to their successor,
+        reaches a reversal.  One backward pass from the last reversal
+        settles every position.
+        """
+        rev = self.reversals(r, rp)
+        reach = [rev >> x & 1 == 1 for x in ordering]
+        if True in reach:
+            m = len(ordering)
+            last = m - 1 - reach[::-1].index(True)
+            ok = True
+            for k in range(last - 1, last - m, -1):  # negative k wraps around
+                if reach[k]:
+                    ok = True
+                else:
+                    ok = reach[k] = ok and self.step(rp, ordering[k], ordering[k + 1]) is not None
+        return reach
+
+    def rotation_triggers(self, r: Profile) -> list[Profile]:
+        """Profiles R' with F(R') != F(R), multi-valued or a singleton not chosen at R."""
+        triggers = self._triggers.get(r.id)
+        if triggers is None:
+            fr = self.scr.choice(r.id)
+            triggers = self._triggers[r.id] = [
+                rp
+                for rp in self.scr.profiles
+                if (frp := self.scr.choice(rp.id)) != fr and (len(frp) > 1 or not frp <= fr)
+            ]
+        return triggers
+
+    def rotation_failure(self, r: Profile, ordering: Sequence[int]) -> tuple[str, int] | None:
+        """(R' id, stuck outcome) for the first trigger the ordering fails, or None."""
+        everything = sum(1 << x for x in ordering)
+        for rp in self.rotation_triggers(r):
+            if self.reversals(r, rp) == everything:
+                continue  # every outcome is its own certificate
+            reach = self.certified(r, rp, ordering)
+            if False in reach:
+                return rp.id, ordering[reach.index(False)]
+        return None
+
+    def property_m_failure(self, r: Profile, ordering: Sequence[int]) -> PropertyMFailure | None:
+        """Property M for one profile and ordering; None when satisfied.
+
+        Triggers are profiles R' with F(R) != F(R') whose unique choice is
+        some x(k) of this ordering.  An outcome x(j) without a rotation
+        certificate must instead chain forward to x(k) through R'-improving
+        steps, and the lower contour of x(k) at R, together with x(k+1),
+        must sit inside its lower contour at R'.
+        """
+        m = len(ordering)
+        chosen = self.scr.choice(r.id)
+        for rp in self.scr.profiles:
+            frp = self.scr.choice(rp.id)
+            if frp == chosen or len(frp) != 1:
+                continue
+            (target,) = frp
+            if target not in chosen:
+                continue
+            t = self.index[target]
+            k = ordering.index(t)
+            reach = self.certified(r, rp, ordering)
+            reach[k] = True  # x(k) itself needs neither
+            if all(reach):
+                continue
+            succ_bit = 1 << ordering[(k + 1) % m]
+            contour_ok = all(
+                (low[t] | succ_bit) & ~low_p[t] == 0
+                for low, low_p in zip(r.contour_masks, rp.contour_masks)
+            )
+            chain = [False] * m  # chain[j]: R'-improving steps lead from x(j) to x(k)
+            chain[k] = ok = True
+            for j in range(k - 1, k - m, -1):  # negative j wraps around
+                ok = chain[j] = ok and self.step(rp, ordering[j], ordering[j + 1]) is not None
+            for j in range(m):
+                if not reach[j] and not (chain[j] and contour_ok):
+                    reason = "no chain to the singleton" if not chain[j] else (
+                        "lower-contour condition fails at the singleton"
+                    )
+                    return PropertyMFailure(r.id, rp.id, self.alts[ordering[j]], reason)
+        return None
+
+    def searched_orderings(self, r: Profile, cap: int) -> Iterable[tuple[int, ...]]:
+        """All circular orderings of F(r), first element fixed, lexicographic tail order.
+
+        Raises CapExceeded, before any ordering is tried, if F(r) exceeds `cap`.
+        """
+        outcomes = self.outcomes(r.id)
+        if len(outcomes) > cap:
+            raise CapExceeded(
+                f"ordering search over {len(outcomes)} outcomes at {r.id!r} "
+                f"exceeds the cap of {cap}",
+                cap=cap,
+                needed=len(outcomes),
+            )
+        head = outcomes[:1]
+        return (head + tail for tail in itertools.permutations(outcomes[1:]))
 
 
 @dataclass(frozen=True)
@@ -160,25 +331,15 @@ class RotationCertificate:
     reversal_alt: str
 
 
-def _rotation_trigger(scr: SocialChoiceRule, r_id: str, rp_id: str) -> bool:
-    fr, frp = scr.choice(r_id), scr.choice(rp_id)
-    if fr == frp:
-        return False
-    if len(frp) > 1:
-        return True
-    return not (frp <= fr)  # singleton not chosen at R
-
-
 def rotation_certificates(
     scr: SocialChoiceRule, r: Profile, ordering: Sequence[str], rp: Profile
 ) -> list[RotationCertificate | None]:
     """Per ordered outcome, the shortest certificate against rp, or None."""
-    ordering = tuple(ordering)
-    m = len(ordering)
-    steps = [
-        _step_improver(rp, ordering[k], ordering[(k + 1) % m]) for k in range(m)
-    ]
-    reversals = [_preference_reversal(r, rp, x) for x in ordering]
+    tables = _Tables(scr)
+    ids = tables.ids(ordering)
+    m = len(ids)
+    steps = [_step(rp, ids[k], ids[(k + 1) % m]) for k in range(m)]
+    reversals = [_reversal(r, rp, x) for x in ids]
     certs: list[RotationCertificate | None] = []
     for i in range(m):
         cert = None
@@ -188,7 +349,7 @@ def rotation_certificates(
             if reversals[pos] is not None:
                 agent, alt = reversals[pos]
                 cert = RotationCertificate(
-                    ordering[i], tuple(chain), ordering[pos], agent, alt
+                    ordering[i], tuple(chain), ordering[pos], agent, tables.alts[alt]
                 )
                 break
             if steps[pos] is None:
@@ -196,44 +357,6 @@ def rotation_certificates(
             chain.append((ordering[(pos + 1) % m], steps[pos]))
         certs.append(cert)
     return certs
-
-
-def _ordering_rotation_ok(
-    scr: SocialChoiceRule, r: Profile, ordering: Sequence[str]
-) -> tuple[bool, tuple[str, str] | None]:
-    """Check one ordering of F(r) against every triggering profile.
-
-    Returns (ok, (rp_id, stuck outcome)) with the first failure if any.
-    """
-    for rp in scr.profiles:
-        if not _rotation_trigger(scr, r.id, rp.id):
-            continue
-        certs = rotation_certificates(scr, r, ordering, rp)
-        for x, cert in zip(ordering, certs):
-            if cert is None:
-                return False, (rp.id, x)
-    return True, None
-
-
-def _searched_orderings(
-    scr: SocialChoiceRule, r: Profile, cap: int
-) -> Iterable[tuple[str, ...]]:
-    """All circular orderings of F(r), first element fixed, lexicographic tail order.
-
-    Raises CapExceeded, before any ordering is tried, if F(r) exceeds `cap`.
-    """
-    outcomes = sorted(scr.choice(r.id))
-    if len(outcomes) > cap:
-        raise CapExceeded(
-            f"ordering search over {len(outcomes)} outcomes at {r.id!r} "
-            f"exceeds the cap of {cap}",
-            cap=cap,
-            needed=len(outcomes),
-        )
-    if len(outcomes) <= 1:
-        return [tuple(outcomes)]
-    head = outcomes[0]
-    return ((head,) + tail for tail in itertools.permutations(outcomes[1:]))
 
 
 @dataclass(frozen=True)
@@ -295,21 +418,19 @@ def check_rotation_monotonicity(
     is recorded; a profile with no passing ordering is reported with the
     failure point of every candidate.
     """
+    tables = _Tables(scr)
     orderings: dict[str, tuple[str, ...]] = {}
     obstructions: list[RotationObstruction] = []
     for r in scr.profiles:
         failures = []
-        found = None
-        for ordering in _searched_orderings(scr, r, cap):
-            ok, failure = _ordering_rotation_ok(scr, r, ordering)
-            if ok:
-                found = ordering
+        for ordering in tables.searched_orderings(r, cap):
+            failure = tables.rotation_failure(r, ordering)
+            if failure is None:
+                orderings[r.id] = tables.names(ordering)
                 break
-            failures.append((ordering, failure[0], failure[1]))
-        if found is None:
-            obstructions.append(RotationObstruction(r.id, tuple(failures)))
+            failures.append((tables.names(ordering), failure[0], tables.alts[failure[1]]))
         else:
-            orderings[r.id] = found
+            obstructions.append(RotationObstruction(r.id, tuple(failures)))
     if obstructions:
         return RotationVerdict(False, None, tuple(obstructions))
     return RotationVerdict(True, OrderingWitness(orderings))
@@ -326,12 +447,13 @@ def verify_rotation_monotonicity_with(
     any sensible search cap.
     """
     table = coerce_orderings(scr, orderings)
+    tables = _Tables(scr)
     obstructions = []
     for r in scr.profiles:
-        ok, failure = _ordering_rotation_ok(scr, r, table[r.id])
-        if not ok:
+        failure = tables.rotation_failure(r, tables.ids(table[r.id]))
+        if failure is not None:
             obstructions.append(
-                RotationObstruction(r.id, ((table[r.id], failure[0], failure[1]),))
+                RotationObstruction(r.id, ((table[r.id], failure[0], tables.alts[failure[1]]),))
             )
     if obstructions:
         return RotationVerdict(False, None, tuple(obstructions))
@@ -352,55 +474,14 @@ class PropertyMVerdict(Verdict):
     failure: PropertyMFailure | None = None
 
 
-def _ordering_property_m_ok(
-    scr: SocialChoiceRule, r: Profile, ordering: tuple[str, ...]
-) -> PropertyMFailure | None:
-    """Property M for one profile and ordering; None when satisfied.
-
-    Triggers are profiles R' with F(R) != F(R') whose unique choice is
-    some x(k) of this ordering.  An outcome x(j) without a rotation
-    certificate must instead chain forward to x(k) through R'-improving
-    steps, and the lower contour of x(k) at R, together with x(k+1), must
-    sit inside its lower contour at R'.
-    """
-    m = len(ordering)
-    for rp in scr.profiles:
-        frp = scr.choice(rp.id)
-        if frp == scr.choice(r.id) or len(frp) != 1:
-            continue
-        (target,) = frp
-        if target not in ordering:
-            continue
-        k = ordering.index(target)
-        certs = rotation_certificates(scr, r, ordering, rp)
-        steps = [
-            _step_improver(rp, ordering[t], ordering[(t + 1) % m]) for t in range(m)
-        ]
-        xk1 = ordering[(k + 1) % m]
-        contour_ok = all(
-            lower_contour_set(r, i, target) | {xk1} <= lower_contour_set(rp, i, target)
-            for i in range(r.n_agents)
-        )
-        for j in range(m):
-            if j == k or certs[j] is not None:
-                continue
-            span = (k - j) % m
-            chain_ok = all(steps[(j + t) % m] is not None for t in range(span))
-            if not (chain_ok and contour_ok):
-                reason = "no chain to the singleton" if not chain_ok else (
-                    "lower-contour condition fails at the singleton"
-                )
-                return PropertyMFailure(r.id, rp.id, ordering[j], reason)
-    return None
-
-
 def check_property_m(
     scr: SocialChoiceRule, orderings: "OrderingWitness | Mapping[str, Sequence[str]]"
 ) -> PropertyMVerdict:
     """Property M against supplied per-profile orderings."""
     table = coerce_orderings(scr, orderings)
+    tables = _Tables(scr)
     for r in scr.profiles:
-        failure = _ordering_property_m_ok(scr, r, table[r.id])
+        failure = tables.property_m_failure(r, tables.ids(table[r.id]))
         if failure is not None:
             return PropertyMVerdict(False, failure)
     return PropertyMVerdict(True)
@@ -415,15 +496,16 @@ def find_shared_ordering(
     profile, so the search decomposes; the first ordering passing both is
     kept.  Returns None when some profile admits no such ordering.
     """
+    tables = _Tables(scr)
     orderings: dict[str, tuple[str, ...]] = {}
     for r in scr.profiles:
-        found = None
-        for ordering in _searched_orderings(scr, r, cap):
-            ok, _ = _ordering_rotation_ok(scr, r, ordering)
-            if ok and _ordering_property_m_ok(scr, r, ordering) is None:
-                found = ordering
+        for ordering in tables.searched_orderings(r, cap):
+            if (
+                tables.rotation_failure(r, ordering) is None
+                and tables.property_m_failure(r, ordering) is None
+            ):
+                orderings[r.id] = tables.names(ordering)
                 break
-        if found is None:
+        else:
             return None
-        orderings[r.id] = found
     return OrderingWitness(orderings)

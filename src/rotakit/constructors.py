@@ -32,11 +32,7 @@ from .rights import (
     build_improvement_digraph,
     can_reach,
 )
-from .solvers import (
-    PartitionResult,
-    compute_mss,
-    partition_into_rotation_programs,
-)
+from .solvers import PartitionResult, _verified_mss, partition_into_rotation_programs
 
 RULE1 = "rule1"
 RULE2 = "rule2"
@@ -189,7 +185,8 @@ def verify_implementation_in_mss(
 
     def check(p: Profile) -> ProfileVerdict:
         env = SocialEnvironment(structure, p)
-        actual = compute_mss(env).outcome_set
+        mss = _verified_mss(env, build_improvement_digraph(env))[1]
+        actual = frozenset(map(env.outcome, mss))
         expected = scr.choice(p.id)
         return ProfileVerdict(p.id, actual == expected, expected, actual)
 
@@ -205,11 +202,11 @@ def verify_implementation_in_rotation_programs(
     def check(p: Profile) -> tuple[ProfileVerdict, PartitionResult]:
         env = SocialEnvironment(structure, p)
         dg = build_improvement_digraph(env)
-        mss = compute_mss(env, dg)
-        actual = mss.outcome_set
+        mss = _verified_mss(env, dg)[1]
+        actual = frozenset(map(env.outcome, mss))
         expected = scr.choice(p.id)
         ok = actual == expected
-        partition = partition_into_rotation_programs(env, mss.states, dg)
+        partition = partition_into_rotation_programs(env, mss, dg)
         if partition.ok:
             ok = ok and all(
                 frozenset(env.outcome(s) for s in block) == expected

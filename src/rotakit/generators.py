@@ -16,7 +16,7 @@ from typing import Sequence
 from .domains.housing import Economy
 from .domains.jobs import JobRotationProblem
 from .domains.marriage import MarriageProblem
-from .model import Profile, SocialChoiceRule, pareto_frontier
+from .model import InputError, Profile, SocialChoiceRule, pareto_frontier
 from .rights import BASE, Coalition, RightsStructure, SocialEnvironment, State
 
 
@@ -51,8 +51,15 @@ def random_scr(
     """Random efficient SCR: nonempty subsets of each profile's Pareto frontier.
 
     With `multi_valued`, every chosen set has at least two outcomes
-    (profiles whose frontier is a singleton are redrawn).
+    (profiles whose frontier is a singleton are redrawn).  That needs two
+    agents and two alternatives: with fewer, every linear profile has a
+    one-outcome frontier, so such a request raises InputError up front.
     """
+    if multi_valued and (n_agents < 2 or n_alternatives < 2):
+        raise InputError(
+            f"a multi-valued SCR needs at least 2 agents and 2 alternatives, "
+            f"got {n_agents} and {n_alternatives}"
+        )
     alternatives = tuple(f"a{i}" for i in range(n_alternatives))
     profiles = []
     choices = {}

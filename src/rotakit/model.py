@@ -13,6 +13,7 @@ Everything in this module is immutable and pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 
@@ -156,6 +157,27 @@ class Profile:
 
     def is_linear(self) -> bool:
         return all(p.is_linear() for p in self.prefs)
+
+    @cached_property
+    def contour_masks(self) -> tuple[tuple[int, ...], ...]:
+        """Per agent, per alternative in sorted-id order, L_i(x) as a bitmask.
+
+        Bit j stands for the j-th alternative in sorted-id order, so the
+        lowest set bit of a mask is its smallest id.  Built on first read:
+        the condition checks need it, most other profiles never do.
+        """
+        alts = self.alternatives
+        order = sorted(range(len(alts)), key=alts.__getitem__)
+        table = []
+        for p in self.prefs:
+            ranks = [p.ranks[k] for k in order]
+            at_least = [0] * (max(ranks) + 2)  # at_least[r]: alternatives ranked r or worse
+            for j, r in enumerate(ranks):
+                at_least[r] |= 1 << j
+            for r in range(len(at_least) - 2, -1, -1):
+                at_least[r] |= at_least[r + 1]
+            table.append(tuple(at_least[r] for r in ranks))
+        return tuple(table)
 
 
 def lower_contour_set(profile: Profile, agent: int, x: str) -> frozenset[str]:

@@ -163,12 +163,31 @@ def compute_mss(
     deterrence of external deviations.
     """
     dg = digraph if digraph is not None else build_improvement_digraph(env)
+    blocks, mss, queue, hop = _verified_mss(env, dg)
+    witness = {
+        "absorbing_sets": [list(b) for b in blocks],
+        "deterrence": True,
+        "external_paths": _paths_along(dg, queue, hop),
+    }
+    return SolutionReport("mss", (mss,), (_outcomes_of(env, mss),), witness)
+
+
+def _verified_mss(env: SocialEnvironment, dg: ImprovementDigraph):
+    """Absorbing sets, the MSS and the next hops into it, with every
+    re-verification check of `compute_mss` but without building its paths.
+
+    One reverse BFS from the MSS gives each state its distance to it and a
+    next hop: the first successor, in adjacency order, that is one step
+    closer.  Every hop is checked against the forward successor lists, and
+    every state must be reached.  Returns (absorbing sets, MSS states in
+    declaration order, reverse-BFS order, next hop per state id, -1 inside).
+    """
     blocks = compute_absorbing_sets(env, dg)
-    keys, inside = dg.nodes, bytearray(len(dg.nodes))
+    keys, succ, inside = dg.nodes, dg.succ, bytearray(len(dg.nodes))
     for s in (s for b in blocks for s in b):
         inside[dg.id_of[s]] = 1
     mss = tuple(k for k, x in zip(keys, inside) if x)
-    for s, out in enumerate(dg.succ):
+    for s, out in enumerate(succ):
         if not inside[s]:
             continue
         for t in out:
@@ -176,25 +195,6 @@ def compute_mss(
                 raise RuntimeError(
                     f"deterrence of external deviations fails at {keys[s]} -> {keys[t]}"
                 )
-    witness = {
-        "absorbing_sets": [list(b) for b in blocks],
-        "deterrence": True,
-        "external_paths": _shortest_paths_into(dg, inside),
-    }
-    return SolutionReport("mss", (mss,), (_outcomes_of(env, mss),), witness)
-
-
-def _shortest_paths_into(dg: ImprovementDigraph, inside: bytearray) -> dict[str, tuple[str, ...]]:
-    """For every state outside the flagged ids, in declaration order, a
-    shortest improvement path into them.
-
-    One reverse BFS gives each state its distance to the targets and a next
-    hop: the first successor, in adjacency order, that is one step closer.
-    Following next hops gives the lexicographically smallest shortest path,
-    the one a forward BFS with declaration-order tie-breaks finds.  Every
-    hop is checked against the forward successor lists.
-    """
-    keys, succ = dg.nodes, dg.succ
     dist = [0 if x else -1 for x in inside]
     hop = [-1] * len(keys)
     queue = [s for s, x in enumerate(inside) if x]
@@ -209,11 +209,24 @@ def _shortest_paths_into(dg: ImprovementDigraph, inside: bytearray) -> dict[str,
                     raise RuntimeError(f"iterated external stability fails from {keys[a]}")
     if -1 in dist:
         raise RuntimeError(f"iterated external stability fails from {keys[dist.index(-1)]}")
+    return blocks, mss, queue, hop
+
+
+def _paths_along(
+    dg: ImprovementDigraph, queue: list[int], hop: list[int]
+) -> dict[str, tuple[str, ...]]:
+    """For every state outside the targets, in declaration order, its shortest
+    improvement path into them, following next hops.
+
+    This gives the lexicographically smallest shortest path, the one a
+    forward BFS with declaration-order tie-breaks finds.
+    """
+    keys = dg.nodes
     paths: list = [(k,) for k in keys]
     for a in queue:
         if hop[a] >= 0:
             paths[a] = (keys[a],) + paths[hop[a]]
-    return {keys[s]: paths[s] for s, x in enumerate(inside) if not x}
+    return {keys[s]: paths[s] for s, h in enumerate(hop) if h >= 0}
 
 
 def compute_generalized_stable_sets(

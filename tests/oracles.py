@@ -17,7 +17,18 @@ from collections import deque
 from itertools import combinations, product
 
 from rotakit.domains.housing import _entitled, alloc_id, can_exclusion_block, house_allocations
-from rotakit.model import CapExceeded
+from rotakit.conditions import (
+    IndirectVerdict,
+    IndirectWitness,
+    OrderingWitness,
+    PropertyMFailure,
+    PropertyMVerdict,
+    RotationCertificate,
+    RotationObstruction,
+    RotationVerdict,
+    coerce_orderings,
+)
+from rotakit.model import CapExceeded, is_monotonic_transformation, lower_contour_set
 from rotakit.rights import (
     BASE,
     ImprovementDigraph,
@@ -523,3 +534,219 @@ def scan_exclusion_rights_structure(economy) -> RightsStructure:
             if fam:
                 gamma[(alloc_id(mu), alloc_id(sigma))] = fam
     return RightsStructure(states, gamma)
+
+
+# ---------------------------------------------------------------------------
+# Reference code: the ordering searches that rotakit.conditions now runs on
+# contour bitmask tables.  Every candidate ordering rebuilds its steps and
+# preference reversals from frozenset lower-contour sets.
+
+
+def string_step_improver(rp, a: str, b: str) -> int | None:
+    """First agent strictly preferring b to a at rp, if any."""
+    for i in range(rp.n_agents):
+        if rp.strictly_prefers(i, b, a):
+            return i
+    return None
+
+
+def string_preference_reversal(r, rp, x: str) -> tuple[int, str] | None:
+    """First (agent, z) with x weakly above z at r but z strictly above x at rp."""
+    for i in range(r.n_agents):
+        shrank = lower_contour_set(r, i, x) - lower_contour_set(rp, i, x)
+        if shrank:
+            return i, min(shrank)
+    return None
+
+
+def string_check_indirect_monotonicity(scr) -> IndirectVerdict:
+    witnesses = []
+    for r in scr.profiles:
+        chosen = scr.choice(r.id)
+        for rp in scr.profiles:
+            for z in sorted(chosen - scr.choice(rp.id)):
+                if not is_monotonic_transformation(r, rp, z):
+                    continue
+                witness = _string_indirect_walk(scr, r, rp, z)
+                if witness is None:
+                    return IndirectVerdict(False, tuple(witnesses), (r.id, rp.id, z))
+                witnesses.append(witness)
+    return IndirectVerdict(True, tuple(witnesses))
+
+
+def _string_indirect_walk(scr, r, rp, z: str) -> IndirectWitness | None:
+    nodes = sorted(scr.choice(r.id))
+    parent: dict[str, tuple[str, int]] = {}
+    seen = {z}
+    frontier = [z]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for b in nodes:
+                if b in seen:
+                    continue
+                agent = string_step_improver(rp, a, b)
+                if agent is None:
+                    continue
+                seen.add(b)
+                parent[b] = (a, agent)
+                rev = string_preference_reversal(r, rp, b)
+                if rev is not None:
+                    path = [b]
+                    agents = []
+                    while path[-1] != z:
+                        prev, ag = parent[path[-1]]
+                        agents.append(ag)
+                        path.append(prev)
+                    path.reverse()
+                    agents.reverse()
+                    return IndirectWitness(r.id, rp.id, z, tuple(path), tuple(agents), rev[0])
+                nxt.append(b)
+        frontier = nxt
+    return None
+
+
+def string_rotation_trigger(scr, r_id: str, rp_id: str) -> bool:
+    fr, frp = scr.choice(r_id), scr.choice(rp_id)
+    if fr == frp:
+        return False
+    if len(frp) > 1:
+        return True
+    return not (frp <= fr)
+
+
+def string_rotation_certificates(scr, r, ordering, rp) -> list[RotationCertificate | None]:
+    ordering = tuple(ordering)
+    m = len(ordering)
+    steps = [string_step_improver(rp, ordering[k], ordering[(k + 1) % m]) for k in range(m)]
+    reversals = [string_preference_reversal(r, rp, x) for x in ordering]
+    certs: list[RotationCertificate | None] = []
+    for i in range(m):
+        cert = None
+        chain: list[tuple[str, int]] = []
+        for h in range(m):
+            pos = (i + h) % m
+            if reversals[pos] is not None:
+                agent, alt = reversals[pos]
+                cert = RotationCertificate(ordering[i], tuple(chain), ordering[pos], agent, alt)
+                break
+            if steps[pos] is None:
+                break
+            chain.append((ordering[(pos + 1) % m], steps[pos]))
+        certs.append(cert)
+    return certs
+
+
+def string_ordering_rotation_ok(scr, r, ordering) -> tuple[bool, tuple[str, str] | None]:
+    for rp in scr.profiles:
+        if not string_rotation_trigger(scr, r.id, rp.id):
+            continue
+        certs = string_rotation_certificates(scr, r, ordering, rp)
+        for x, cert in zip(ordering, certs):
+            if cert is None:
+                return False, (rp.id, x)
+    return True, None
+
+
+def string_searched_orderings(scr, r, cap: int):
+    outcomes = sorted(scr.choice(r.id))
+    if len(outcomes) > cap:
+        raise CapExceeded(
+            f"ordering search over {len(outcomes)} outcomes at {r.id!r} "
+            f"exceeds the cap of {cap}",
+            cap=cap,
+            needed=len(outcomes),
+        )
+    if len(outcomes) <= 1:
+        return [tuple(outcomes)]
+    head = outcomes[0]
+    return ((head,) + tail for tail in itertools.permutations(outcomes[1:]))
+
+
+def string_check_rotation_monotonicity(scr, cap: int) -> RotationVerdict:
+    orderings: dict[str, tuple[str, ...]] = {}
+    obstructions: list[RotationObstruction] = []
+    for r in scr.profiles:
+        failures = []
+        found = None
+        for ordering in string_searched_orderings(scr, r, cap):
+            ok, failure = string_ordering_rotation_ok(scr, r, ordering)
+            if ok:
+                found = ordering
+                break
+            failures.append((ordering, failure[0], failure[1]))
+        if found is None:
+            obstructions.append(RotationObstruction(r.id, tuple(failures)))
+        else:
+            orderings[r.id] = found
+    if obstructions:
+        return RotationVerdict(False, None, tuple(obstructions))
+    return RotationVerdict(True, OrderingWitness(orderings))
+
+
+def string_verify_rotation_monotonicity_with(scr, orderings) -> RotationVerdict:
+    table = coerce_orderings(scr, orderings)
+    obstructions = []
+    for r in scr.profiles:
+        ok, failure = string_ordering_rotation_ok(scr, r, table[r.id])
+        if not ok:
+            obstructions.append(
+                RotationObstruction(r.id, ((table[r.id], failure[0], failure[1]),))
+            )
+    if obstructions:
+        return RotationVerdict(False, None, tuple(obstructions))
+    return RotationVerdict(True, OrderingWitness(table))
+
+
+def string_ordering_property_m_ok(scr, r, ordering) -> PropertyMFailure | None:
+    m = len(ordering)
+    for rp in scr.profiles:
+        frp = scr.choice(rp.id)
+        if frp == scr.choice(r.id) or len(frp) != 1:
+            continue
+        (target,) = frp
+        if target not in ordering:
+            continue
+        k = ordering.index(target)
+        certs = string_rotation_certificates(scr, r, ordering, rp)
+        steps = [string_step_improver(rp, ordering[t], ordering[(t + 1) % m]) for t in range(m)]
+        xk1 = ordering[(k + 1) % m]
+        contour_ok = all(
+            lower_contour_set(r, i, target) | {xk1} <= lower_contour_set(rp, i, target)
+            for i in range(r.n_agents)
+        )
+        for j in range(m):
+            if j == k or certs[j] is not None:
+                continue
+            span = (k - j) % m
+            chain_ok = all(steps[(j + t) % m] is not None for t in range(span))
+            if not (chain_ok and contour_ok):
+                reason = "no chain to the singleton" if not chain_ok else (
+                    "lower-contour condition fails at the singleton"
+                )
+                return PropertyMFailure(r.id, rp.id, ordering[j], reason)
+    return None
+
+
+def string_check_property_m(scr, orderings) -> PropertyMVerdict:
+    table = coerce_orderings(scr, orderings)
+    for r in scr.profiles:
+        failure = string_ordering_property_m_ok(scr, r, table[r.id])
+        if failure is not None:
+            return PropertyMVerdict(False, failure)
+    return PropertyMVerdict(True)
+
+
+def string_find_shared_ordering(scr, cap: int) -> OrderingWitness | None:
+    orderings: dict[str, tuple[str, ...]] = {}
+    for r in scr.profiles:
+        found = None
+        for ordering in string_searched_orderings(scr, r, cap):
+            ok, _ = string_ordering_rotation_ok(scr, r, ordering)
+            if ok and string_ordering_property_m_ok(scr, r, ordering) is None:
+                found = ordering
+                break
+        if found is None:
+            return None
+        orderings[r.id] = found
+    return OrderingWitness(orderings)

@@ -205,6 +205,15 @@ def test_find_shared_ordering_multi_valued_equals_rotation_search():
             assert check_property_m(scr, shared)
 
 
+@pytest.mark.parametrize("n_agents, n_alternatives", [(1, 3), (3, 1)])
+def test_random_multi_valued_scr_refuses_impossible_sizes(n_agents, n_alternatives):
+    # every linear profile then has a one-outcome frontier, which no redraw can fix
+    rng = random.Random(5)
+    with pytest.raises(InputError, match="multi-valued SCR needs at least 2 agents"):
+        random_scr(rng, n_alternatives, n_agents, 2, multi_valued=True)
+    assert rng.getstate() == random.Random(5).getstate(), "nothing may be drawn first"
+
+
 def test_maskin_implies_indirect_on_random_rules():
     rng = random.Random(71)
     checked = 0

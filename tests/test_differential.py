@@ -1,7 +1,7 @@
-"""The int-indexed digraph and solver core, the linear-time paths and the
-housing bitmask kernel against the reference code they replaced
-(tests/oracles.py), plus forged digraphs that must still trip every
-post-hoc re-verification check."""
+"""The int-indexed digraph and solver core, the linear-time paths, the
+housing bitmask kernel and the table-driven ordering searches against the
+reference code they replaced (tests/oracles.py), plus forged digraphs that
+must still trip every post-hoc re-verification check."""
 
 import itertools
 import pathlib
@@ -18,19 +18,32 @@ from oracles import (
     scan_direct_exclusion_core,
     scan_exclusion_rights_structure,
     string_absorbing_sets,
+    string_check_indirect_monotonicity,
+    string_check_property_m,
+    string_check_rotation_monotonicity,
     string_core,
     string_digraph,
+    string_find_shared_ordering,
     string_generalized_stable_sets,
     string_mss,
     string_partition,
+    string_rotation_certificates,
     string_tarjan_sccs,
+    string_verify_rotation_monotonicity_with,
 )
 from rotakit import solvers
-from rotakit.conditions import find_shared_ordering
+from rotakit.conditions import (
+    check_indirect_monotonicity,
+    check_property_m,
+    check_rotation_monotonicity,
+    find_shared_ordering,
+    rotation_certificates,
+    verify_rotation_monotonicity_with,
+)
 from rotakit.constructors import build_thm1_structure, build_thm4_structure
 from rotakit.domains import Economy, direct_exclusion_core, exclusion_rights_structure
 from rotakit.generators import random_environment, random_scr, random_weak_profile
-from rotakit.model import CapExceeded, Profile
+from rotakit.model import CapExceeded, Profile, SocialChoiceRule
 from rotakit.rights import (
     ImprovementDigraph,
     RightsStructure,
@@ -324,6 +337,101 @@ def test_equal_families_validate_once_to_equal_results():
     listed = RightsStructure(states, {("a", "b"): [[0], [1, 0]], ("b", "c"): [[0], [0, 1]]})
     assert listed.gamma == shared.gamma
     assert listed.max_agent() == shared.max_agent() == 1
+
+
+def _ordering_scrs(seed: int, count: int):
+    """Small SCRs for the ordering searches: half efficient rules on linear
+    profiles, half arbitrary choices on weak orders with ties.  Each declares
+    its alternatives in a shuffled order, so that declaration order and
+    sorted-id order differ."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n_alts, n_agents, n_profiles = rng.randint(2, 6), rng.randint(2, 4), rng.randint(2, 5)
+        if k % 2 == 0:
+            scr = random_scr(rng, n_alts, n_agents, n_profiles, multi_valued=rng.random() < 0.3)
+        else:
+            alts = tuple(f"a{i}" for i in range(n_alts))
+            profiles = tuple(
+                random_weak_profile(rng, f"R{j}", alts, n_agents) for j in range(n_profiles)
+            )
+            choices = {p.id: rng.sample(alts, rng.randint(1, min(n_alts, 5))) for p in profiles}
+            scr = SocialChoiceRule(profiles, choices)
+        order = rng.sample(range(n_alts), n_alts)
+        alts = tuple(scr.alternatives[i] for i in order)
+        profiles = tuple(
+            Profile.from_ranks(p.id, alts, [[q.ranks[i] for i in order] for q in p.prefs])
+            for p in scr.profiles
+        )
+        yield SocialChoiceRule(profiles, scr.choices)
+
+
+def _orderings(rng: random.Random, scr, witness):
+    """The witness's orderings when there is one, else a random ordering per profile."""
+    if witness is not None:
+        return dict(witness.orderings)
+    return {
+        p.id: tuple(rng.sample(sorted(scr.choice(p.id)), len(scr.choice(p.id))))
+        for p in scr.profiles
+    }
+
+
+def test_ordering_searches_match_string_search():
+    rng = random.Random(31)
+    seen = set()
+    for scr in _ordering_scrs(31, 1100):
+        rot = check_rotation_monotonicity(scr, cap=6)
+        assert rot == string_check_rotation_monotonicity(scr, 6)
+        shared = find_shared_ordering(scr, cap=6)
+        assert shared == string_find_shared_ordering(scr, 6)
+        assert check_indirect_monotonicity(scr) == string_check_indirect_monotonicity(scr)
+        for witness in (rot.witness, shared, None):
+            table = _orderings(rng, scr, witness)
+            verdict = verify_rotation_monotonicity_with(scr, table)
+            assert verdict == string_verify_rotation_monotonicity_with(scr, table)
+            pm = check_property_m(scr, table)
+            assert pm == string_check_property_m(scr, table)
+            seen.add(pm.failure.reason if pm.failure else "property M holds")
+        weak = not all(p.is_linear() for p in scr.profiles)
+        seen.add((weak, bool(rot), shared is not None))
+        seen.update(len(o.failures) for o in rot.obstructions)
+    assert {(w, r, s) for w in (False, True) for r, s in ((0, 0), (1, 0), (1, 1))} <= seen, seen
+    assert {"no chain to the singleton", "lower-contour condition fails at the singleton"} <= seen
+    assert {1, 2, 6, 24} <= seen, "obstructions must list failures of many orderings"
+
+
+def test_rotation_certificates_match_string_certificates_on_every_ordering():
+    checked = 0
+    for scr in _ordering_scrs(32, 300):
+        for r in scr.profiles:
+            outcomes = sorted(scr.choice(r.id))
+            if len(outcomes) > 4:
+                continue
+            for ordering in itertools.permutations(outcomes):
+                for rp in scr.profiles:
+                    certs = rotation_certificates(scr, r, ordering, rp)
+                    assert certs == string_rotation_certificates(scr, r, ordering, rp)
+                    checked += sum(c is not None and len(c.chain) > 0 for c in certs)
+    assert checked > 1000, "the sample must include certificates that walk"
+
+
+def test_ordering_cap_refuses_like_the_string_search():
+    rng = random.Random(33)
+    for scr in _ordering_scrs(33, 200):
+        cap = rng.randint(1, 4)
+        for fast, ref in (
+            (check_rotation_monotonicity, string_check_rotation_monotonicity),
+            (find_shared_ordering, string_find_shared_ordering),
+        ):
+            try:
+                expected = ref(scr, cap)
+            except CapExceeded as exc:
+                with pytest.raises(CapExceeded) as got:
+                    fast(scr, cap=cap)
+                assert (str(got.value), got.value.cap, got.value.needed) == (
+                    str(exc), exc.cap, exc.needed
+                )
+            else:
+                assert fast(scr, cap=cap) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,19 @@ def test_lower_contour_contains_its_argument(ranks):
         assert a in lower_contour_set(p, 0, a)
 
 
+@given(st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4), min_size=1, max_size=3))
+@settings(max_examples=60)
+def test_contour_masks_are_lower_contours_in_sorted_id_order(rows):
+    alts = ("c", "a", "d", "b")  # declared out of sorted-id order
+    p = Profile.from_ranks("W", alts, rows)
+    assert "contour_masks" not in vars(p), "built on first read, not with the profile"
+    ordered = sorted(alts)
+    for i, masks in enumerate(p.contour_masks):
+        for j, x in enumerate(ordered):
+            members = {a for k, a in enumerate(ordered) if masks[j] >> k & 1}
+            assert members == lower_contour_set(p, i, x)
+
+
 def test_lower_contour_unknowns_rejected(xyz_profiles):
     r, _ = xyz_profiles
     with pytest.raises(InputError):
