@@ -199,8 +199,8 @@ def _solve_generalized(ns, caps, env, dg):
 
 
 def _solve_partition(ns, caps, env, dg):
-    mss = solvers.compute_mss(env, dg)
-    result = solvers.partition_into_rotation_programs(env, mss.states, dg)
+    mss = solvers.verified_mss_states(env, dg)
+    result = solvers.partition_into_rotation_programs(env, mss, dg)
     payload = {
         "concept": "partition",
         "ok": result.ok,
@@ -465,15 +465,15 @@ def _sample_domain(ns: argparse.Namespace) -> dict:
 def _cmd_export_dot(ns: argparse.Namespace, caps: dict[str, int]) -> int:
     env = _load_environment(ns)
     dg = build_improvement_digraph(env)
-    highlight: tuple[str, ...] = ()
-    blocks = None
-    if ns.highlight == "mss":
-        highlight = tuple(solvers.compute_mss(env, dg).states)
-    elif ns.highlight == "core":
+    mss: tuple[str, ...] = ()
+    if ns.highlight == "mss" or ns.partition:
+        mss = solvers.verified_mss_states(env, dg)
+    highlight = mss if ns.highlight == "mss" else ()
+    if ns.highlight == "core":
         highlight = solvers.compute_core(env, dg).sets[0]
+    blocks = None
     if ns.partition:
-        mss = solvers.compute_mss(env, dg)
-        result = solvers.partition_into_rotation_programs(env, mss.states, dg)
+        result = solvers.partition_into_rotation_programs(env, mss, dg)
         if result.ok:
             blocks = result.blocks
     _write(ns.out, serialize.digraph_to_dot(dg, env, highlight, blocks))

@@ -32,7 +32,7 @@ from .rights import (
     build_improvement_digraph,
     can_reach,
 )
-from .solvers import PartitionResult, _verified_mss, partition_into_rotation_programs
+from .solvers import PartitionResult, partition_into_rotation_programs, verified_mss_states
 
 RULE1 = "rule1"
 RULE2 = "rule2"
@@ -185,7 +185,7 @@ def verify_implementation_in_mss(
 
     def check(p: Profile) -> ProfileVerdict:
         env = SocialEnvironment(structure, p)
-        mss = _verified_mss(env, build_improvement_digraph(env))[1]
+        mss = verified_mss_states(env, build_improvement_digraph(env))
         actual = frozenset(map(env.outcome, mss))
         expected = scr.choice(p.id)
         return ProfileVerdict(p.id, actual == expected, expected, actual)
@@ -202,7 +202,7 @@ def verify_implementation_in_rotation_programs(
     def check(p: Profile) -> tuple[ProfileVerdict, PartitionResult]:
         env = SocialEnvironment(structure, p)
         dg = build_improvement_digraph(env)
-        mss = _verified_mss(env, dg)[1]
+        mss = verified_mss_states(env, dg)
         actual = frozenset(map(env.outcome, mss))
         expected = scr.choice(p.id)
         ok = actual == expected

@@ -12,7 +12,6 @@ and coalition bitmasks; each profile's digraph is built and solved on ints.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
@@ -203,28 +202,25 @@ class Edge:
 class ImprovementDigraph:
     """Improvement moves of one environment, with deterministic ordering.
 
-    The solvers read ints: `nodes` in declaration order, `id_of` a node's
-    id, and per id its distinct improvement targets (`succ`) and sources
-    (`pred`) in declaration order.  The string views are built on first
-    read: `adjacency` and `predecessors` per node; `edge_coalitions` per
-    (source, target), by source then target, the winning coalitions
-    sorted by size then members.  Its length is known without building it.
-    Built from string maps, as here, the digraph keeps them as given.
+    The solvers read ints: `id_of` a node's id, given as a key -> id dict
+    in declaration order (a rights structure's own index, shared by the
+    digraphs of all its profiles), `nodes` its keys in that order, and per
+    id its distinct improvement targets (`succ`) and sources (`pred`) in
+    declaration order.  `edge_coalitions` maps each (source, target) pair, by source then
+    target, to the winning coalitions sorted by size then members.  The
+    string views `adjacency` and `predecessors` are derived from the ints
+    on first read.
     """
 
     def __init__(
         self,
-        nodes: Sequence[str],
-        adjacency: Mapping[str, tuple[str, ...]],
-        predecessors: Mapping[str, tuple[str, ...]],
+        id_of: dict[str, int],
+        succ: list[list[int]],
+        pred: list[list[int]],
         edge_coalitions: Mapping[tuple[str, str], tuple[Coalition, ...]],
     ):
-        self.nodes = tuple(nodes)
-        self.id_of = {k: i for i, k in enumerate(self.nodes)}
-        self.succ = [[self.id_of[b] for b in adjacency.get(a, ())] for a in self.nodes]
-        self.pred = [[self.id_of[b] for b in predecessors.get(a, ())] for a in self.nodes]
-        self.adjacency, self.predecessors = adjacency, predecessors
-        self.edge_coalitions = edge_coalitions
+        self.id_of, self.nodes = id_of, tuple(id_of)
+        self.succ, self.pred, self.edge_coalitions = succ, pred, edge_coalitions
 
     @cached_property
     def adjacency(self) -> Mapping[str, tuple[str, ...]]:
@@ -253,7 +249,7 @@ class ImprovementDigraph:
         return self.adjacency.get(a, ())
 
     def __eq__(self, other) -> bool:
-        views = ("nodes", "adjacency", "predecessors", "edge_coalitions")
+        views = ("nodes", "succ", "pred", "edge_coalitions")
         return isinstance(other, ImprovementDigraph) and all(
             getattr(self, v) == getattr(other, v) for v in views
         )
@@ -321,10 +317,7 @@ def build_improvement_digraph(env: SocialEnvironment) -> ImprovementDigraph:
                     continue
             out.append(b)
             pred[b].append(a)
-    dg = ImprovementDigraph.__new__(ImprovementDigraph)
-    dg.nodes, dg.id_of, dg.succ, dg.pred = core.keys, rights._index, succ, pred
-    dg.edge_coalitions = _EdgeTable(core, gain, sum(map(len, succ)))
-    return dg
+    return ImprovementDigraph(rights._index, succ, pred, _EdgeTable(core, gain, sum(map(len, succ))))
 
 
 def search(
@@ -342,6 +335,32 @@ def search(
                 seen.add(b)
                 stack.append(b)
     return seen
+
+
+def hops_into(
+    dg: ImprovementDigraph, goals: Iterable[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """One reverse BFS from `goals` along `pred`: the visit order (goals
+    first), each id's improvement distance into the goals (-1 when it has
+    none) and its next hop, the first successor in `succ` order one step
+    closer (-1 on goals and unreached ids, and where `succ` has no such
+    step).  Following next hops gives every state the lexicographically
+    smallest shortest path, the one a forward BFS with declaration-order
+    tie-breaks finds."""
+    succ, dist, hop = dg.succ, [-1] * len(dg.nodes), [-1] * len(dg.nodes)
+    order = []
+    for g in goals:
+        if dist[g] < 0:
+            dist[g] = 0
+            order.append(g)
+    for b in order:  # grows while it is read: a FIFO queue
+        closer = dist[b]
+        for a in dg.pred[b]:
+            if dist[a] < 0:
+                dist[a] = closer + 1
+                order.append(a)
+                hop[a] = next((t for t in succ[a] if dist[t] == closer), -1)
+    return order, dist, hop
 
 
 def can_reach(dg: ImprovementDigraph, targets: Iterable[str]) -> frozenset[str]:
@@ -380,36 +399,21 @@ def find_myopic_improvement_path(
 
     Ties are broken by state declaration order; a start already inside the
     target set yields the empty path.  Each step records the first
-    witnessing coalition in deterministic order.
+    witnessing coalition in deterministic order.  The path follows the
+    next hops of one reverse search from the targets (`hops_into`).
     """
     rights = env.rights
     rights.index(start)
     target_set = set(targets)
     for t in target_set:
         rights.index(t)
-    if start in target_set:
-        return ImprovementPath(start, ())
     dg = digraph if digraph is not None else build_improvement_digraph(env)
-    keys, goals = dg.nodes, {dg.id_of[t] for t in target_set}
-    origin = dg.id_of[start]
-    parent = {origin: origin}
-    queue = deque([origin])
-    goal = None
-    while queue and goal is None:
-        a = queue.popleft()
-        for b in dg.succ[a]:
-            if b in parent:
-                continue
-            parent[b] = a
-            if b in goals:
-                goal = b
-                break
-            queue.append(b)
-    if goal is None:
+    _, dist, hop = hops_into(dg, map(dg.id_of.__getitem__, target_set))
+    chain = [dg.id_of[start]]
+    while hop[chain[-1]] >= 0:
+        chain.append(hop[chain[-1]])
+    if dist[chain[-1]]:  # unreached, or `succ` lacks a step `pred` implies
         return None
-    chain = [goal]
-    while chain[-1] != origin:
-        chain.append(parent[chain[-1]])
-    chain.reverse()
+    keys = dg.nodes
     pairs = [(keys[a], keys[b]) for a, b in zip(chain, chain[1:])]
     return ImprovementPath(start, tuple(PathStep(dg.edge_coalitions[p][0], p[1]) for p in pairs))

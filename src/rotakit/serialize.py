@@ -26,7 +26,6 @@ from .rights import (
     State,
 )
 
-DOMAIN_KINDS = ("jobs", "marriage", "economy")
 # how `dumps` writes a list of one scalar type, in one join
 _SCALAR_LISTS = {frozenset([str]): _quote, frozenset([int]): int.__repr__}
 
@@ -275,7 +274,7 @@ def _encode_rights(structure: RightsStructure, nl: str) -> str:
 
 
 def is_domain_doc(doc: Mapping) -> bool:
-    return doc.get("kind") in DOMAIN_KINDS
+    return isinstance(doc.get("kind"), str) and doc["kind"] in DOMAIN_RULES
 
 
 def jobs_problems_from_doc(doc: Mapping) -> list[jobs.JobRotationProblem]:
@@ -345,10 +344,38 @@ def economies_from_doc(doc: Mapping) -> list[housing.Economy]:
     return out
 
 
+def _jobs_efficient(problems):
+    scr, witness = jobs.efficient_scr(problems), None
+    tops = {jobs.common_best_job(p) for p in problems}
+    if len(tops) == 1 and None not in tops:
+        witness = jobs.arrangement_orderings(problems)
+    return scr, witness
+
+
+# kind -> (document reader, {rule: (SCR, canonical orderings or None) builder});
+# a kind's first rule is its default
 DOMAIN_RULES = {
-    "jobs": ("efficient", "phi"),
-    "marriage": ("optimal-stable", "all-stable"),
-    "economy": ("exclusion-core",),
+    "jobs": (
+        jobs_problems_from_doc,
+        {
+            "efficient": _jobs_efficient,
+            "phi": lambda ps: (jobs.phi_scr(ps), jobs.phi_orderings(ps)),
+        },
+    ),
+    "marriage": (
+        marriage_problems_from_doc,
+        {
+            "optimal-stable": lambda ps: (
+                marriage.marriage_optimal_scr(ps),
+                marriage.optimal_orderings(ps),
+            ),
+            "all-stable": lambda ps: (marriage.stable_set_scr(ps), None),
+        },
+    ),
+    "economy": (
+        economies_from_doc,
+        {"exclusion-core": lambda es: (housing.exclusion_core_scr(es), None)},
+    ),
 }
 
 
@@ -358,33 +385,14 @@ def domain_scr(
     """Compile a domain document into an SCR, plus canonical orderings if the
     rule defines them."""
     kind = doc.get("kind")
-    if kind == "jobs":
-        problems = jobs_problems_from_doc(doc)
-        rule = rule or "efficient"
-        if rule == "efficient":
-            scr = jobs.efficient_scr(problems)
-            witness = None
-            tops = {jobs.common_best_job(p) for p in problems}
-            if len(tops) == 1 and None not in tops:
-                witness = jobs.arrangement_orderings(problems)
-            return scr, witness
-        if rule == "phi":
-            return jobs.phi_scr(problems), jobs.phi_orderings(problems)
-    elif kind == "marriage":
-        problems = marriage_problems_from_doc(doc)
-        rule = rule or "optimal-stable"
-        if rule == "optimal-stable":
-            return marriage.marriage_optimal_scr(problems), marriage.optimal_orderings(problems)
-        if rule == "all-stable":
-            return marriage.stable_set_scr(problems), None
-    elif kind == "economy":
-        economies = economies_from_doc(doc)
-        rule = rule or "exclusion-core"
-        if rule == "exclusion-core":
-            return housing.exclusion_core_scr(economies), None
-    else:
+    if not is_domain_doc(doc):
         raise InputError(f"not a domain document (kind={kind!r})")
-    raise InputError(f"rule {rule!r} does not apply to kind {kind!r}")
+    read, rules = DOMAIN_RULES[kind]
+    problems = read(doc)
+    rule = rule or next(iter(rules))
+    if not isinstance(rule, str) or rule not in rules:
+        raise InputError(f"rule {rule!r} does not apply to kind {kind!r}")
+    return rules[rule](problems)
 
 
 def domain_environment(doc: Mapping, profile_id: str) -> SocialEnvironment:

@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .model import CapExceeded, InputError, Verdict
-from .rights import ImprovementDigraph, SocialEnvironment, build_improvement_digraph, search
+from .rights import (
+    ImprovementDigraph,
+    SocialEnvironment,
+    build_improvement_digraph,
+    hops_into,
+    search,
+)
 
 GENERALIZED_PRODUCT_CAP = 4096
 
@@ -163,31 +169,31 @@ def compute_mss(
     deterrence of external deviations.
     """
     dg = digraph if digraph is not None else build_improvement_digraph(env)
-    blocks, mss, queue, hop = _verified_mss(env, dg)
+    blocks, mss, order, hop = _verified_mss(env, dg)
+    keys = dg.nodes
+    paths: list = [(k,) for k in keys]
+    for a in order[len(mss):]:  # each next hop's path is built before its own
+        paths[a] = (keys[a],) + paths[hop[a]]
     witness = {
         "absorbing_sets": [list(b) for b in blocks],
         "deterrence": True,
-        "external_paths": _paths_along(dg, queue, hop),
+        "external_paths": {keys[s]: paths[s] for s, h in enumerate(hop) if h >= 0},
     }
     return SolutionReport("mss", (mss,), (_outcomes_of(env, mss),), witness)
 
 
 def _verified_mss(env: SocialEnvironment, dg: ImprovementDigraph):
-    """Absorbing sets, the MSS and the next hops into it, with every
-    re-verification check of `compute_mss` but without building its paths.
-
-    One reverse BFS from the MSS gives each state its distance to it and a
-    next hop: the first successor, in adjacency order, that is one step
-    closer.  Every hop is checked against the forward successor lists, and
-    every state must be reached.  Returns (absorbing sets, MSS states in
-    declaration order, reverse-BFS order, next hop per state id, -1 inside).
-    """
+    """Absorbing sets, the MSS and the next hops into it (`hops_into`), with
+    every re-verification check of `compute_mss` (each hop a forward edge,
+    every state reached) but without its paths.  Returns (absorbing sets,
+    MSS states in declaration order, reverse-BFS order, next hop per state
+    id, -1 inside)."""
     blocks = compute_absorbing_sets(env, dg)
-    keys, succ, inside = dg.nodes, dg.succ, bytearray(len(dg.nodes))
+    keys, inside = dg.nodes, bytearray(len(dg.nodes))
     for s in (s for b in blocks for s in b):
         inside[dg.id_of[s]] = 1
     mss = tuple(k for k, x in zip(keys, inside) if x)
-    for s, out in enumerate(succ):
+    for s, out in enumerate(dg.succ):
         if not inside[s]:
             continue
         for t in out:
@@ -195,38 +201,18 @@ def _verified_mss(env: SocialEnvironment, dg: ImprovementDigraph):
                 raise RuntimeError(
                     f"deterrence of external deviations fails at {keys[s]} -> {keys[t]}"
                 )
-    dist = [0 if x else -1 for x in inside]
-    hop = [-1] * len(keys)
-    queue = [s for s, x in enumerate(inside) if x]
-    for b in queue:  # grows while it is read: a FIFO queue
-        closer = dist[b]
-        for a in dg.pred[b]:
-            if dist[a] < 0:
-                dist[a] = closer + 1
-                queue.append(a)
-                hop[a] = next((t for t in succ[a] if dist[t] == closer), -1)
-                if hop[a] < 0:
-                    raise RuntimeError(f"iterated external stability fails from {keys[a]}")
+    order, dist, hop = hops_into(dg, (s for s, x in enumerate(inside) if x))
+    for a in order[len(mss):]:
+        if hop[a] < 0:
+            raise RuntimeError(f"iterated external stability fails from {keys[a]}")
     if -1 in dist:
         raise RuntimeError(f"iterated external stability fails from {keys[dist.index(-1)]}")
-    return blocks, mss, queue, hop
+    return blocks, mss, order, hop
 
 
-def _paths_along(
-    dg: ImprovementDigraph, queue: list[int], hop: list[int]
-) -> dict[str, tuple[str, ...]]:
-    """For every state outside the targets, in declaration order, its shortest
-    improvement path into them, following next hops.
-
-    This gives the lexicographically smallest shortest path, the one a
-    forward BFS with declaration-order tie-breaks finds.
-    """
-    keys = dg.nodes
-    paths: list = [(k,) for k in keys]
-    for a in queue:
-        if hop[a] >= 0:
-            paths[a] = (keys[a],) + paths[hop[a]]
-    return {keys[s]: paths[s] for s, h in enumerate(hop) if h >= 0}
+def verified_mss_states(env: SocialEnvironment, dg: ImprovementDigraph) -> tuple[str, ...]:
+    """The MSS in declaration order, verified as `compute_mss` does, without paths."""
+    return _verified_mss(env, dg)[1]
 
 
 def compute_generalized_stable_sets(

@@ -5,9 +5,10 @@ enumeration, dominance scans, backtracking search) without reusing the
 library's algorithmic paths, so a bug in a solver cannot hide behind an
 identical bug in its test.  The reference code at the end is the
 straightforward pair-scan and per-state versions of paths that the
-library now runs in linear time, the string-keyed digraph and solvers
-that the library now runs on int ids, and the housing definition scans
-that it now runs on bitmasks; differential tests compare the two.
+library now runs in linear time (among them the early-exit forward BFS
+path search), the string-map digraph construction and the string-keyed
+solvers that the library now runs on int ids, and the housing definition
+scans that it now runs on bitmasks; differential tests compare the two.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ from rotakit.model import CapExceeded, is_monotonic_transformation, lower_contou
 from rotakit.rights import (
     BASE,
     ImprovementDigraph,
+    ImprovementPath,
+    PathStep,
     RightsStructure,
     State,
     coalition_key,
-    find_myopic_improvement_path,
 )
 from rotakit.solvers import PartitionResult, RotationProgramVerdict, SolutionReport
 
@@ -158,12 +160,7 @@ def pair_scan_digraph(env):
             edge_coalitions[(a, b)] = tuple(winners)
             adjacency[a].append(b)
             predecessors[b].append(a)
-    return ImprovementDigraph(
-        nodes=keys,
-        adjacency={k: tuple(v) for k, v in adjacency.items()},
-        predecessors={k: tuple(v) for k, v in predecessors.items()},
-        edge_coalitions=edge_coalitions,
-    )
+    return from_maps(keys, adjacency, predecessors, edge_coalitions)
 
 
 def per_member_absorbing_sets(dg) -> tuple[tuple[str, ...], ...]:
@@ -185,13 +182,53 @@ def per_member_absorbing_sets(dg) -> tuple[tuple[str, ...], ...]:
     return tuple(terminal)
 
 
-def per_state_external_paths(env, dg, members) -> dict[str, tuple[str, ...]]:
+def from_maps(nodes, adjacency, predecessors, edge_coalitions) -> ImprovementDigraph:
+    """A digraph from string maps: per node its targets and its sources, in
+    the order given (a node missing from a map has none)."""
+    nodes = tuple(nodes)
+    id_of = {k: i for i, k in enumerate(nodes)}
+    succ = [[id_of[b] for b in adjacency.get(a, ())] for a in nodes]
+    pred = [[id_of[b] for b in predecessors.get(a, ())] for a in nodes]
+    return ImprovementDigraph(id_of, succ, pred, edge_coalitions)
+
+
+def forward_bfs_path(dg, start, targets) -> ImprovementPath | None:
+    """Shortest improvement path from `start` into `targets` by an early-exit
+    forward BFS along `adjacency`, ties broken by adjacency order; each step
+    takes the first coalition of `edge_coalitions`."""
+    targets = set(targets)
+    if start in targets:
+        return ImprovementPath(start, ())
+    parent = {start: start}
+    queue = deque([start])
+    goal = None
+    while queue and goal is None:
+        a = queue.popleft()
+        for b in dg.adjacency[a]:
+            if b in parent:
+                continue
+            parent[b] = a
+            if b in targets:
+                goal = b
+                break
+            queue.append(b)
+    if goal is None:
+        return None
+    chain = [goal]
+    while chain[-1] != start:
+        chain.append(parent[chain[-1]])
+    chain.reverse()
+    steps = (PathStep(dg.edge_coalitions[(a, b)][0], b) for a, b in zip(chain, chain[1:]))
+    return ImprovementPath(start, tuple(steps))
+
+
+def per_state_external_paths(dg, members) -> dict[str, tuple[str, ...]]:
     """One forward BFS per state outside `members`, in declaration order."""
     paths = {}
     for s in dg.nodes:
         if s in members:
             continue
-        path = find_myopic_improvement_path(env, s, members, digraph=dg)
+        path = forward_bfs_path(dg, s, members)
         if path is None:
             raise RuntimeError(f"iterated external stability fails from {s}")
         paths[s] = path.states
@@ -250,12 +287,7 @@ def string_digraph(env) -> ImprovementDigraph:
             edge_coalitions[(a, b)] = tuple(winners)
             out.append(b)
             predecessors[b].append(a)
-    return ImprovementDigraph(
-        nodes=keys,
-        adjacency={k: tuple(v) for k, v in adjacency.items()},
-        predecessors={k: tuple(v) for k, v in predecessors.items()},
-        edge_coalitions=edge_coalitions,
-    )
+    return from_maps(keys, adjacency, predecessors, edge_coalitions)
 
 
 def string_reachable(neighbours, starts, allowed=None) -> frozenset[str]:

@@ -521,6 +521,7 @@ def test_domain_sample_hat_clamps_to_distinct_profiles(capsys):
         ("marriage-domain", ("profiles", 1, "id"), ["R"], ("domain",), "$.profiles[1].id"),
         ("economy-domain", ("profiles", 0, "id"), False, ("domain",), "$.profiles[0].id"),
         ("economy-domain", ("outside",), None, ("domain",), "$.outside"),
+        ("jobs-domain", ("kind",), [], ("domain",), "not a domain document"),
     ],
 )
 def test_malformed_document_names_json_path(capsys, tmp_path, fixture, where, value, argv,

@@ -11,6 +11,8 @@ from collections import deque
 import pytest
 
 from oracles import (
+    forward_bfs_path,
+    from_maps,
     pair_scan_digraph,
     pairwise_generalized_stable_sets,
     per_member_absorbing_sets,
@@ -50,6 +52,7 @@ from rotakit.rights import (
     SocialEnvironment,
     State,
     build_improvement_digraph,
+    find_myopic_improvement_path,
 )
 from rotakit.serialize import domain_scr, is_domain_doc, load_document, rights_to_doc, scr_from_doc
 from rotakit.solvers import (
@@ -141,7 +144,7 @@ def test_solvers_match_reference_on_sparse_environments():
         assert blocks == per_member_absorbing_sets(dg)
         report = compute_mss(env, dg)
         members = report.states
-        expected = per_state_external_paths(env, dg, members)
+        expected = per_state_external_paths(dg, members)
         assert list(report.witness["external_paths"].items()) == list(expected.items())
         ties += sum(_shortest_path_count(dg, s, members) > 1 for s in expected)
         n_candidates = 1
@@ -293,7 +296,35 @@ def test_shortest_path_tie_follows_declaration_order():
     assert dg.adjacency["s"] == ("y", "x")
     paths = compute_mss(env, dg).witness["external_paths"]
     assert paths["s"] == ("s", "y", "t")
-    assert paths == per_state_external_paths(env, dg, frozenset({"t"}))
+    assert paths == per_state_external_paths(dg, frozenset({"t"}))
+
+
+def test_myopic_path_matches_forward_bfs_on_arbitrary_targets():
+    # find_myopic_improvement_path follows the next hops of one reverse
+    # search; it must return the early-exit forward BFS's path, coalitions
+    # included, for any target set (empty, start inside, unreachable).
+    rng = random.Random(14)
+    ties = missing = 0
+    for i in range(600):
+        n = rng.randint(2, 14)
+        env = random_environment(
+            rng,
+            n_states=n,
+            n_agents=rng.randint(1, 3),
+            n_alternatives=rng.randint(2, n + 1),
+            density=rng.uniform(1.0, 5.0) / n,
+            weak=i % 2 == 1,
+        )
+        dg = build_improvement_digraph(env)
+        for start in dg.nodes:
+            targets = set(rng.sample(dg.nodes, rng.randint(0, n)))
+            path = find_myopic_improvement_path(env, start, targets, digraph=dg)
+            assert path == forward_bfs_path(dg, start, targets)
+            if path is None:
+                missing += 1
+            elif path.steps:
+                ties += _shortest_path_count(dg, start, targets) > 1
+    assert ties >= 100 and missing >= 1000, "the sample must exercise ties and unreachable targets"
 
 
 def _random_economies(seed: int, count: int):
@@ -445,13 +476,8 @@ def _forged(adjacency, predecessors) -> tuple[SocialEnvironment, ImprovementDigr
         RightsStructure(tuple(State(k, k) for k in keys), {}),
         Profile.from_orders("R", keys, [list(keys)]),
     )
-    dg = ImprovementDigraph(
-        nodes=keys,
-        adjacency=adjacency,
-        predecessors=predecessors,
-        edge_coalitions={(a, b): (frozenset([0]),) for a in keys for b in adjacency[a]},
-    )
-    return env, dg
+    coalitions = {(a, b): (frozenset([0]),) for a in keys for b in adjacency[a]}
+    return env, from_maps(keys, adjacency, predecessors, coalitions)
 
 
 def test_forged_absorbing_backward_reachability_fails():

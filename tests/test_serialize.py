@@ -116,8 +116,17 @@ def test_domain_doc_economy(housing_economy):
 
 
 def test_domain_doc_bad_rule():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="rule 'exclusion-core' does not apply to kind 'jobs'"):
         domain_scr(JOBS_DOC, "exclusion-core")
+    for rule in (["phi"], {"phi": 1}, 7):
+        with pytest.raises(InputError, match="does not apply to kind 'jobs'"):
+            domain_scr(JOBS_DOC, rule)
+    for kind in ([], {}, None, "house"):
+        with pytest.raises(InputError, match="not a domain document"):
+            domain_scr({**JOBS_DOC, "kind": kind})
+    # the document is read before the rule is checked
+    with pytest.raises(InputError, match=r"\$\.jobs"):
+        domain_scr({**JOBS_DOC, "jobs": 7}, "exclusion-core")
 
 
 def test_load_document_reports_json_position(tmp_path):

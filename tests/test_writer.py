@@ -81,7 +81,7 @@ def _fixture_rules():
     for path in sorted(FIXTURES.glob("*.json")):
         doc = load_document(str(path))
         if is_domain_doc(doc):
-            for rule in DOMAIN_RULES[doc["kind"]]:
+            for rule in DOMAIN_RULES[doc["kind"]][1]:
                 yield domain_scr(doc, rule)
         else:
             yield scr_from_doc(doc), None
