@@ -111,7 +111,8 @@ class RightsStructure:
             multi = tuple(m for k, m in zip(ordered, masks) if len(k) > 1)
             return frozenset(valid), (single, multi, ordered, masks)
 
-        for (a, b), fam in dict(self.gamma).items():
+        for pair, fam in dict(self.gamma).items():
+            a, b = pair
             ia, ib = index.get(a), index.get(b)
             if ia is None or ib is None:
                 raise InputError(f"gamma entry on unknown state pair ({a!r}, {b!r})")
@@ -124,13 +125,12 @@ class RightsStructure:
             except TypeError:  # an unhashable family, such as a list of lists
                 valid, compiled = validated(fam)
             if valid:
-                gamma[(a, b)] = valid
-                code = outcome_of[ia] * n_out + outcome_of[ib]
-                p = pairs.setdefault(code, len(pairs))
-                rows[ia].append((ib, p) + compiled)
+                gamma[pair] = valid
+                p = pairs.setdefault(outcome_of[ia] * n_out + outcome_of[ib], len(pairs))
+                rows[ia].append((ib, p, *compiled))
         object.__setattr__(self, "gamma", gamma)
         for row in rows:
-            row.sort(key=lambda entry: entry[0])
+            row.sort()  # by target id: a row holds each target once
         core = CompiledRights(
             tuple(index),
             tuple(outcomes),

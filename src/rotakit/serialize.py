@@ -10,8 +10,9 @@ same SCR / environment shapes every other module consumes.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NoReturn, Sequence
 
 from .domains import housing, jobs, marriage
 from .conditions import OrderingWitness
@@ -28,6 +29,7 @@ from .rights import (
 
 # how `dumps` writes a list of one scalar type, in one join
 _SCALAR_LISTS = {frozenset([str]): _quote, frozenset([int]): int.__repr__}
+_INT = frozenset([int])
 
 
 def load_document(path: str) -> dict:
@@ -129,16 +131,20 @@ def scr_from_doc(doc: Mapping) -> SocialChoiceRule:
     return SocialChoiceRule(profiles, choices)
 
 
-def scr_to_doc(scr: SocialChoiceRule) -> dict:
+def _profiles_doc(profiles: Sequence[Profile]) -> dict:
     return {
-        "alternatives": list(scr.alternatives),
-        "agents": scr.n_agents,
-        "profiles": [
-            {"id": p.id, "ranks": [list(pref.ranks) for pref in p.prefs]}
-            for p in scr.profiles
-        ],
-        "scr": {pid: sorted(vals) for pid, vals in scr.choices.items()},
+        "alternatives": list(profiles[0].alternatives),
+        "agents": profiles[0].n_agents,
+        "profiles": [{"id": p.id, "ranks": [list(r.ranks) for r in p.prefs]} for p in profiles],
     }
+
+
+def _choices_doc(scr: SocialChoiceRule) -> dict:
+    return {pid: sorted(vals) for pid, vals in scr.choices.items()}
+
+
+def scr_to_doc(scr: SocialChoiceRule) -> dict:
+    return {**_profiles_doc(scr.profiles), "scr": _choices_doc(scr)}
 
 
 def rights_from_doc(doc: Mapping) -> RightsStructure:
@@ -154,22 +160,60 @@ def rights_from_doc(doc: Mapping) -> RightsStructure:
         states.append(State(key, _need(sdoc, "outcome", path, str), kind, profile))
     gamma: dict[tuple[str, str], frozenset] = {}
     provenance: dict[tuple[str, str], str] = {}
-    entries = _read(enumerate, rdoc.get("gamma", []), "$.rights.gamma")
-    try:  # one handler for the whole loop: nothing is added per entry
-        for i, gdoc in entries:
-            path = f"$.rights.gamma[{i}]"
-            pair = (_need(gdoc, "from", path, str), _need(gdoc, "to", path, str))
-            fam = frozenset(map(_agents, _need(gdoc, "coalitions", path)))
-            if pair in gamma:
-                fam = fam | gamma[pair]
-            gamma[pair] = fam
-            if "rule" in gdoc and _need(gdoc, "rule", path, str):
-                provenance[pair] = gdoc["rule"]
-    except InputError:
-        raise
+    families: dict[tuple, frozenset] = {}  # one shared family per coalition list
+    for i, gdoc in _read(enumerate, rdoc.get("gamma", []), "$.rights.gamma"):
+        try:  # 1, True and 1.0 are equal keys: only JSON integers may reach the memo
+            pair, key = (gdoc["from"], gdoc["to"]), tuple(map(tuple, gdoc["coalitions"]))
+            ints = _INT.issuperset(map(type, chain.from_iterable(key)))
+            if not (ints and str is type(pair[0]) is type(pair[1])):
+                raise TypeError
+        except (KeyError, TypeError):
+            _gamma_entry_error(gdoc, f"$.rights.gamma[{i}]")
+        fam = families.get(key) or families.setdefault(key, frozenset(map(frozenset, key)))
+        if pair in gamma:
+            fam = fam | gamma[pair]
+        gamma[pair] = fam
+        if "rule" in gdoc and _need(gdoc, "rule", f"$.rights.gamma[{i}]", str):
+            provenance[pair] = gdoc["rule"]
+    try:
+        return RightsStructure(tuple(states), gamma, provenance)
+    except InputError as exc:
+        raise _located(exc, rdoc) from exc
+
+
+def _gamma_entry_error(gdoc: Any, path: str) -> NoReturn:
+    """Raise the error of a gamma entry that `rights_from_doc` cannot read."""
+    _need(gdoc, "from", path, str), _need(gdoc, "to", path, str)
+    coalitions = _need(gdoc, "coalitions", path)
+    try:
+        frozenset(map(_agents, coalitions))
     except (TypeError, ValueError) as exc:
         raise _error(f"{path}.coalitions", f"expected lists of agent indices: {exc}") from None
-    return RightsStructure(tuple(states), gamma, provenance)
+    raise _error(f"{path}.coalitions", "expected lists of agent indices")  # a spent iterator
+
+
+def _located(exc: InputError, rdoc: Mapping, n_agents: float = float("inf")) -> InputError:
+    """`exc`, from a library check on the rights block `rdoc` once read, with the
+    JSON path of a value the check refuses: a scan paid only on failure."""
+    found = [("rights structure needs at least one state", "$.rights.states")]
+    keys: set[str] = set()
+    for i, s in enumerate(rdoc["states"]):
+        found.append((f"state {s['id']!r} has unknown outcome", f"$.rights.states[{i}].outcome"))
+        if s["id"] in keys:
+            found.append(("duplicate state keys", f"$.rights.states[{i}].id"))
+        keys.add(s["id"])
+    for i, g in enumerate(rdoc.get("gamma", [])):
+        path, a, b = f"$.rights.gamma[{i}]", g["from"], g["to"]
+        found.append((f"gamma entry on unknown state pair ({a!r}, {b!r})",
+                      f"{path}.{'to' if a in keys else 'from'}"))
+        found.append((f"gamma is defined on distinct pairs only, got ({a!r}, {b!r})", f"{path}.to"))
+        members = [m for k in g["coalitions"] for m in k] or [0]
+        refused = {"coalitions must be nonempty": not all(g["coalitions"]),
+                   "agent indices must be nonnegative": min(members) < 0,
+                   "gamma mentions an agent index outside the profile": max(members) >= n_agents}
+        found += [(message, f"{path}.coalitions") for message, bad in refused.items() if bad]
+    message = str(exc)
+    return InputError(message, next((p for m, p in found if message.startswith(m)), None))
 
 
 def _state_doc(s: State) -> dict:
@@ -200,7 +244,11 @@ def environment_from_doc(doc: Mapping, profile_id: str) -> SocialEnvironment:
     profiles = {p.id: p for p in profiles_from_doc(doc)}
     if profile_id not in profiles:
         raise InputError(f"unknown profile id {profile_id!r}")
-    return SocialEnvironment(rights_from_doc(doc), profiles[profile_id])
+    rights, profile = rights_from_doc(doc), profiles[profile_id]
+    try:
+        return SocialEnvironment(rights, profile)
+    except InputError as exc:
+        raise _located(exc, doc["rights"], profile.n_agents) from exc
 
 
 def environment_to_doc(
@@ -208,18 +256,8 @@ def environment_to_doc(
     profiles: Sequence[Profile],
     structure: RightsStructure,
 ) -> dict:
-    base: dict[str, Any] = {
-        "alternatives": list(profiles[0].alternatives),
-        "agents": profiles[0].n_agents,
-        "profiles": [
-            {"id": p.id, "ranks": [list(pref.ranks) for pref in p.prefs]}
-            for p in profiles
-        ],
-    }
-    if scr is not None:
-        base["scr"] = {pid: sorted(vals) for pid, vals in scr.choices.items()}
-    base["rights"] = rights_to_doc(structure)
-    return base
+    scr_doc = {} if scr is None else {"scr": _choices_doc(scr)}
+    return {**_profiles_doc(profiles), **scr_doc, "rights": rights_to_doc(structure)}
 
 
 def dumps(payload: Any) -> str:

@@ -7,8 +7,10 @@ identical bug in its test.  The reference code at the end is the
 straightforward pair-scan and per-state versions of paths that the
 library now runs in linear time (among them the early-exit forward BFS
 path search), the string-map digraph construction and the string-keyed
-solvers that the library now runs on int ids, and the housing definition
-scans that it now runs on bitmasks; differential tests compare the two.
+solvers that the library now runs on int ids, the housing definition
+scans that it now runs on bitmasks, and the per-entry rights-block reader
+that it now runs on one shared family per coalition list; differential
+tests compare the two.
 """
 
 from __future__ import annotations
@@ -29,9 +31,11 @@ from rotakit.conditions import (
     RotationVerdict,
     coerce_orderings,
 )
-from rotakit.model import CapExceeded, is_monotonic_transformation, lower_contour_set
+from rotakit.model import CapExceeded, InputError, is_monotonic_transformation, lower_contour_set
 from rotakit.rights import (
     BASE,
+    GRAPH,
+    OPAQUE,
     ImprovementDigraph,
     ImprovementPath,
     PathStep,
@@ -39,6 +43,7 @@ from rotakit.rights import (
     State,
     coalition_key,
 )
+from rotakit.serialize import _agents, _error, _need, _read
 from rotakit.solvers import PartitionResult, RotationProgramVerdict, SolutionReport
 
 
@@ -782,3 +787,40 @@ def string_find_shared_ordering(scr, cap: int) -> OrderingWitness | None:
             return None
         orderings[r.id] = found
     return OrderingWitness(orderings)
+
+
+# ---------------------------------------------------------------------------
+# Reference code: the rights-block reader that `serialize.rights_from_doc`
+# replaced, which builds a fresh family of fresh coalitions for every gamma
+# entry and checks each agent index with `_agents`.
+
+
+def scan_rights_from_doc(doc) -> RightsStructure:
+    rdoc = _need(doc, "rights", "$")
+    states = []
+    for i, sdoc in _read(enumerate, _need(rdoc, "states", "$.rights"), "$.rights.states"):
+        path = f"$.rights.states[{i}]"
+        key = _need(sdoc, "id", path, str)
+        kind = sdoc.get("kind", BASE)
+        if kind not in (BASE, GRAPH, OPAQUE):
+            raise _error(f"{path}.kind", f"unknown kind {kind!r}")
+        profile = _need(sdoc, "profile", path, str) if kind == GRAPH or "profile" in sdoc else None
+        states.append(State(key, _need(sdoc, "outcome", path, str), kind, profile))
+    gamma: dict[tuple[str, str], frozenset] = {}
+    provenance: dict[tuple[str, str], str] = {}
+    entries = _read(enumerate, rdoc.get("gamma", []), "$.rights.gamma")
+    try:  # one handler for the whole loop: nothing is added per entry
+        for i, gdoc in entries:
+            path = f"$.rights.gamma[{i}]"
+            pair = (_need(gdoc, "from", path, str), _need(gdoc, "to", path, str))
+            fam = frozenset(map(_agents, _need(gdoc, "coalitions", path)))
+            if pair in gamma:
+                fam = fam | gamma[pair]
+            gamma[pair] = fam
+            if "rule" in gdoc and _need(gdoc, "rule", path, str):
+                provenance[pair] = gdoc["rule"]
+    except InputError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise _error(f"{path}.coalitions", f"expected lists of agent indices: {exc}") from None
+    return RightsStructure(tuple(states), gamma, provenance)

@@ -522,10 +522,45 @@ def test_domain_sample_hat_clamps_to_distinct_profiles(capsys):
         ("economy-domain", ("profiles", 0, "id"), False, ("domain",), "$.profiles[0].id"),
         ("economy-domain", ("outside",), None, ("domain",), "$.outside"),
         ("jobs-domain", ("kind",), [], ("domain",), "not a domain document"),
+        # the rights structure's own checks carry no path in their message, and
+        # the JSON report names the offending value
+        ("example-environment", ("rights", "states", 2, "id"), "x", ("solve", "--profile",
+         "R", "--concept", "mss"), ("duplicate state keys", "$.rights.states[2].id")),
+        ("example-environment", ("rights", "states"), [], ("solve", "--profile", "R",
+         "--concept", "mss"), ("rights structure needs at least one state",
+                               "$.rights.states")),
+        ("example-environment", ("rights", "gamma", 0, "to"), "w", ("solve", "--profile",
+         "R", "--concept", "mss"), ("gamma entry on unknown state pair ('x', 'w')",
+                                    "$.rights.gamma[0].to")),
+        ("example-environment", ("rights", "gamma", 2, "from"), "w", ("solve", "--profile",
+         "R", "--concept", "mss"), ("gamma entry on unknown state pair ('w', 'y')",
+                                    "$.rights.gamma[2].from")),
+        ("example-environment", ("rights", "gamma", 0, "to"), "x", ("solve", "--profile",
+         "R", "--concept", "mss"), ("gamma is defined on distinct pairs only",
+                                    "$.rights.gamma[0].to")),
+        ("example-environment", ("rights", "gamma", 1, "coalitions"), [[0], []], ("solve",
+         "--profile", "R", "--concept", "mss"), ("coalitions must be nonempty",
+                                                 "$.rights.gamma[1].coalitions")),
+        ("example-environment", ("rights", "gamma", 2, "coalitions", 0), [0, -1], ("solve",
+         "--profile", "R", "--concept", "mss"), ("agent indices must be nonnegative",
+                                                 "$.rights.gamma[2].coalitions")),
+        ("example-environment", ("rights", "gamma", 3, "coalitions"), [[3]], ("solve",
+         "--profile", "R", "--concept", "mss"),
+         ("gamma mentions an agent index outside the profile",
+          "$.rights.gamma[3].coalitions")),
+        ("example-environment", ("rights", "states", 1, "outcome"), "w", ("solve",
+         "--profile", "R", "--concept", "mss"), ("state 'y' has unknown outcome 'w'",
+                                                 "$.rights.states[1].outcome")),
     ],
 )
 def test_malformed_document_names_json_path(capsys, tmp_path, fixture, where, value, argv,
                                             named):
+    """`named` starts the error message, and the JSON path reported is the one it
+    names; a (message, path) pair is a message that names no path, and the path."""
+    if isinstance(named, tuple):
+        message, path = named
+    else:
+        message, path = named, next((w for w in named.split() if w.startswith("$")), None)
     root = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
     doc = json.loads((root / f"{fixture}.json").read_text())
     parent = doc
@@ -536,4 +571,8 @@ def test_malformed_document_names_json_path(capsys, tmp_path, fixture, where, va
     bad.write_text(json.dumps(doc))
     code, out, err = _run(capsys, argv[0], str(bad), *argv[1:])
     assert code == 1 and out == ""
-    assert f"error: {named}" in err and "Traceback" not in err
+    assert f"error: {message}" in err and "Traceback" not in err
+    code, out, err = _run(capsys, argv[0], str(bad), *argv[1:], "--format", "json")
+    report = json.loads(err)
+    assert code == 1 and out == "" and report["error"].startswith(message)
+    assert report["path"] == path

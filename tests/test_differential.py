@@ -1,9 +1,11 @@
 """The int-indexed digraph and solver core, the linear-time paths, the
-housing bitmask kernel and the table-driven ordering searches against the
-reference code they replaced (tests/oracles.py), plus forged digraphs that
-must still trip every post-hoc re-verification check."""
+housing bitmask kernel, the table-driven ordering searches and the
+rights-block reader against the reference code they replaced
+(tests/oracles.py), plus forged digraphs that must still trip every
+post-hoc re-verification check."""
 
 import itertools
+import json
 import pathlib
 import random
 from collections import deque
@@ -19,6 +21,7 @@ from oracles import (
     per_state_external_paths,
     scan_direct_exclusion_core,
     scan_exclusion_rights_structure,
+    scan_rights_from_doc,
     string_absorbing_sets,
     string_check_indirect_monotonicity,
     string_check_property_m,
@@ -45,7 +48,7 @@ from rotakit.conditions import (
 from rotakit.constructors import build_thm1_structure, build_thm4_structure
 from rotakit.domains import Economy, direct_exclusion_core, exclusion_rights_structure
 from rotakit.generators import random_environment, random_scr, random_weak_profile
-from rotakit.model import CapExceeded, Profile, SocialChoiceRule
+from rotakit.model import CapExceeded, InputError, Profile, SocialChoiceRule
 from rotakit.rights import (
     ImprovementDigraph,
     RightsStructure,
@@ -54,7 +57,15 @@ from rotakit.rights import (
     build_improvement_digraph,
     find_myopic_improvement_path,
 )
-from rotakit.serialize import domain_scr, is_domain_doc, load_document, rights_to_doc, scr_from_doc
+from rotakit.serialize import (
+    domain_scr,
+    dumps,
+    is_domain_doc,
+    load_document,
+    rights_from_doc,
+    rights_to_doc,
+    scr_from_doc,
+)
 from rotakit.solvers import (
     SolutionReport,
     compute_absorbing_sets,
@@ -368,6 +379,93 @@ def test_equal_families_validate_once_to_equal_results():
     listed = RightsStructure(states, {("a", "b"): [[0], [1, 0]], ("b", "c"): [[0], [0, 1]]})
     assert listed.gamma == shared.gamma
     assert listed.max_agent() == shared.max_agent() == 1
+
+
+def _rights_documents():
+    """Rights blocks of the seeded sparse environments, each coalition list
+    shuffled with some coalitions repeated and some entries split in two
+    for the same pair, then those of the fixtures and of their Theorem-1 and
+    Theorem-4 structures (graph and opaque states, rules)."""
+    rng = random.Random(19)
+    for env in _sparse_environments(11, 150):
+        doc = rights_to_doc(env.rights)
+        split = []
+        for entry in doc["gamma"]:
+            coalitions = [rng.sample(k, len(k)) for k in entry["coalitions"]]
+            coalitions += rng.choices(coalitions, k=rng.randint(0, 2))
+            rng.shuffle(coalitions)
+            if len(coalitions) > 1 and rng.random() < 0.2:
+                cut = rng.randint(1, len(coalitions) - 1)
+                split.append({**entry, "coalitions": coalitions[cut:]})
+                coalitions = coalitions[:cut]
+            entry["coalitions"] = coalitions
+        doc["gamma"] += split
+        yield {"rights": doc}
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = load_document(str(path))
+        if "rights" in doc:
+            yield doc
+        scr, witness = domain_scr(doc) if is_domain_doc(doc) else (scr_from_doc(doc), None)
+        for structure in _theorem_structures(scr, witness):
+            yield {"rights": rights_to_doc(structure)}
+
+
+def test_rights_reader_matches_per_entry_reader():
+    documents = 0
+    for doc in _rights_documents():
+        fast, ref = rights_from_doc(doc), scan_rights_from_doc(doc)
+        assert fast.states == ref.states
+        assert list(fast.gamma.items()) == list(ref.gamma.items())
+        assert list(fast.provenance.items()) == list(ref.provenance.items())
+        assert fast._core == ref._core
+        assert fast.max_agent() == ref.max_agent()
+        assert dumps(fast) == dumps(ref)
+        one: dict = {}
+        assert all(one.setdefault(fam, fam) is fam for fam in fast.gamma.values())
+        documents += 1
+    assert documents >= 150 + 4
+
+
+def _read_error(read, doc) -> tuple[str, str | None] | None:
+    try:
+        read(doc)
+    except InputError as exc:
+        return str(exc), exc.path
+    return None
+
+
+def test_rights_reader_fails_like_per_entry_reader():
+    """Broken gamma entries and states give the reference reader's message and
+    path; only where it had no path does the reader now name one."""
+    rng = random.Random(20)
+    bad = [True, False, 1.0, -1, "0", None, [0], {}]
+    mutations = [
+        lambda g, s: g["coalitions"][0].__setitem__(0, rng.choice(bad)),
+        lambda g, s: g["coalitions"].append(rng.choice([[], [rng.choice(bad)], 7, "ab"])),
+        lambda g, s: g.__setitem__("coalitions", rng.choice([7, "ab", [7], {}, None])),
+        lambda g, s: g.__setitem__(rng.choice(["from", "to"]), rng.choice([7, None, "nope"])),
+        lambda g, s: g.__setitem__("to", g["from"]),
+        lambda g, s: g.__setitem__("rule", rng.choice([7, None, ["r"]])),
+        lambda g, s: g.pop(rng.choice(["from", "to", "coalitions"])),
+        lambda g, s: g.clear(),
+        lambda g, s: s.__setitem__("id", rng.choice([7, "s0"])),
+        lambda g, s: s.__setitem__("outcome", rng.choice([7, None])),
+    ]
+    seen = set()
+    for n, doc in enumerate(_rights_documents()):
+        if not doc["rights"]["gamma"]:
+            continue
+        for mutate in mutations:
+            broken = json.loads(json.dumps(doc))
+            rights = broken["rights"]
+            mutate(rng.choice(rights["gamma"]), rng.choice(rights["states"]))
+            fast, ref = _read_error(rights_from_doc, broken), _read_error(scan_rights_from_doc, broken)
+            assert (fast is None) == (ref is None)
+            if ref is not None:
+                assert fast[0] == ref[0]
+                assert fast[1] == ref[1] or ref[1] is None and fast[1].startswith("$.rights.")
+                seen.add(ref[1] is None)
+    assert seen == {True, False}, "both path-carrying and library errors must occur"
 
 
 def _ordering_scrs(seed: int, count: int):

@@ -82,6 +82,58 @@ def test_rights_round_trip(xyz_scr):
     assert parsed.provenance == structure.provenance
 
 
+def _rights_doc(*gamma) -> dict:
+    states = [{"id": k, "kind": "base", "outcome": k} for k in "xyz"]
+    return {"rights": {"states": states, "gamma": list(gamma)}}
+
+
+@pytest.mark.parametrize("member", [True, 1.0, False, 0.0])
+def test_equal_but_mistyped_coalitions_still_fail_after_a_valid_one(member):
+    # 1 == True == 1.0 with one hash: a coalition list read once must not
+    # let a later, equal list of bools or floats through
+    doc = _rights_doc(
+        {"from": "x", "to": "y", "coalitions": [[1], [0]]},
+        {"from": "y", "to": "z", "coalitions": [[0]]},
+        {"from": "z", "to": "x", "coalitions": [[int(member)], [0]]},
+        {"from": "x", "to": "z", "coalitions": [[member], [0]]},
+    )
+    assert rights_from_doc(
+        {"rights": {**doc["rights"], "gamma": doc["rights"]["gamma"][:3]}}
+    ).max_agent() == 1
+    with pytest.raises(InputError) as err:
+        rights_from_doc(doc)
+    assert err.value.path == "$.rights.gamma[3].coalitions"
+    assert str(err.value) == (
+        f"$.rights.gamma[3].coalitions: expected lists of agent indices: "
+        f"agent index {member!r} is not an integer"
+    )
+
+
+def test_coalition_lists_that_differ_in_order_or_repeats_read_to_one_family():
+    lists = ([[0, 1]], [[1, 0]], [[0, 1], [0, 1]], [[1, 0], [0, 1]])
+    pairs = [("x", "y"), ("y", "z"), ("z", "x"), ("x", "z")]
+    doc = _rights_doc(*({"from": a, "to": b, "coalitions": c} for (a, b), c in zip(pairs, lists)))
+    structure = rights_from_doc(doc)
+    families = [structure.gamma[pair] for pair in pairs]
+    assert families == [frozenset([frozenset([0, 1])])] * 4
+    assert all(fam is families[0] for fam in families)
+
+
+def test_duplicate_gamma_entries_merge_and_the_last_rule_wins():
+    doc = _rights_doc(
+        {"from": "x", "to": "y", "coalitions": [[0]], "rule": "first"},
+        {"from": "y", "to": "x", "coalitions": [[1]]},
+        {"from": "x", "to": "y", "coalitions": [[1], [0]], "rule": "second"},
+        {"from": "x", "to": "y", "coalitions": [[0, 1]], "rule": ""},
+        {"from": "y", "to": "x", "coalitions": [[1]], "rule": "late"},
+    )
+    structure = rights_from_doc(doc)
+    assert list(structure.gamma) == [("x", "y"), ("y", "x")]
+    assert structure.gamma[("x", "y")] == frozenset(map(frozenset, [[0], [1], [0, 1]]))
+    assert structure.gamma[("y", "x")] == frozenset([frozenset([1])])
+    assert structure.provenance == {("x", "y"): "second", ("y", "x"): "late"}
+
+
 def test_environment_doc_round_trip(xyz_scr, xyz_structure):
     doc = environment_to_doc(xyz_scr, xyz_scr.profiles, xyz_structure)
     env = environment_from_doc(doc, "Rp")
