@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from ..model import CapExceeded, InputError, Profile, SocialChoiceRule
 from ..rights import BASE, Coalition, RightsStructure, SocialEnvironment, State, coalition
+from .jobs import alloc_id
 
 ECONOMY_CAP = 4  # agents and houses; the allocation space is enumerated
 
@@ -76,14 +77,6 @@ def endowment(economy: Economy, members: Iterable[int]) -> frozenset[str]:
     return frozenset(h for h, k in economy.owners.items() if k <= ms)
 
 
-def alloc_id(assignment: Assignment) -> str:
-    return ",".join(assignment)
-
-
-def parse_alloc(aid: str) -> Assignment:
-    return tuple(aid.split(","))
-
-
 def house_allocations(economy: Economy) -> tuple[Assignment, ...]:
     """All assignments of agents to houses or the outside option, houses unique."""
     if economy.n_agents > ECONOMY_CAP or len(economy.houses) > ECONOMY_CAP:
@@ -92,35 +85,19 @@ def house_allocations(economy: Economy) -> tuple[Assignment, ...]:
             cap=ECONOMY_CAP,
             needed=max(economy.n_agents, len(economy.houses)),
         )
-    out: list[Assignment] = []
-
-    def place(agent: int, used: set[str], acc: list[str]) -> None:
-        if agent == economy.n_agents:
-            out.append(tuple(acc))
-            return
-        for h in economy.houses:
-            if h not in used:
-                used.add(h)
-                acc.append(h)
-                place(agent + 1, used, acc)
-                acc.pop()
-                used.discard(h)
-        acc.append(economy.outside)
-        place(agent + 1, used, acc)
-        acc.pop()
-
-    place(0, set(), [])
-    return tuple(out)
+    menu = economy.houses + (economy.outside,)
+    return tuple(
+        a
+        for a in itertools.product(menu, repeat=economy.n_agents)
+        if all(a.count(h) < 2 for h in economy.houses)
+    )
 
 
 def allocation_profile(economy: Economy) -> Profile:
     """Extended weak order over allocations, determined by the own assignment."""
     allocations = house_allocations(economy)
     alts = tuple(alloc_id(a) for a in allocations)
-    rows = []
-    for agent in range(economy.n_agents):
-        rows.append(tuple(economy.house_rank(agent, a[agent]) for a in allocations))
-    return Profile.from_ranks(economy.id, alts, rows)
+    return Profile.from_shares(economy.id, alts, allocations, economy.orders)
 
 
 def _entitled(economy: Economy, mu: Assignment, sigma: Assignment, members: Coalition) -> bool:

@@ -93,10 +93,7 @@ def extend_job_preferences(problem: JobRotationProblem) -> Profile:
         )
     allocations = all_allocations(problem.jobs)
     alts = tuple(alloc_id(a) for a in allocations)
-    rows = []
-    for agent in range(problem.n):
-        rows.append(tuple(problem.job_rank(agent, a[agent]) for a in allocations))
-    return Profile.from_ranks(problem.id, alts, rows)
+    return Profile.from_shares(problem.id, alts, allocations, problem.orders)
 
 
 def pareto_efficient_allocations(extended: Profile) -> frozenset[str]:
@@ -257,13 +254,12 @@ def build_phi(problem: JobRotationProblem) -> tuple[str, ...]:
     if tau != problem.top(1):
         raise InputError("agents 1 and 2 do not share a top job")
     rest = [j for j in problem.jobs if j != tau]
-    others = list(range(2, problem.n))
-    candidates = list(itertools.permutations(rest, len(others)))
-    efficient = [
-        sigma
-        for sigma in candidates
-        if not any(_assignment_dominates(problem, others, other, sigma) for other in candidates)
-    ]
+    efficient = list(itertools.permutations(rest, problem.n - 2))
+    if problem.n > 2:  # the Pareto frontier of agents 3..n over their own jobs
+        ids = [alloc_id(sigma) for sigma in efficient]
+        own = Profile.from_shares(problem.id, ids, efficient, problem.orders[2:])
+        frontier = pareto_frontier(own)
+        efficient = [sigma for sigma, sid in zip(efficient, ids) if sid in frontier]
     ordered: list[str] = []
     for sigma in efficient:
         leftover = next(j for j in rest if j not in sigma)
@@ -273,25 +269,6 @@ def build_phi(problem: JobRotationProblem) -> tuple[str, ...]:
     if len(set(ordered)) != len(ordered):
         raise RuntimeError("phi produced colliding allocations")
     return tuple(ordered)
-
-
-def _assignment_dominates(
-    problem: JobRotationProblem,
-    agents: Sequence[int],
-    better: Sequence[str],
-    worse: Sequence[str],
-) -> bool:
-    if better == worse:
-        return False
-    strict = False
-    for pos, agent in enumerate(agents):
-        rb = problem.job_rank(agent, better[pos])
-        rw = problem.job_rank(agent, worse[pos])
-        if rb > rw:
-            return False
-        if rb < rw:
-            strict = True
-    return strict
 
 
 def phi_scr(problems: Sequence[JobRotationProblem]) -> SocialChoiceRule:

@@ -130,12 +130,12 @@ def matching_from_id(mid: str, problem: MarriageProblem) -> Matching:
     return Matching.from_man_map(problem, table)
 
 
-def all_matchings(problem: MarriageProblem, cap: int = MATCHING_CAP) -> tuple[Matching, ...]:
+def all_matchings(problem: MarriageProblem) -> tuple[Matching, ...]:
     """Every matching of the problem, deterministically ordered by id."""
-    if len(problem.men) > cap or len(problem.women) > cap:
+    if len(problem.men) > MATCHING_CAP or len(problem.women) > MATCHING_CAP:
         raise CapExceeded(
-            f"matching enumeration beyond {cap} per side is refused",
-            cap=cap,
+            f"matching enumeration beyond {MATCHING_CAP} per side is refused",
+            cap=MATCHING_CAP,
             needed=max(len(problem.men), len(problem.women)),
         )
     found = []
@@ -219,23 +219,18 @@ def is_stable(matching: Matching, problem: MarriageProblem) -> StabilityVerdict:
     return StabilityVerdict(True)
 
 
-def enumerate_stable_matchings(
-    problem: MarriageProblem, cap: int = MATCHING_CAP
-) -> tuple[Matching, ...]:
-    return tuple(
-        mu for mu in all_matchings(problem, cap) if is_stable(mu, problem)
-    )
+def enumerate_stable_matchings(problem: MarriageProblem) -> tuple[Matching, ...]:
+    return tuple(mu for mu in all_matchings(problem) if is_stable(mu, problem))
 
 
-def matching_profile(problem: MarriageProblem, cap: int = MATCHING_CAP) -> Profile:
+def matching_profile(problem: MarriageProblem) -> Profile:
     """Extended weak order over all matchings; agents are men then women."""
-    matchings = all_matchings(problem, cap)
+    matchings = all_matchings(problem)
     alts = tuple(matching_id(mu, problem) for mu in matchings)
-    rows = []
-    for agent in problem.agents:
-        lst = problem.pref_list(agent)
-        rows.append(tuple(lst.index(mu.partner(agent)) for mu in matchings))
-    return Profile.from_ranks(problem.id, alts, rows)
+    agents = problem.agents
+    partners = tuple(tuple(mu.partner(a) for a in agents) for mu in matchings)
+    orders = tuple(problem.pref_list(a) for a in agents)
+    return Profile.from_shares(problem.id, alts, partners, orders)
 
 
 def _check_same_market(problems: Sequence[MarriageProblem]) -> None:

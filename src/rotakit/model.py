@@ -133,6 +133,22 @@ class Profile:
         alts = tuple(alternatives)
         return cls(pid, tuple(Preference.from_order(alts, o) for o in orders))
 
+    @classmethod
+    def from_shares(
+        cls,
+        pid: str,
+        alternatives: Sequence[str],
+        assignments: Sequence[Sequence[str]],
+        orders: Sequence[Sequence[str]],
+    ) -> "Profile":
+        """Own-share extension: agent i ranks alternative k by the position of
+        its own share `assignments[k][i]` in its order `orders[i]`."""
+        rows = []
+        for i, order in enumerate(orders):
+            pos = {share: r for r, share in enumerate(order)}
+            rows.append(tuple(pos[a[i]] for a in assignments))
+        return cls.from_ranks(pid, alternatives, rows)
+
     @property
     def alternatives(self) -> tuple[str, ...]:
         return self.prefs[0].alternatives

@@ -493,8 +493,10 @@ def economy_to_doc(economies: Sequence[housing.Economy]) -> dict:
 # DOT export
 
 
-def _dot_quote(s: str) -> str:
-    return '"' + s.replace('"', '\\"') + '"'
+def _dot_quote(*lines: str) -> str:
+    """One DOT string: each line escaped, joined by DOT's `\\n` line break."""
+    escaped = (s.replace("\\", "\\\\").replace('"', '\\"') for s in lines)
+    return '"' + "\\n".join(escaped) + '"'
 
 
 def digraph_to_dot(
@@ -513,11 +515,11 @@ def digraph_to_dot(
     clusters: dict[int, list[str]] = {}
     loose: list[str] = []
     for node in dg.nodes:
-        label = node
+        name = label = _dot_quote(node)
         if env is not None and env.outcome(node) != node:
-            label = f"{node}\\nh={env.outcome(node)}"
+            label = _dot_quote(node, f"h={env.outcome(node)}")
         style = ' style=filled fillcolor="lightblue"' if node in marked else ""
-        line = f"  {_dot_quote(node)} [label={_dot_quote(label)}{style}];"
+        line = f"  {name} [label={label}{style}];"
         if node in block_of:
             clusters.setdefault(block_of[node], []).append(line)
         else:

@@ -8,9 +8,12 @@ straightforward pair-scan and per-state versions of paths that the
 library now runs in linear time (among them the early-exit forward BFS
 path search), the string-map digraph construction and the string-keyed
 solvers that the library now runs on int ids, the housing definition
-scans that it now runs on bitmasks, and the per-entry rights-block reader
-that it now runs on one shared family per coalition list; differential
-tests compare the two.
+scans that it now runs on bitmasks, the per-entry rights-block reader
+that it now runs on one shared family per coalition list, and the
+domains' recursive allocation enumeration, `.index()` rank loops and
+pairwise dominance filter that it now runs on `itertools.product`,
+`Profile.from_shares` and `pareto_frontier`; differential tests compare
+the two.
 """
 
 from __future__ import annotations
@@ -19,7 +22,15 @@ import itertools
 from collections import deque
 from itertools import combinations, product
 
-from rotakit.domains.housing import _entitled, alloc_id, can_exclusion_block, house_allocations
+from rotakit.domains.housing import (
+    ECONOMY_CAP,
+    _entitled,
+    alloc_id,
+    can_exclusion_block,
+    house_allocations,
+)
+from rotakit.domains.jobs import PHI_CAP
+from rotakit.domains.marriage import all_matchings, matching_id
 from rotakit.conditions import (
     IndirectVerdict,
     IndirectWitness,
@@ -31,7 +42,13 @@ from rotakit.conditions import (
     RotationVerdict,
     coerce_orderings,
 )
-from rotakit.model import CapExceeded, InputError, is_monotonic_transformation, lower_contour_set
+from rotakit.model import (
+    CapExceeded,
+    InputError,
+    Profile,
+    is_monotonic_transformation,
+    lower_contour_set,
+)
 from rotakit.rights import (
     BASE,
     GRAPH,
@@ -824,3 +841,128 @@ def scan_rights_from_doc(doc) -> RightsStructure:
     except (TypeError, ValueError) as exc:
         raise _error(f"{path}.coalitions", f"expected lists of agent indices: {exc}") from None
     return RightsStructure(tuple(states), gamma, provenance)
+
+
+# ---------------------------------------------------------------------------
+# Reference code: the domain enumeration and own-share extensions that
+# rotakit.domains now builds on itertools.product, Profile.from_shares and
+# model.pareto_frontier.  Every rank is an `.index()` into the agent's
+# order, and phi's remainder is filtered by a pairwise dominance scan.
+
+
+def recursive_house_allocations(economy) -> tuple[tuple[str, ...], ...]:
+    """Depth-first placement: each agent takes every unused house in house
+    order, then the outside option."""
+    if economy.n_agents > ECONOMY_CAP or len(economy.houses) > ECONOMY_CAP:
+        raise CapExceeded(
+            f"economies beyond {ECONOMY_CAP} agents/houses are refused",
+            cap=ECONOMY_CAP,
+            needed=max(economy.n_agents, len(economy.houses)),
+        )
+    out = []
+
+    def place(agent: int, used: set, acc: list) -> None:
+        if agent == economy.n_agents:
+            out.append(tuple(acc))
+            return
+        for h in economy.houses:
+            if h not in used:
+                used.add(h)
+                acc.append(h)
+                place(agent + 1, used, acc)
+                acc.pop()
+                used.discard(h)
+        acc.append(economy.outside)
+        place(agent + 1, used, acc)
+        acc.pop()
+
+    place(0, set(), [])
+    return tuple(out)
+
+
+def _index_profile(pid, alternatives, assignments, orders) -> Profile:
+    rows = [tuple(order.index(a[i]) for a in assignments) for i, order in enumerate(orders)]
+    return Profile.from_ranks(pid, alternatives, rows)
+
+
+def index_allocation_profile(economy) -> Profile:
+    allocations = recursive_house_allocations(economy)
+    alts = tuple(",".join(a) for a in allocations)
+    return _index_profile(economy.id, alts, allocations, economy.orders)
+
+
+def index_extend_job_preferences(problem) -> Profile:
+    allocations = tuple(itertools.permutations(problem.jobs))
+    alts = tuple(",".join(a) for a in allocations)
+    return _index_profile(problem.id, alts, allocations, problem.orders)
+
+
+def index_matching_profile(problem) -> Profile:
+    matchings = all_matchings(problem)
+    alts = tuple(matching_id(mu, problem) for mu in matchings)
+    shares = [tuple(mu.partner(a) for a in problem.agents) for mu in matchings]
+    orders = [problem.pref_list(a) for a in problem.agents]
+    return _index_profile(problem.id, alts, shares, orders)
+
+
+def _assignment_dominates(problem, agents, better, worse) -> bool:
+    if better == worse:
+        return False
+    strict = False
+    for pos, agent in enumerate(agents):
+        rb = problem.job_rank(agent, better[pos])
+        rw = problem.job_rank(agent, worse[pos])
+        if rb > rw:
+            return False
+        if rb < rw:
+            strict = True
+    return strict
+
+
+def dominance_scan_phi(problem) -> tuple[str, ...]:
+    """`build_phi` with the remaining agents' efficient assignments found by
+    testing every pair of candidate assignments for dominance."""
+    if problem.n > PHI_CAP:
+        raise CapExceeded(f"phi over {problem.n} agents", cap=PHI_CAP, needed=problem.n)
+    tau = problem.top(0)
+    if tau != problem.top(1):
+        raise InputError("agents 1 and 2 do not share a top job")
+    rest = [j for j in problem.jobs if j != tau]
+    others = list(range(2, problem.n))
+    candidates = list(itertools.permutations(rest, len(others)))
+    ordered = []
+    for sigma in candidates:
+        if any(_assignment_dominates(problem, others, other, sigma) for other in candidates):
+            continue
+        leftover = next(j for j in rest if j not in sigma)
+        ordered.append(",".join((tau, leftover) + sigma))
+        ordered.append(",".join((leftover, tau) + sigma))
+    return tuple(ordered)
+
+
+def brute_force_stable_matching_ids(problem) -> tuple[str, ...]:
+    """Ids of the stable matchings, each man choosing a woman or himself, with
+    individual rationality and blocking pairs read off the preference lists."""
+    men, women = problem.men, problem.women
+
+    def rank(agent, other):
+        return problem.pref_list(agent).index(other)
+
+    found = []
+    for choice in product(*[women + (m,) for m in men]):
+        wives = [w for w in choice if w in women]
+        if len(set(wives)) != len(wives) or (problem.pure and len(wives) != len(women)):
+            continue
+        partner = {a: a for a in problem.agents}
+        for m, w in zip(men, choice):
+            partner[m], partner[w] = w, m
+        if not problem.pure and any(rank(a, a) < rank(a, partner[a]) for a in problem.agents):
+            continue
+        if any(
+            partner[m] != w and rank(m, w) < rank(m, partner[m]) and rank(w, m) < rank(w, partner[w])
+            for m in men
+            for w in women
+        ):
+            continue
+        found.append(",".join(f"{m}:{partner[m]}" for m in men))
+    return tuple(sorted(found))

@@ -1,6 +1,7 @@
 """The int-indexed digraph and solver core, the linear-time paths, the
-housing bitmask kernel, the table-driven ordering searches and the
-rights-block reader against the reference code they replaced
+housing bitmask kernel, the table-driven ordering searches, the
+rights-block reader and the domains' allocation enumeration, own-share
+extensions and phi filter against the reference code they replaced
 (tests/oracles.py), plus forged digraphs that must still trip every
 post-hoc re-verification check."""
 
@@ -13,12 +14,18 @@ from collections import deque
 import pytest
 
 from oracles import (
+    brute_force_stable_matching_ids,
+    dominance_scan_phi,
     forward_bfs_path,
     from_maps,
+    index_allocation_profile,
+    index_extend_job_preferences,
+    index_matching_profile,
     pair_scan_digraph,
     pairwise_generalized_stable_sets,
     per_member_absorbing_sets,
     per_state_external_paths,
+    recursive_house_allocations,
     scan_direct_exclusion_core,
     scan_exclusion_rights_structure,
     scan_rights_from_doc,
@@ -46,8 +53,26 @@ from rotakit.conditions import (
     verify_rotation_monotonicity_with,
 )
 from rotakit.constructors import build_thm1_structure, build_thm4_structure
-from rotakit.domains import Economy, direct_exclusion_core, exclusion_rights_structure
-from rotakit.generators import random_environment, random_scr, random_weak_profile
+from rotakit.domains import (
+    Economy,
+    allocation_profile,
+    build_phi,
+    direct_exclusion_core,
+    enumerate_stable_matchings,
+    exclusion_rights_structure,
+    extend_job_preferences,
+    house_allocations,
+    matching_id,
+    matching_profile,
+)
+from rotakit.generators import (
+    random_common_best_domain,
+    random_environment,
+    random_hat_domain,
+    random_marriage_problem,
+    random_scr,
+    random_weak_profile,
+)
 from rotakit.model import CapExceeded, InputError, Profile, SocialChoiceRule
 from rotakit.rights import (
     ImprovementDigraph,
@@ -367,6 +392,49 @@ def test_housing_kernel_matches_definition_scans():
         assert core == scan_direct_exclusion_core(economy)
         cores.add(len(core) / len(fast.states))
     assert len(cores) > 10, "the sample must give cores of many sizes"
+
+
+def _assert_same_profile(fast: Profile, ref: Profile) -> None:
+    assert fast.id == ref.id and fast.alternatives == ref.alternatives
+    assert [p.ranks for p in fast.prefs] == [p.ranks for p in ref.prefs]
+
+
+def test_economy_allocations_and_profile_match_recursive_enumeration():
+    sizes = set()
+    for economy in _random_economies(31, 80):
+        sizes.add((economy.n_agents, len(economy.houses)))
+        assert house_allocations(economy) == recursive_house_allocations(economy)
+        _assert_same_profile(allocation_profile(economy), index_allocation_profile(economy))
+    assert len(sizes) == 16, "the sample must cover 1-4 agents x 1-4 houses"
+
+
+def test_job_extension_and_phi_match_index_loops_and_dominance_scan():
+    rng = random.Random(32)
+    phis = 0
+    for n in range(2, 7):
+        for domain in (random_hat_domain, random_common_best_domain):
+            for problem in domain(rng, n, 8):
+                ext = extend_job_preferences(problem)
+                _assert_same_profile(ext, index_extend_job_preferences(problem))
+                if n > 5:
+                    with pytest.raises(CapExceeded):
+                        build_phi(problem)
+                    continue
+                assert build_phi(problem) == dominance_scan_phi(problem)
+                phis += 1
+    assert phis > 50, "n = 2 clamps each domain to its one or two profiles"
+
+
+def test_matching_profile_and_stable_set_match_index_loop_and_brute_force():
+    rng = random.Random(33)
+    markets = [(a, b, False) for a in range(1, 5) for b in range(1, 5)]
+    markets += [(a, a, True) for a in range(1, 5)]
+    for n_men, n_women, pure in markets:
+        for k in range(3):
+            problem = random_marriage_problem(rng, f"M{k}", n_men, n_women, pure)
+            _assert_same_profile(matching_profile(problem), index_matching_profile(problem))
+            stable = tuple(matching_id(mu, problem) for mu in enumerate_stable_matchings(problem))
+            assert stable == brute_force_stable_matching_ids(problem)
 
 
 def test_equal_families_validate_once_to_equal_results():

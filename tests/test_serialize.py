@@ -210,3 +210,37 @@ def test_dot_export_blocks_cluster(xyz_structure, xyz_scr):
     dg = build_improvement_digraph(env)
     dot = digraph_to_dot(dg, env, blocks=[["x", "y"]])
     assert "subgraph cluster_0" in dot
+
+
+def _dot_strings_close(line: str) -> bool:
+    """Lex `line` the way DOT reads quoted strings: inside one, a backslash
+    escapes the next character, and every string must close on its line."""
+    inside, i = False, 0
+    while i < len(line):
+        if inside and line[i] == "\\":
+            i += 2
+            continue
+        inside ^= line[i] == '"'
+        i += 1
+    return not inside
+
+
+def test_dot_export_escapes_backslashes_and_quotes():
+    doc = {
+        "alternatives": ["x\\", 'y"z'],
+        "agents": 1,
+        "profiles": [{"id": "R", "ranks": [[1, 0]]}],
+        "rights": {
+            "states": [{"id": "a\\", "outcome": "x\\"}, {"id": 'b"x', "outcome": 'y"z'}],
+            "gamma": [{"from": "a\\", "to": 'b"x', "coalitions": [[0]]}],
+        },
+    }
+    env = environment_from_doc(doc, "R")
+    dg = build_improvement_digraph(env)
+    for blocks in (None, [["a\\", 'b"x']]):
+        dot = digraph_to_dot(dg, env, highlight=["a\\"], blocks=blocks)
+        assert all(_dot_strings_close(line) for line in dot.splitlines())
+        # the label keeps its intentional line break between id and outcome
+        assert '"a\\\\" [label="a\\\\\\nh=x\\\\" style=filled' in dot
+        assert '"b\\"x" [label="b\\"x\\nh=y\\"z"];' in dot
+        assert '"a\\\\" -> "b\\"x" [label="{0}"];' in dot
