@@ -17,28 +17,25 @@ own profile with a strict gain at the triggering one, which needs no
 preceding walk and no particular walker.  The consecutive-rights
 construction turns exactly these certificates into improvement paths.
 
-The searches read tables built from `Profile.contour_masks`: per (R, R'),
-which outcomes of F(R) have a preference reversal, and per (R', a, b),
-the first agent for whom b improves on a.  An ordering passes R' exactly
-when some outcome has a reversal and every outcome without one steps to
-its successor, so a candidate costs O(m) per trigger.  Candidates are
-still tried in lexicographic order, all of them when none passes.
+Every check reads tables built from `Profile.contour_masks`: per (R, R'),
+which outcomes of F(R) have a preference reversal, and per R', which
+outcomes some agent strictly prefers to each outcome.  The Maskin and
+indirect triggers are the dropped outcomes without a reversal.  An
+ordering passes R' exactly when some outcome has a reversal and every
+outcome without one steps to its successor, so a candidate costs O(m)
+per trigger.  Candidates are still tried in lexicographic order, all of
+them when none passes.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Iterable, Mapping, Sequence
 
-from .model import (
-    CapExceeded,
-    InputError,
-    Profile,
-    SocialChoiceRule,
-    Verdict,
-    is_monotonic_transformation,
-)
+from .model import CapExceeded, InputError, Profile, SocialChoiceRule, Verdict
 
 ORDER_SEARCH_CAP = 8
 
@@ -51,13 +48,9 @@ class MaskinVerdict(Verdict):
 
 def check_maskin_monotonicity(scr: SocialChoiceRule) -> MaskinVerdict:
     """z chosen at R and falling for nobody from R to R' must stay chosen at R'."""
-    for r in scr.profiles:
-        for rp in scr.profiles:
-            for z in sorted(scr.choice(r.id)):
-                if z in scr.choice(rp.id):
-                    continue
-                if is_monotonic_transformation(r, rp, z):
-                    return MaskinVerdict(False, (r.id, rp.id, z))
+    tables = _Tables(scr)
+    for r, rp, z in tables.monotonic_triggers():
+        return MaskinVerdict(False, (r.id, rp.id, tables.alts[z]))
     return MaskinVerdict(True)
 
 
@@ -88,17 +81,11 @@ def check_indirect_monotonicity(scr: SocialChoiceRule) -> IndirectVerdict:
     """
     tables = _Tables(scr)
     witnesses = []
-    for r in scr.profiles:
-        chosen = scr.choice(r.id)
-        for rp in scr.profiles:
-            dropped = chosen - scr.choice(rp.id)
-            for z in sorted(dropped):
-                if not is_monotonic_transformation(r, rp, z):
-                    continue
-                witness = _indirect_walk(tables, r, rp, z)
-                if witness is None:
-                    return IndirectVerdict(False, tuple(witnesses), (r.id, rp.id, z))
-                witnesses.append(witness)
+    for r, rp, z in tables.monotonic_triggers():
+        witness = _indirect_walk(tables, r, rp, z)
+        if witness is None:
+            return IndirectVerdict(False, tuple(witnesses), (r.id, rp.id, tables.alts[z]))
+        witnesses.append(witness)
     return IndirectVerdict(True, tuple(witnesses))
 
 
@@ -127,72 +114,83 @@ def _reversal(r: Profile, rp: Profile, x: int) -> tuple[int, int] | None:
     return None
 
 
-def _indirect_walk(tables: _Tables, r: Profile, rp: Profile, z: str) -> IndirectWitness | None:
+def _indirect_walk(tables: _Tables, r: Profile, rp: Profile, z: int) -> IndirectWitness | None:
     """BFS over F(R) with edges a -> b iff some agent has b P' a."""
-    nodes = tables.outcomes(r.id)
-    start = tables.index[z]
-    parent: dict[int, tuple[int, int]] = {}
-    seen = {start}
-    frontier = [start]
+    nodes, better, rev = tables.outcomes[r.id], tables.better(rp), tables.reversals(r, rp)
+    parent: dict[int, int] = {}
+    unseen = tables.chosen[r.id] & ~(1 << z)
+    frontier = [z]
     while frontier:
         nxt = []
         for a in frontier:
+            hits = better[a] & unseen
+            unseen &= ~hits
             for b in nodes:
-                if b in seen:
+                if not hits >> b & 1:
                     continue
-                agent = tables.step(rp, a, b)
-                if agent is None:
-                    continue
-                seen.add(b)
-                parent[b] = (a, agent)
-                rev = _reversal(r, rp, b)
-                if rev is not None:
+                parent[b] = a
+                if rev >> b & 1:
                     path = [b]
-                    agents = []
-                    while path[-1] != start:
-                        prev, ag = parent[path[-1]]
-                        agents.append(ag)
-                        path.append(prev)
+                    while path[-1] != z:
+                        path.append(parent[path[-1]])
                     path.reverse()
-                    agents.reverse()
-                    return IndirectWitness(
-                        r.id, rp.id, z, tables.names(path), tuple(agents), rev[0]
-                    )
+                    agents = tuple(_step(rp, x, y) for x, y in zip(path, path[1:]))
+                    agent = _reversal(r, rp, b)[0]
+                    names = tables.names(path)
+                    return IndirectWitness(r.id, rp.id, tables.alts[z], names, agents, agent)
                 nxt.append(b)
         frontier = nxt
     return None
 
 
+def _reach_back(better: list[int], ordering: Sequence[int], reach: list[bool]) -> list[bool]:
+    """Close the seeded positions `reach` backward around the circle: x(k) is
+    reached when x(k+1) is and some agent prefers x(k+1) to x(k) (`better`
+    is one profile's `_Tables.better`).  One pass from the last seeded
+    position settles every position."""
+    if True in reach:
+        m = len(ordering)
+        last = m - 1 - reach[::-1].index(True)
+        for k in range(last - 1, last - m, -1):  # negative k wraps around
+            if not reach[k]:
+                reach[k] = reach[k + 1] and better[ordering[k]] >> ordering[k + 1] & 1 == 1
+    return reach
+
+
 class _Tables:
-    """Reversal and step tables of one SCR, each filled when first read.
+    """Reversal and improvement tables of one SCR, each filled when first read.
 
     Reversals are kept per (R, R') for every outcome of F(R); they do not
-    depend on the ordering.  Steps are kept per (R', a, b), shared by all R.
-    Checking one ordering against one R' then reads one reversal and at
-    most one step per outcome.
+    depend on the ordering.  Improvements are kept per R', shared by all R:
+    `better(rp)[a]` holds the outcomes some agent strictly prefers to a.
+    Checking one ordering against one R' then reads one reversal bit and
+    at most one improvement bit per outcome.
     """
 
     def __init__(self, scr: SocialChoiceRule):
         self.scr = scr
         self.alts = tuple(sorted(scr.alternatives))
         self.index = {a: j for j, a in enumerate(self.alts)}
-        self._outcomes: dict[str, tuple[int, ...]] = {}
+        self.outcomes = {p.id: self.ids(sorted(scr.choice(p.id))) for p in scr.profiles}
+        self.chosen = {pid: sum(1 << x for x in xs) for pid, xs in self.outcomes.items()}
+        self._better: dict[str, list[int]] = {}
         self._reversals: dict[tuple[str, str], int] = {}
-        self._steps: dict[tuple[str, int, int], int | None] = {}
         self._triggers: dict[str, list[Profile]] = {}
-
-    def outcomes(self, pid: str) -> tuple[int, ...]:
-        """F(R) in sorted-id order."""
-        outcomes = self._outcomes.get(pid)
-        if outcomes is None:
-            outcomes = self._outcomes[pid] = self.ids(sorted(self.scr.choice(pid)))
-        return outcomes
 
     def ids(self, names: Sequence[str]) -> tuple[int, ...]:
         return tuple(map(self.index.__getitem__, names))
 
     def names(self, ids: Iterable[int]) -> tuple[str, ...]:
         return tuple(map(self.alts.__getitem__, ids))
+
+    def better(self, rp: Profile) -> list[int]:
+        """Per outcome a, the outcomes outside some L_i(a, rp), as a bitmask."""
+        better = self._better.get(rp.id)
+        if better is None:
+            full = (1 << len(self.alts)) - 1
+            better = [full ^ reduce(and_, lows) for lows in zip(*rp.contour_masks)]
+            self._better[rp.id] = better
+        return better
 
     def reversals(self, r: Profile, rp: Profile) -> int:
         """The outcomes of F(R) with a preference reversal from R to R', as a bitmask."""
@@ -201,7 +199,7 @@ class _Tables:
         if mask is None:
             pairs = tuple(zip(r.contour_masks, rp.contour_masks))
             mask = 0
-            for x in self.outcomes(r.id):
+            for x in self.outcomes[r.id]:
                 for low, low_p in pairs:  # _reversal(r, rp, x) is not None, inlined
                     if low[x] & ~low_p[x]:
                         mask |= 1 << x
@@ -209,35 +207,28 @@ class _Tables:
             self._reversals[key] = mask
         return mask
 
-    def step(self, rp: Profile, a: int, b: int) -> int | None:
-        """`_step(rp, a, b)`, memoised per (R', a, b)."""
-        key = (rp.id, a, b)
-        try:
-            return self._steps[key]
-        except KeyError:
-            agent = self._steps[key] = _step(rp, a, b)
-            return agent
+    def monotonic_triggers(self) -> Iterable[tuple[Profile, Profile, int]]:
+        """(R, R', z) with z chosen at R, dropped at R' and falling for nobody.
+
+        z falls for nobody exactly when it has no reversal from R to R'.
+        Yielded by R, then R', then z in sorted-id order.
+        """
+        for r in self.scr.profiles:
+            for rp in self.scr.profiles:
+                triggers = self.chosen[r.id] & ~self.chosen[rp.id]
+                if triggers:
+                    triggers &= ~self.reversals(r, rp)
+                yield from ((r, rp, z) for z in self.outcomes[r.id] if triggers >> z & 1)
 
     def certified(self, r: Profile, rp: Profile, ordering: Sequence[int]) -> list[bool]:
         """Per position of `ordering`, does its outcome have a certificate against rp?
 
         An outcome has one exactly when walking forward from it, through
         outcomes without a reversal that each step to their successor,
-        reaches a reversal.  One backward pass from the last reversal
-        settles every position.
+        reaches a reversal.
         """
         rev = self.reversals(r, rp)
-        reach = [rev >> x & 1 == 1 for x in ordering]
-        if True in reach:
-            m = len(ordering)
-            last = m - 1 - reach[::-1].index(True)
-            ok = True
-            for k in range(last - 1, last - m, -1):  # negative k wraps around
-                if reach[k]:
-                    ok = True
-                else:
-                    ok = reach[k] = ok and self.step(rp, ordering[k], ordering[k + 1]) is not None
-        return reach
+        return _reach_back(self.better(rp), ordering, [rev >> x & 1 == 1 for x in ordering])
 
     def rotation_triggers(self, r: Profile) -> list[Profile]:
         """Profiles R' with F(R') != F(R), multi-valued or a singleton not chosen at R."""
@@ -253,9 +244,8 @@ class _Tables:
 
     def rotation_failure(self, r: Profile, ordering: Sequence[int]) -> tuple[str, int] | None:
         """(R' id, stuck outcome) for the first trigger the ordering fails, or None."""
-        everything = sum(1 << x for x in ordering)
         for rp in self.rotation_triggers(r):
-            if self.reversals(r, rp) == everything:
+            if self.reversals(r, rp) == self.chosen[r.id]:
                 continue  # every outcome is its own certificate
             reach = self.certified(r, rp, ordering)
             if False in reach:
@@ -291,10 +281,8 @@ class _Tables:
                 (low[t] | succ_bit) & ~low_p[t] == 0
                 for low, low_p in zip(r.contour_masks, rp.contour_masks)
             )
-            chain = [False] * m  # chain[j]: R'-improving steps lead from x(j) to x(k)
-            chain[k] = ok = True
-            for j in range(k - 1, k - m, -1):  # negative j wraps around
-                ok = chain[j] = ok and self.step(rp, ordering[j], ordering[j + 1]) is not None
+            # chain[j]: R'-improving steps lead from x(j) to x(k)
+            chain = _reach_back(self.better(rp), ordering, [j == k for j in range(m)])
             for j in range(m):
                 if not reach[j] and not (chain[j] and contour_ok):
                     reason = "no chain to the singleton" if not chain[j] else (
@@ -308,7 +296,7 @@ class _Tables:
 
         Raises CapExceeded, before any ordering is tried, if F(r) exceeds `cap`.
         """
-        outcomes = self.outcomes(r.id)
+        outcomes = self.outcomes[r.id]
         if len(outcomes) > cap:
             raise CapExceeded(
                 f"ordering search over {len(outcomes)} outcomes at {r.id!r} "

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .model import Profile, SocialChoiceRule, Verdict, lower_contour_set
+from .model import Profile, SocialChoiceRule, Verdict
 from .conditions import OrderingWitness, coerce_orderings
 from .rights import (
     GRAPH,
@@ -53,8 +53,7 @@ def _five_rule_structure(
     move the state (z, R) to; one walk of the chosen states grants those
     moves and Rules 2 and 3, and the alternatives then get Rule 4.
     """
-    agents = range(scr.n_agents)
-    singletons = [frozenset([i]) for i in agents]
+    singletons = [frozenset([i]) for i in range(scr.n_agents)]
     everyone = frozenset(singletons)
     states: list[State] = []
     gamma: dict[tuple[str, str], frozenset[Coalition]] = {}
@@ -69,9 +68,10 @@ def _five_rule_structure(
         states.append(State(key, z, GRAPH, p.id))
         for x in rule1[p.id].get(z, ()):
             grant((key, graph_state_key(x, p.id)), everyone, RULE1)
-        contours = [lower_contour_set(p, i, z) for i in agents]
-        for x in scr.alternatives:
-            fam = frozenset(singletons[i] for i in agents if x in contours[i])
+        # x lies in L_i(z, R) exactly when agent i ranks it no better than z
+        floors = [(q.ranks, q.rank(z)) for q in p.prefs]
+        for j, x in enumerate(scr.alternatives):
+            fam = frozenset(singletons[i] for i, (ranks, rz) in enumerate(floors) if ranks[j] >= rz)
             if fam:
                 grant((key, x), fam, RULE2)
             grant((x, key), everyone, RULE3)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Mapping, NoReturn, Sequence
+from typing import Any, Iterator, Mapping, NoReturn, Sequence
 
 from .domains import housing, jobs, marriage
 from .conditions import OrderingWitness
@@ -105,13 +105,23 @@ def _agents(members: Any) -> frozenset[int]:
     return frozenset(members)
 
 
+def _profile_entries(doc: Mapping) -> Iterator[tuple[str, str, Mapping]]:
+    """(path, id, entry) per entry of `$.profiles`; a repeated id is refused at its path."""
+    seen = set()
+    for i, pdoc in _read(enumerate, _need(doc, "profiles", "$"), "$.profiles"):
+        path = f"$.profiles[{i}]"
+        pid = _need(pdoc, "id", path, str)
+        if pid in seen:
+            raise _error(f"{path}.id", f"duplicate profile id {pid!r}")
+        seen.add(pid)
+        yield path, pid, pdoc
+
+
 def profiles_from_doc(doc: Mapping) -> tuple[Profile, ...]:
     alternatives = _ids(_need(doc, "alternatives", "$"), "$.alternatives")
     agents = _need(doc, "agents", "$", int)
     out = []
-    for i, pdoc in _read(enumerate, _need(doc, "profiles", "$"), "$.profiles"):
-        path = f"$.profiles[{i}]"
-        pid = _need(pdoc, "id", path, str)
+    for path, pid, pdoc in _profile_entries(doc):
         ranks = _rows(_need(pdoc, "ranks", path), f"{path}.ranks", int)
         if len(ranks) != agents:
             raise _error(f"{path}.ranks", f"expected {agents} agent rows")
@@ -128,7 +138,14 @@ def scr_from_doc(doc: Mapping) -> SocialChoiceRule:
     if not isinstance(table, Mapping):
         raise _error("$.scr", "expected an object mapping profile ids to outcome lists")
     choices = {pid: frozenset(_ids(vals, f"$.scr.{pid}")) for pid, vals in table.items()}
-    return SocialChoiceRule(profiles, choices)
+    try:
+        return SocialChoiceRule(profiles, choices)
+    except InputError as exc:
+        found = [("SCR needs a nonempty", "$.profiles"), ("choice table must cover", "$.scr")]
+        for pid in choices:
+            found.append((f"empty choice set at profile {pid!r}", f"$.scr.{pid}"))
+            found.append((f"choice at {pid!r} outside Z", f"$.scr.{pid}"))
+        raise _with_path(exc, found) from exc
 
 
 def _profiles_doc(profiles: Sequence[Profile]) -> dict:
@@ -212,6 +229,11 @@ def _located(exc: InputError, rdoc: Mapping, n_agents: float = float("inf")) -> 
                    "agent indices must be nonnegative": min(members) < 0,
                    "gamma mentions an agent index outside the profile": max(members) >= n_agents}
         found += [(message, f"{path}.coalitions") for message, bad in refused.items() if bad]
+    return _with_path(exc, found)
+
+
+def _with_path(exc: InputError, found: Sequence[tuple[str, str]]) -> InputError:
+    """`exc` with the path paired with the first message prefix it starts with, if any."""
     message = str(exc)
     return InputError(message, next((p for m, p in found if message.startswith(m)), None))
 
@@ -317,17 +339,12 @@ def is_domain_doc(doc: Mapping) -> bool:
 
 def jobs_problems_from_doc(doc: Mapping) -> list[jobs.JobRotationProblem]:
     job_ids = _ids(_need(doc, "jobs", "$"), "$.jobs")
-    out = []
-    for i, pdoc in _read(enumerate, _need(doc, "profiles", "$"), "$.profiles"):
-        path = f"$.profiles[{i}]"
-        out.append(
-            jobs.JobRotationProblem(
-                _need(pdoc, "id", path, str),
-                job_ids,
-                _rows(_need(pdoc, "orders", path), f"{path}.orders", str),
-            )
+    return [
+        jobs.JobRotationProblem(
+            pid, job_ids, _rows(_need(pdoc, "orders", path), f"{path}.orders", str)
         )
-    return out
+        for path, pid, pdoc in _profile_entries(doc)
+    ]
 
 
 def _prefs(value: Any, path: str) -> dict:
@@ -342,20 +359,17 @@ def marriage_problems_from_doc(doc: Mapping) -> list[marriage.MarriageProblem]:
     pure = doc.get("pure", False)
     if type(pure) is not bool:
         raise _error("$.pure", f"expected true or false, got {pure!r}")
-    out = []
-    for i, pdoc in _read(enumerate, _need(doc, "profiles", "$"), "$.profiles"):
-        path = f"$.profiles[{i}]"
-        out.append(
-            marriage.MarriageProblem(
-                _need(pdoc, "id", path, str),
-                men,
-                women,
-                _prefs(_need(pdoc, "men", path), f"{path}.men"),
-                _prefs(_need(pdoc, "women", path), f"{path}.women"),
-                pure,
-            )
+    return [
+        marriage.MarriageProblem(
+            pid,
+            men,
+            women,
+            _prefs(_need(pdoc, "men", path), f"{path}.men"),
+            _prefs(_need(pdoc, "women", path), f"{path}.women"),
+            pure,
         )
-    return out
+        for path, pid, pdoc in _profile_entries(doc)
+    ]
 
 
 def economies_from_doc(doc: Mapping) -> list[housing.Economy]:
@@ -366,20 +380,17 @@ def economies_from_doc(doc: Mapping) -> list[housing.Economy]:
         h: _read(_agents, members, f"$.owners.{h}")
         for h, members in _read(lambda o: o.items(), _need(doc, "owners", "$"), "$.owners")
     }
-    out = []
-    for i, pdoc in _read(enumerate, _need(doc, "profiles", "$"), "$.profiles"):
-        path = f"$.profiles[{i}]"
-        out.append(
-            housing.Economy(
-                _need(pdoc, "id", path, str),
-                agents,
-                houses,
-                outside,
-                owners,
-                _rows(_need(pdoc, "orders", path), f"{path}.orders", str),
-            )
+    return [
+        housing.Economy(
+            pid,
+            agents,
+            houses,
+            outside,
+            owners,
+            _rows(_need(pdoc, "orders", path), f"{path}.orders", str),
         )
-    return out
+        for path, pid, pdoc in _profile_entries(doc)
+    ]
 
 
 def _jobs_efficient(problems):

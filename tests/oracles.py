@@ -8,9 +8,10 @@ straightforward pair-scan and per-state versions of paths that the
 library now runs in linear time (among them the early-exit forward BFS
 path search), the string-map digraph construction and the string-keyed
 solvers that the library now runs on int ids, the housing definition
-scans that it now runs on bitmasks, the per-entry rights-block reader
-that it now runs on one shared family per coalition list, and the
-domains' recursive allocation enumeration, `.index()` rank loops and
+scans that it now runs on bitmasks, the frozenset-contour condition
+checks and five-rule structure that it now runs on contour bitmasks and
+rank rows, the per-entry rights-block reader that it now runs on one
+shared family per coalition list, and the domains' recursive allocation enumeration, `.index()` rank loops and
 pairwise dominance filter that it now runs on `itertools.product`,
 `Profile.from_shares` and `pareto_frontier`; differential tests compare
 the two.
@@ -34,6 +35,7 @@ from rotakit.domains.marriage import all_matchings, matching_id
 from rotakit.conditions import (
     IndirectVerdict,
     IndirectWitness,
+    MaskinVerdict,
     OrderingWitness,
     PropertyMFailure,
     PropertyMVerdict,
@@ -42,6 +44,7 @@ from rotakit.conditions import (
     RotationVerdict,
     coerce_orderings,
 )
+from rotakit.constructors import RULE1, RULE2, RULE3, RULE4, graph_state_key
 from rotakit.model import (
     CapExceeded,
     InputError,
@@ -591,9 +594,21 @@ def scan_exclusion_rights_structure(economy) -> RightsStructure:
 
 
 # ---------------------------------------------------------------------------
-# Reference code: the ordering searches that rotakit.conditions now runs on
-# contour bitmask tables.  Every candidate ordering rebuilds its steps and
-# preference reversals from frozenset lower-contour sets.
+# Reference code: the condition checks that rotakit.conditions now runs on
+# contour bitmask tables.  Maskin and indirect triggers are tested with
+# `is_monotonic_transformation`, and every candidate ordering rebuilds its
+# steps and preference reversals from frozenset lower-contour sets.
+
+
+def string_check_maskin_monotonicity(scr) -> MaskinVerdict:
+    for r in scr.profiles:
+        for rp in scr.profiles:
+            for z in sorted(scr.choice(r.id)):
+                if z in scr.choice(rp.id):
+                    continue
+                if is_monotonic_transformation(r, rp, z):
+                    return MaskinVerdict(False, (r.id, rp.id, z))
+    return MaskinVerdict(True)
 
 
 def string_step_improver(rp, a: str, b: str) -> int | None:
@@ -804,6 +819,42 @@ def string_find_shared_ordering(scr, cap: int) -> OrderingWitness | None:
             return None
         orderings[r.id] = found
     return OrderingWitness(orderings)
+
+
+# ---------------------------------------------------------------------------
+# Reference code: the five-rule structure that rotakit.constructors now
+# builds on rank rows, with Rule 2 read off frozenset lower-contour sets.
+
+
+def contour_five_rule_structure(scr, rule1) -> RightsStructure:
+    agents = range(scr.n_agents)
+    singletons = [frozenset([i]) for i in agents]
+    everyone = frozenset(singletons)
+    states = []
+    gamma = {}
+    provenance = {}
+
+    def grant(pair, fam, rule):
+        gamma[pair] = fam
+        provenance[pair] = rule
+
+    for z, p in scr.graph():
+        key = graph_state_key(z, p.id)
+        states.append(State(key, z, GRAPH, p.id))
+        for x in rule1[p.id].get(z, ()):
+            grant((key, graph_state_key(x, p.id)), everyone, RULE1)
+        contours = [lower_contour_set(p, i, z) for i in agents]
+        for x in scr.alternatives:
+            fam = frozenset(singletons[i] for i in agents if x in contours[i])
+            if fam:
+                grant((key, x), fam, RULE2)
+            grant((x, key), everyone, RULE3)
+    for x in scr.alternatives:
+        states.append(State(x, x, BASE))
+        for y in scr.alternatives:
+            if x != y:
+                grant((x, y), everyone, RULE4)
+    return RightsStructure(tuple(states), gamma, provenance)
 
 
 # ---------------------------------------------------------------------------

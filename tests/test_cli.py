@@ -432,6 +432,12 @@ def test_domain_sample_hat_clamps_to_distinct_profiles(capsys):
     assert code == 0 and len(json.loads(out)["profiles"]) == 2
 
 
+_ECONOMY_PROFILE = {
+    "id": "R",
+    "orders": [["h2", "h3", "h1", "h0"], ["h3", "h1", "h2", "h0"], ["h1", "h2", "h3", "h0"]],
+}
+
+
 @pytest.mark.parametrize(
     "fixture, where, value, argv, named",
     [
@@ -551,6 +557,24 @@ def test_domain_sample_hat_clamps_to_distinct_profiles(capsys):
         ("example-environment", ("rights", "states", 1, "outcome"), "w", ("solve",
          "--profile", "R", "--concept", "mss"), ("state 'y' has unknown outcome 'w'",
                                                  "$.rights.states[1].outcome")),
+        # so do the SCR table's checks
+        ("example-environment", ("scr", "Rp"), ["q"], ("check", "--condition", "maskin"),
+         ("choice at 'Rp' outside Z: ['q']", "$.scr.Rp")),
+        ("example-environment", ("scr", "Rp"), [], ("check", "--condition", "maskin"),
+         ("empty choice set at profile 'Rp'", "$.scr.Rp")),
+        ("example-environment", ("scr", "Rq"), ["x"], ("check", "--condition", "maskin"),
+         ("choice table must cover exactly the domain profiles", "$.scr")),
+        ("example-environment", ("profiles",), [], ("check", "--condition", "maskin"),
+         ("SCR needs a nonempty profile domain", "$.profiles")),
+        # a repeated profile id is refused where it repeats, in every document kind
+        ("example-environment", ("profiles", 1, "id"), "R", ("solve", "--profile", "R",
+         "--concept", "mss"), ("$.profiles[1].id: duplicate profile id 'R'", "$.profiles[1].id")),
+        ("jobs-domain", ("profiles", 2, "id"), "P", ("domain",),
+         ("$.profiles[2].id: duplicate profile id 'P'", "$.profiles[2].id")),
+        ("marriage-domain", ("profiles", 1, "id"), "R", ("check", "--condition", "maskin"),
+         ("$.profiles[1].id: duplicate profile id 'R'", "$.profiles[1].id")),
+        ("economy-domain", ("profiles",), [_ECONOMY_PROFILE] * 2, ("solve", "--profile", "R",
+         "--concept", "mss"), ("$.profiles[1].id: duplicate profile id 'R'", "$.profiles[1].id")),
     ],
 )
 def test_malformed_document_names_json_path(capsys, tmp_path, fixture, where, value, argv,

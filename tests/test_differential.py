@@ -1,9 +1,9 @@
 """The int-indexed digraph and solver core, the linear-time paths, the
-housing bitmask kernel, the table-driven ordering searches, the
-rights-block reader and the domains' allocation enumeration, own-share
-extensions and phi filter against the reference code they replaced
-(tests/oracles.py), plus forged digraphs that must still trip every
-post-hoc re-verification check."""
+housing bitmask kernel, the table-driven condition checks, the rank-row
+five-rule structure, the rights-block reader and the domains' allocation
+enumeration, own-share extensions and phi filter against the reference
+code they replaced (tests/oracles.py), plus forged digraphs that must
+still trip every post-hoc re-verification check."""
 
 import itertools
 import json
@@ -15,6 +15,7 @@ import pytest
 
 from oracles import (
     brute_force_stable_matching_ids,
+    contour_five_rule_structure,
     dominance_scan_phi,
     forward_bfs_path,
     from_maps,
@@ -31,6 +32,7 @@ from oracles import (
     scan_rights_from_doc,
     string_absorbing_sets,
     string_check_indirect_monotonicity,
+    string_check_maskin_monotonicity,
     string_check_property_m,
     string_check_rotation_monotonicity,
     string_core,
@@ -43,9 +45,10 @@ from oracles import (
     string_tarjan_sccs,
     string_verify_rotation_monotonicity_with,
 )
-from rotakit import solvers
+from rotakit import constructors, solvers
 from rotakit.conditions import (
     check_indirect_monotonicity,
+    check_maskin_monotonicity,
     check_property_m,
     check_rotation_monotonicity,
     find_shared_ordering,
@@ -581,6 +584,7 @@ def test_ordering_searches_match_string_search():
         shared = find_shared_ordering(scr, cap=6)
         assert shared == string_find_shared_ordering(scr, 6)
         assert check_indirect_monotonicity(scr) == string_check_indirect_monotonicity(scr)
+        assert check_maskin_monotonicity(scr) == string_check_maskin_monotonicity(scr)
         for witness in (rot.witness, shared, None):
             table = _orderings(rng, scr, witness)
             verdict = verify_rotation_monotonicity_with(scr, table)
@@ -594,6 +598,37 @@ def test_ordering_searches_match_string_search():
     assert {(w, r, s) for w in (False, True) for r, s in ((0, 0), (1, 0), (1, 1))} <= seen, seen
     assert {"no chain to the singleton", "lower-contour condition fails at the singleton"} <= seen
     assert {1, 2, 6, 24} <= seen, "obstructions must list failures of many orderings"
+
+
+def test_theorem_structures_match_contour_structures(monkeypatch):
+    """Rule 2 read off rank rows grants what frozenset lower contours grant:
+    the same states, gamma and provenance, in the same order, for both
+    theorem structures on every fixture and on seeded weak-order rules."""
+    rng = random.Random(34)
+    rules = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = load_document(str(path))
+        rules.append(domain_scr(doc) if is_domain_doc(doc) else (scr_from_doc(doc), None))
+    for _ in range(60):
+        n_alts = rng.randint(2, 5)
+        alts = tuple(rng.sample([f"a{i}" for i in range(n_alts)], n_alts))
+        n_agents = rng.randint(1, 3)
+        profiles = tuple(
+            random_weak_profile(rng, f"R{j}", alts, n_agents) for j in range(rng.randint(1, 3))
+        )
+        choices = {p.id: rng.sample(alts, rng.randint(1, n_alts)) for p in profiles}
+        rules.append((SocialChoiceRule(profiles, choices), None))
+    for scr, witness in rules:
+        table = _orderings(rng, scr, witness)
+        built = [build_thm1_structure(scr), build_thm4_structure(scr, table)]
+        monkeypatch.setattr(constructors, "_five_rule_structure", contour_five_rule_structure)
+        reference = [build_thm1_structure(scr), build_thm4_structure(scr, table)]
+        monkeypatch.undo()
+        for fast, ref in zip(built, reference):
+            assert fast.states == ref.states
+            assert list(fast.gamma.items()) == list(ref.gamma.items())
+            assert list(fast.provenance.items()) == list(ref.provenance.items())
+    assert len(rules) == 64
 
 
 def test_rotation_certificates_match_string_certificates_on_every_ordering():
