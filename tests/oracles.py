@@ -11,10 +11,10 @@ solvers that the library now runs on int ids, the housing definition
 scans that it now runs on bitmasks, the frozenset-contour condition
 checks and five-rule structure that it now runs on contour bitmasks and
 rank rows, the per-entry rights-block reader that it now runs on one
-shared family per coalition list, and the domains' recursive allocation enumeration, `.index()` rank loops and
-pairwise dominance filter that it now runs on `itertools.product`,
-`Profile.from_shares` and `pareto_frontier`; differential tests compare
-the two.
+shared family per coalition list, and the domains' recursive allocation
+enumeration, `.index()` rank loops and pairwise dominance filter that it
+now runs on `itertools.product`, `Profile.from_shares` and
+`pareto_frontier`; differential tests compare the two.
 """
 
 from __future__ import annotations
