@@ -41,25 +41,28 @@ class Economy:
         object.__setattr__(self, "houses", houses)
         object.__setattr__(self, "orders", orders)
         object.__setattr__(
-            self, "owners", {h: coalition(k) for h, k in dict(self.owners).items()}
+            self, "owners", {h: coalition(k, ("owners", h)) for h, k in dict(self.owners).items()}
         )
         if len(set(houses)) != len(houses):
-            raise InputError("duplicate house ids")
+            raise InputError("duplicate house ids", where=("houses",))
         if self.outside in houses:
-            raise InputError("the outside option must not be a house")
+            raise InputError("the outside option must not be a house", where=("outside",))
         if any("," in h for h in houses + (self.outside,)):
-            raise InputError("house ids may not contain commas")
+            where = ("outside",) if "," in self.outside else ("houses",)
+            raise InputError("house ids may not contain commas", where=where)
         if set(self.owners) != set(houses):
-            raise InputError("every house needs a minimal controlling coalition")
+            raise InputError("every house needs a minimal controlling coalition", where=("owners",))
         for h, k in self.owners.items():
             if max(k) >= self.n_agents:
-                raise InputError(f"owner coalition of {h!r} mentions an unknown agent")
+                what = f"owner coalition of {h!r} mentions an unknown agent"
+                raise InputError(what, where=("owners", h))
         if len(orders) != self.n_agents:
-            raise InputError("need one preference order per agent")
+            raise InputError("need one preference order per agent", where=("orders",))
         menu = sorted(houses + (self.outside,))
         for i, order in enumerate(orders):
             if sorted(order) != menu:
-                raise InputError(f"agent {i} order is not a permutation of houses+outside")
+                what = f"agent {i} order is not a permutation of houses+outside"
+                raise InputError(what, where=("orders", i))
 
     def house_rank(self, agent: int, h: str) -> int:
         try:
@@ -220,7 +223,7 @@ def exclusion_environment(economy: Economy) -> SocialEnvironment:
 
 def _check_same_market(economies: Sequence[Economy]) -> None:
     if not economies:
-        raise InputError("need at least one economy")
+        raise InputError("need at least one economy", where=("profiles",))
     first = economies[0]
     for e in economies[1:]:
         same = (

@@ -45,16 +45,17 @@ class JobRotationProblem:
         object.__setattr__(self, "jobs", jobs)
         object.__setattr__(self, "orders", orders)
         if len(set(jobs)) != len(jobs):
-            raise InputError("duplicate job ids")
+            raise InputError("duplicate job ids", where=("jobs",))
         if any("," in j for j in jobs):
-            raise InputError("job ids may not contain commas")
+            raise InputError("job ids may not contain commas", where=("jobs",))
         if len(orders) != len(jobs):
-            raise InputError("need exactly one agent per job")
+            raise InputError("need exactly one agent per job", where=("orders",))
         if len(jobs) < 2:
-            raise InputError("a job rotation problem needs at least two jobs")
+            raise InputError("a job rotation problem needs at least two jobs", where=("jobs",))
         for i, order in enumerate(orders):
             if sorted(order) != sorted(jobs):
-                raise InputError(f"agent {i} order is not a permutation of the jobs")
+                what = f"agent {i} order is not a permutation of the jobs"
+                raise InputError(what, where=("orders", i))
 
     @property
     def n(self) -> int:
@@ -111,7 +112,7 @@ def efficient_scr(problems: Sequence[JobRotationProblem]) -> SocialChoiceRule:
 
 def _check_same_universe(problems: Sequence[JobRotationProblem]) -> None:
     if not problems:
-        raise InputError("need at least one job rotation problem")
+        raise InputError("need at least one job rotation problem", where=("profiles",))
     jobs = problems[0].jobs
     for p in problems[1:]:
         if p.jobs != jobs:

@@ -42,22 +42,24 @@ class MarriageProblem:
             self, "women_prefs", {w: tuple(v) for w, v in dict(self.women_prefs).items()}
         )
         if not men or not women:
-            raise InputError("both sides must be nonempty")
+            raise InputError("both sides must be nonempty", where=("women",) if men else ("men",))
         names = men + women
         if len(set(names)) != len(names):
-            raise InputError("agent names must be unique across sides")
+            where = ("women",) if len(set(men)) == len(men) else ("men",)
+            raise InputError("agent names must be unique across sides", where=where)
         if any(":" in a or "," in a for a in names):
-            raise InputError("agent names may not contain ':' or ','")
+            where = ("women",) if any(":" in a or "," in a for a in women) else ("men",)
+            raise InputError("agent names may not contain ':' or ','", where=where)
         if self.pure and len(men) != len(women):
-            raise InputError("the pure model needs equally sized sides")
+            raise InputError("the pure model needs equally sized sides", where=("pure",))
         for m in men:
             expected = sorted(women) if self.pure else sorted(women + (m,))
             if sorted(self.men_prefs.get(m, ())) != expected:
-                raise InputError(f"bad preference list for {m!r}")
+                raise InputError(f"bad preference list for {m!r}", where=("men_prefs", m))
         for w in women:
             expected = sorted(men) if self.pure else sorted(men + (w,))
             if sorted(self.women_prefs.get(w, ())) != expected:
-                raise InputError(f"bad preference list for {w!r}")
+                raise InputError(f"bad preference list for {w!r}", where=("women_prefs", w))
 
     @property
     def agents(self) -> tuple[str, ...]:
@@ -235,7 +237,7 @@ def matching_profile(problem: MarriageProblem) -> Profile:
 
 def _check_same_market(problems: Sequence[MarriageProblem]) -> None:
     if not problems:
-        raise InputError("need at least one marriage problem")
+        raise InputError("need at least one marriage problem", where=("profiles",))
     first = problems[0]
     for p in problems[1:]:
         if (p.men, p.women, p.pure) != (first.men, first.women, first.pure):

@@ -18,11 +18,15 @@ from typing import Iterator, Mapping, Sequence
 
 
 class InputError(ValueError):
-    """Malformed input (unknown ids, bad shapes, broken preconditions) at JSON `path`, if known."""
+    """Malformed input (unknown ids, bad shapes, broken preconditions) at JSON `path`, if known.
 
-    def __init__(self, message: str, path: str | None = None):
+    `where` locates the value a library check refuses in the object being built
+    (field names, indices, mapping keys, a gamma entry's `(from, to)` pair), and
+    `value`, where given, is that value."""
+
+    def __init__(self, message: str, path: str | None = None, where: tuple = (), value=None):
         super().__init__(message)
-        self.path = path
+        self.path, self.where, self.value = path, where, value
 
 
 class CapExceeded(RuntimeError):
@@ -248,7 +252,7 @@ class SocialChoiceRule:
             self, "choices", {pid: frozenset(ch) for pid, ch in dict(self.choices).items()}
         )
         if not self.profiles:
-            raise InputError("SCR needs a nonempty profile domain")
+            raise InputError("SCR needs a nonempty profile domain", where=("profiles",))
         ids = [p.id for p in self.profiles]
         if len(set(ids)) != len(ids):
             raise InputError("duplicate profile ids in SCR domain")
@@ -260,13 +264,15 @@ class SocialChoiceRule:
             if p.n_agents != n:
                 raise InputError("SCR domain profiles disagree on the number of agents")
         if set(self.choices) != set(ids):
-            raise InputError("choice table must cover exactly the domain profiles")
+            what = "choice table must cover exactly the domain profiles"
+            raise InputError(what, where=("choices",))
         for pid, chosen in self.choices.items():
             if not chosen:
-                raise InputError(f"empty choice set at profile {pid!r}")
+                raise InputError(f"empty choice set at profile {pid!r}", where=("choices", pid))
             unknown = chosen - set(alts)
             if unknown:
-                raise InputError(f"choice at {pid!r} outside Z: {sorted(unknown)}")
+                what = f"choice at {pid!r} outside Z: {sorted(unknown)}"
+                raise InputError(what, where=("choices", pid))
 
     @property
     def alternatives(self) -> tuple[str, ...]:

@@ -25,12 +25,13 @@ GRAPH = "graph"
 OPAQUE = "opaque"
 
 
-def coalition(members: Iterable[int]) -> Coalition:
+def coalition(members: Iterable[int], where: tuple = ()) -> Coalition:
+    """The members as a coalition; a refusal names `where` as its location."""
     k = frozenset(int(m) for m in members)
     if not k:
-        raise InputError("coalitions must be nonempty")
+        raise InputError("coalitions must be nonempty", where=where)
     if any(m < 0 for m in k):
-        raise InputError("agent indices must be nonnegative")
+        raise InputError("agent indices must be nonnegative", where=where)
     return k
 
 
@@ -83,10 +84,11 @@ class RightsStructure:
         states = tuple(self.states)
         object.__setattr__(self, "states", states)
         if not states:
-            raise InputError("rights structure needs at least one state")
-        index = {s.key: i for i, s in enumerate(states)}
-        if len(index) != len(states):
-            raise InputError("duplicate state keys")
+            raise InputError("rights structure needs at least one state", where=("states",))
+        index: dict[str, int] = {}
+        for i, s in enumerate(states):
+            if index.setdefault(s.key, i) != i:
+                raise InputError("duplicate state keys", where=("states", i, "key"))
         object.__setattr__(self, "_index", index)
         outcomes: dict[str, int] = {}
         outcome_of = [outcomes.setdefault(s.outcome, len(outcomes)) for s in states]
@@ -115,9 +117,11 @@ class RightsStructure:
             a, b = pair
             ia, ib = index.get(a), index.get(b)
             if ia is None or ib is None:
-                raise InputError(f"gamma entry on unknown state pair ({a!r}, {b!r})")
+                where = ("gamma", pair, "from" if ia is None else "to")
+                raise InputError(f"gamma entry on unknown state pair ({a!r}, {b!r})", where=where)
             if ia == ib:
-                raise InputError(f"gamma is defined on distinct pairs only, got ({a!r}, {a!r})")
+                what = f"gamma is defined on distinct pairs only, got ({a!r}, {a!r})"
+                raise InputError(what, where=("gamma", pair, "to"))
             try:
                 valid, compiled = families[fam]
             except KeyError:
@@ -182,11 +186,15 @@ class SocialEnvironment:
 
     def __post_init__(self):
         alts = set(self.profile.alternatives)
-        for s in self.rights.states:
+        for i, s in enumerate(self.rights.states):
             if s.outcome not in alts:
-                raise InputError(f"state {s.key!r} has unknown outcome {s.outcome!r}")
-        if self.rights.max_agent() >= self.profile.n_agents:
-            raise InputError("gamma mentions an agent index outside the profile")
+                what = f"state {s.key!r} has unknown outcome {s.outcome!r}"
+                raise InputError(what, where=("rights", "states", i, "outcome"))
+        m = self.rights.max_agent()
+        if m >= self.profile.n_agents:
+            pair = next(p for p, fam in self.rights.gamma.items() if any(m in k for k in fam))
+            what = "gamma mentions an agent index outside the profile"
+            raise InputError(what, where=("rights", "gamma", pair, "coalitions"), value=m)
 
     def outcome(self, key: str) -> str:
         return self.rights.outcome(key)

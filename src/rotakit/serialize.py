@@ -10,6 +10,7 @@ same SCR / environment shapes every other module consumes.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Iterator, Mapping, NoReturn, Sequence
@@ -25,6 +26,7 @@ from .rights import (
     RightsStructure,
     SocialEnvironment,
     State,
+    coalition,
 )
 
 # how `dumps` writes a list of one scalar type, in one join
@@ -36,7 +38,7 @@ def load_document(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:  # no file, not UTF-8, too deep
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(
@@ -97,6 +99,31 @@ def _rows(value: Any, path: str, kind: type) -> tuple[tuple, ...]:
     return tuple(_list(row, f"{path}[{a}]", kind) for a, row in enumerate(_list(value, path)))
 
 
+@contextmanager
+def _at(fields: Mapping[str, str], gamma: Sequence = ()) -> Iterator[None]:
+    """Re-raise a library check's `InputError` at the JSON path of its `where`: `fields`
+    maps a field of the object being built to its path, and an element's field (a name
+    after an index) to its document key where the two differ.  Indices and mapping keys
+    extend the path; a gamma pair `(from, to)` becomes the first entry of `gamma` on that
+    pair that holds `InputError.value`, if one is given."""
+    try:
+        yield
+    except InputError as exc:
+        where = exc.where
+        if not where or where[0] not in fields:
+            raise
+        path = fields[where[0]]
+        for prev, step in zip(where, where[1:]):
+            if type(step) is tuple:
+                step = next(i for i, g in enumerate(gamma) if (g["from"], g["to"]) == step
+                            and exc.value in (None, *chain.from_iterable(g["coalitions"])))
+            if type(step) is int:
+                path += f"[{step}]"
+            else:  # after a name: a mapping key or a nested field, written as it is
+                path += "." + (step if type(prev) is str else fields.get(step, step))
+        raise InputError(str(exc), path) from exc
+
+
 def _agents(members: Any) -> frozenset[int]:
     """A coalition's agent indices, each a JSON integer (not a bool, float or string)."""
     for a in members:
@@ -138,14 +165,8 @@ def scr_from_doc(doc: Mapping) -> SocialChoiceRule:
     if not isinstance(table, Mapping):
         raise _error("$.scr", "expected an object mapping profile ids to outcome lists")
     choices = {pid: frozenset(_ids(vals, f"$.scr.{pid}")) for pid, vals in table.items()}
-    try:
+    with _at({"profiles": "$.profiles", "choices": "$.scr"}):
         return SocialChoiceRule(profiles, choices)
-    except InputError as exc:
-        found = [("SCR needs a nonempty", "$.profiles"), ("choice table must cover", "$.scr")]
-        for pid in choices:
-            found.append((f"empty choice set at profile {pid!r}", f"$.scr.{pid}"))
-            found.append((f"choice at {pid!r} outside Z", f"$.scr.{pid}"))
-        raise _with_path(exc, found) from exc
 
 
 def _profiles_doc(profiles: Sequence[Profile]) -> dict:
@@ -186,16 +207,16 @@ def rights_from_doc(doc: Mapping) -> RightsStructure:
                 raise TypeError
         except (KeyError, TypeError):
             _gamma_entry_error(gdoc, f"$.rights.gamma[{i}]")
-        fam = families.get(key) or families.setdefault(key, frozenset(map(frozenset, key)))
-        if pair in gamma:
-            fam = fam | gamma[pair]
-        gamma[pair] = fam
+        fam = families.get(key)
+        if fam is None:  # each distinct coalition list is checked once
+            with _at({"coalitions": f"$.rights.gamma[{i}].coalitions"}):
+                fam = families[key] = frozenset(coalition(k, ("coalitions",)) for k in key)
+        gamma[pair] = fam | gamma[pair] if pair in gamma else fam
         if "rule" in gdoc and _need(gdoc, "rule", f"$.rights.gamma[{i}]", str):
             provenance[pair] = gdoc["rule"]
-    try:
+    fields = {"states": "$.rights.states", "gamma": "$.rights.gamma", "key": "id"}
+    with _at(fields, rdoc.get("gamma", [])):
         return RightsStructure(tuple(states), gamma, provenance)
-    except InputError as exc:
-        raise _located(exc, rdoc) from exc
 
 
 def _gamma_entry_error(gdoc: Any, path: str) -> NoReturn:
@@ -207,35 +228,6 @@ def _gamma_entry_error(gdoc: Any, path: str) -> NoReturn:
     except (TypeError, ValueError) as exc:
         raise _error(f"{path}.coalitions", f"expected lists of agent indices: {exc}") from None
     raise _error(f"{path}.coalitions", "expected lists of agent indices")  # a spent iterator
-
-
-def _located(exc: InputError, rdoc: Mapping, n_agents: float = float("inf")) -> InputError:
-    """`exc`, from a library check on the rights block `rdoc` once read, with the
-    JSON path of a value the check refuses: a scan paid only on failure."""
-    found = [("rights structure needs at least one state", "$.rights.states")]
-    keys: set[str] = set()
-    for i, s in enumerate(rdoc["states"]):
-        found.append((f"state {s['id']!r} has unknown outcome", f"$.rights.states[{i}].outcome"))
-        if s["id"] in keys:
-            found.append(("duplicate state keys", f"$.rights.states[{i}].id"))
-        keys.add(s["id"])
-    for i, g in enumerate(rdoc.get("gamma", [])):
-        path, a, b = f"$.rights.gamma[{i}]", g["from"], g["to"]
-        found.append((f"gamma entry on unknown state pair ({a!r}, {b!r})",
-                      f"{path}.{'to' if a in keys else 'from'}"))
-        found.append((f"gamma is defined on distinct pairs only, got ({a!r}, {b!r})", f"{path}.to"))
-        members = [m for k in g["coalitions"] for m in k] or [0]
-        refused = {"coalitions must be nonempty": not all(g["coalitions"]),
-                   "agent indices must be nonnegative": min(members) < 0,
-                   "gamma mentions an agent index outside the profile": max(members) >= n_agents}
-        found += [(message, f"{path}.coalitions") for message, bad in refused.items() if bad]
-    return _with_path(exc, found)
-
-
-def _with_path(exc: InputError, found: Sequence[tuple[str, str]]) -> InputError:
-    """`exc` with the path paired with the first message prefix it starts with, if any."""
-    message = str(exc)
-    return InputError(message, next((p for m, p in found if message.startswith(m)), None))
 
 
 def _state_doc(s: State) -> dict:
@@ -266,11 +258,9 @@ def environment_from_doc(doc: Mapping, profile_id: str) -> SocialEnvironment:
     profiles = {p.id: p for p in profiles_from_doc(doc)}
     if profile_id not in profiles:
         raise InputError(f"unknown profile id {profile_id!r}")
-    rights, profile = rights_from_doc(doc), profiles[profile_id]
-    try:
-        return SocialEnvironment(rights, profile)
-    except InputError as exc:
-        raise _located(exc, doc["rights"], profile.n_agents) from exc
+    rights = rights_from_doc(doc)
+    with _at({"rights": "$.rights"}, doc["rights"].get("gamma", [])):
+        return SocialEnvironment(rights, profiles[profile_id])
 
 
 def environment_to_doc(
@@ -339,12 +329,12 @@ def is_domain_doc(doc: Mapping) -> bool:
 
 def jobs_problems_from_doc(doc: Mapping) -> list[jobs.JobRotationProblem]:
     job_ids = _ids(_need(doc, "jobs", "$"), "$.jobs")
-    return [
-        jobs.JobRotationProblem(
-            pid, job_ids, _rows(_need(pdoc, "orders", path), f"{path}.orders", str)
-        )
-        for path, pid, pdoc in _profile_entries(doc)
-    ]
+    problems = []
+    for path, pid, pdoc in _profile_entries(doc):
+        orders = _rows(_need(pdoc, "orders", path), f"{path}.orders", str)
+        with _at({"jobs": "$.jobs", "orders": f"{path}.orders"}):
+            problems.append(jobs.JobRotationProblem(pid, job_ids, orders))
+    return problems
 
 
 def _prefs(value: Any, path: str) -> dict:
@@ -359,17 +349,15 @@ def marriage_problems_from_doc(doc: Mapping) -> list[marriage.MarriageProblem]:
     pure = doc.get("pure", False)
     if type(pure) is not bool:
         raise _error("$.pure", f"expected true or false, got {pure!r}")
-    return [
-        marriage.MarriageProblem(
-            pid,
-            men,
-            women,
-            _prefs(_need(pdoc, "men", path), f"{path}.men"),
-            _prefs(_need(pdoc, "women", path), f"{path}.women"),
-            pure,
-        )
-        for path, pid, pdoc in _profile_entries(doc)
-    ]
+    problems = []
+    for path, pid, pdoc in _profile_entries(doc):
+        men_prefs = _prefs(_need(pdoc, "men", path), f"{path}.men")
+        women_prefs = _prefs(_need(pdoc, "women", path), f"{path}.women")
+        fields = {"men": "$.men", "women": "$.women", "pure": "$.pure",
+                  "men_prefs": f"{path}.men", "women_prefs": f"{path}.women"}
+        with _at(fields):
+            problems.append(marriage.MarriageProblem(pid, men, women, men_prefs, women_prefs, pure))
+    return problems
 
 
 def economies_from_doc(doc: Mapping) -> list[housing.Economy]:
@@ -380,17 +368,14 @@ def economies_from_doc(doc: Mapping) -> list[housing.Economy]:
         h: _read(_agents, members, f"$.owners.{h}")
         for h, members in _read(lambda o: o.items(), _need(doc, "owners", "$"), "$.owners")
     }
-    return [
-        housing.Economy(
-            pid,
-            agents,
-            houses,
-            outside,
-            owners,
-            _rows(_need(pdoc, "orders", path), f"{path}.orders", str),
-        )
-        for path, pid, pdoc in _profile_entries(doc)
-    ]
+    economies = []
+    for path, pid, pdoc in _profile_entries(doc):
+        orders = _rows(_need(pdoc, "orders", path), f"{path}.orders", str)
+        fields = {"houses": "$.houses", "outside": "$.outside", "owners": "$.owners",
+                  "orders": f"{path}.orders"}
+        with _at(fields):
+            economies.append(housing.Economy(pid, agents, houses, outside, owners, orders))
+    return economies
 
 
 def _jobs_efficient(problems):
@@ -441,7 +426,8 @@ def domain_scr(
     rule = rule or next(iter(rules))
     if not isinstance(rule, str) or rule not in rules:
         raise InputError(f"rule {rule!r} does not apply to kind {kind!r}")
-    return rules[rule](problems)
+    with _at({"profiles": "$.profiles"}):
+        return rules[rule](problems)
 
 
 def domain_environment(doc: Mapping, profile_id: str) -> SocialEnvironment:

@@ -31,7 +31,10 @@ GENERALIZED_PRODUCT_CAP = 4096
 
 @dataclass(frozen=True)
 class SolutionReport:
-    """Outcome of one solve: state sets, their h-images, and witness data."""
+    """Outcome of one solve: state sets, their h-images, and witness data.
+
+    The witness holds only str-keyed dicts, lists, tuples, strings and bools,
+    so `serialize.dumps` writes `as_dict()` as it stands."""
 
     concept: str
     sets: tuple[tuple[str, ...], ...]
@@ -51,18 +54,8 @@ class SolutionReport:
             "concept": self.concept,
             "sets": [list(s) for s in self.sets],
             "outcomes": [list(o) for o in self.outcomes],
-            "witness": _plain(self.witness),
+            "witness": self.witness,
         }
-
-
-def _plain(obj):
-    if isinstance(obj, Mapping):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, frozenset):
-        return sorted(_plain(v) for v in obj)
-    return obj
 
 
 def _outcomes_of(env: SocialEnvironment, states: Iterable[str]) -> tuple[str, ...]:

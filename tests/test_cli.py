@@ -137,6 +137,27 @@ def test_json_format_reports_input_error_as_one_object(capsys, tmp_path):
     assert code == 1 and err == "error: $.profiles[0].id: expected a string, got None\n"
 
 
+@pytest.mark.parametrize(
+    "content, detail",
+    [
+        (b'\xff\xfe{"agents": 3}', "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["not-utf-8", "nested-too-deep"],
+)
+def test_unreadable_document_is_an_input_error(capsys, tmp_path, content, detail):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    argv = ("check", str(path), "--condition", "maskin")
+    code, out, err = _run(capsys, *argv, "--format", "json")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"].startswith(f"cannot read {path}: ") and detail in report["error"]
+    assert report["path"] is None and report["exit"] == 1
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == "" and err == f"error: {report['error']}\n"
+
+
 def test_json_format_reports_cap_refusal_as_one_object(capsys, env_path, monkeypatch):
     monkeypatch.setenv("ROTAKIT_CAPS", "ordering=1")
     code, out, err = _run(capsys, "check", env_path, "--condition", "rotation", "--format", "json")
@@ -436,6 +457,33 @@ _ECONOMY_PROFILE = {
     "id": "R",
     "orders": [["h2", "h3", "h1", "h0"], ["h3", "h1", "h2", "h0"], ["h1", "h2", "h3", "h0"]],
 }
+# the gamma list of fixtures/example-environment.json, with a fifth entry that
+# repeats the (x, y) pair of the first one
+_EXTRA_XY_GAMMA = [
+    {"from": "x", "to": "y", "coalitions": [[2]]},
+    {"from": "y", "to": "x", "coalitions": [[0], [1]]},
+    {"from": "z", "to": "y", "coalitions": [[0, 1], [0, 2], [1, 2], [0, 1, 2]]},
+    {"from": "x", "to": "z", "coalitions": [[0, 1], [0, 2], [1, 2], [0, 1, 2]]},
+    {"from": "x", "to": "y"},
+]
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ({"kind": "jobs", "jobs": ["j1"], "profiles": [{"id": "P", "orders": [["j1"]]}]},
+         ("a job rotation problem needs at least two jobs", "$.jobs")),
+        ({"kind": "marriage", "men": ["m1", "m2"], "women": ["w1"], "pure": True,
+          "profiles": [{"id": "R", "men": {}, "women": {}}]},
+         ("the pure model needs equally sized sides", "$.pure")),
+    ],
+)
+def test_domain_check_names_json_path(capsys, tmp_path, doc, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, "domain", str(path), "--format", "json")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": named[0], "path": named[1], "exit": 1}
 
 
 @pytest.mark.parametrize(
@@ -575,6 +623,67 @@ _ECONOMY_PROFILE = {
          ("$.profiles[1].id: duplicate profile id 'R'", "$.profiles[1].id")),
         ("economy-domain", ("profiles",), [_ECONOMY_PROFILE] * 2, ("solve", "--profile", "R",
          "--concept", "mss"), ("$.profiles[1].id: duplicate profile id 'R'", "$.profiles[1].id")),
+        # a refused coalition or agent in a repeated gamma pair names its own entry
+        ("example-environment", ("rights", "gamma"),
+         _EXTRA_XY_GAMMA[:4] + [{**_EXTRA_XY_GAMMA[4], "coalitions": [[7]]}],
+         ("solve", "--profile", "R", "--concept", "mss"),
+         ("gamma mentions an agent index outside the profile", "$.rights.gamma[4].coalitions")),
+        ("example-environment", ("rights", "gamma"),
+         _EXTRA_XY_GAMMA[:4] + [{**_EXTRA_XY_GAMMA[4], "coalitions": [[0], []]}],
+         ("solve", "--profile", "R", "--concept", "mss"),
+         ("coalitions must be nonempty", "$.rights.gamma[4].coalitions")),
+        # the domain problems' own checks name the field they refuse
+        ("jobs-domain", ("profiles", 0, "orders", 0), ["j1", "j1", "j2"], ("check",
+         "--condition", "maskin"), ("agent 0 order is not a permutation of the jobs",
+                                    "$.profiles[0].orders[0]")),
+        ("jobs-domain", ("profiles", 1, "orders"), [["j1", "j2", "j3"]] * 2, ("domain",),
+         ("need exactly one agent per job", "$.profiles[1].orders")),
+        ("jobs-domain", ("jobs",), ["j1", "j1", "j3"], ("domain",),
+         ("duplicate job ids", "$.jobs")),
+        ("jobs-domain", ("jobs",), ["j1", "j2", "j,3"], ("domain",),
+         ("job ids may not contain commas", "$.jobs")),
+        ("marriage-domain", ("profiles", 0, "men", "m1"), ["w2", "w3", "w1"], ("domain",),
+         ("bad preference list for 'm1'", "$.profiles[0].men.m1")),
+        ("marriage-domain", ("profiles", 1, "women", "w3"), ["m1", "m2", "m3", "w3", "w3"],
+         ("domain",), ("bad preference list for 'w3'", "$.profiles[1].women.w3")),
+        ("marriage-domain", ("pure",), True, ("domain",),
+         ("bad preference list for 'm1'", "$.profiles[0].men.m1")),
+        ("marriage-domain", ("men",), [], ("domain",),
+         ("both sides must be nonempty", "$.men")),
+        ("marriage-domain", ("men",), ["m1", "m1", "m3"], ("domain",),
+         ("agent names must be unique across sides", "$.men")),
+        ("marriage-domain", ("women",), ["w1", "w2", "m3"], ("domain",),
+         ("agent names must be unique across sides", "$.women")),
+        ("marriage-domain", ("women",), ["w1", "w2", "w:3"], ("domain",),
+         ("agent names may not contain ':' or ','", "$.women")),
+        ("economy-domain", ("owners", "h2"), [9], ("domain",),
+         ("owner coalition of 'h2' mentions an unknown agent", "$.owners.h2")),
+        ("economy-domain", ("owners", "h2"), [], ("solve", "--profile", "R", "--concept",
+         "core"), ("coalitions must be nonempty", "$.owners.h2")),
+        ("economy-domain", ("owners", "h3"), [2, -1], ("domain",),
+         ("agent indices must be nonnegative", "$.owners.h3")),
+        ("economy-domain", ("owners",), {"h1": [0], "h2": [1]}, ("domain",),
+         ("every house needs a minimal controlling coalition", "$.owners")),
+        ("economy-domain", ("houses",), ["h1", "h1", "h3"], ("domain",),
+         ("duplicate house ids", "$.houses")),
+        ("economy-domain", ("houses",), ["h1", "h,2", "h3"], ("domain",),
+         ("house ids may not contain commas", "$.houses")),
+        ("economy-domain", ("outside",), "h1", ("domain",),
+         ("the outside option must not be a house", "$.outside")),
+        ("economy-domain", ("outside",), "h,0", ("domain",),
+         ("house ids may not contain commas", "$.outside")),
+        ("economy-domain", ("profiles", 0, "orders"), _ECONOMY_PROFILE["orders"][:2],
+         ("domain",), ("need one preference order per agent", "$.profiles[0].orders")),
+        ("economy-domain", ("profiles", 0, "orders", 1), ["h3", "h1", "h2"], ("check",
+         "--condition", "maskin"), ("agent 1 order is not a permutation of houses+outside",
+                                    "$.profiles[0].orders[1]")),
+        # an empty domain document has no profile to build
+        ("jobs-domain", ("profiles",), [], ("domain",),
+         ("need at least one job rotation problem", "$.profiles")),
+        ("marriage-domain", ("profiles",), [], ("check", "--condition", "maskin"),
+         ("need at least one marriage problem", "$.profiles")),
+        ("economy-domain", ("profiles",), [], ("construct", "--theorem", "1"),
+         ("need at least one economy", "$.profiles")),
     ],
 )
 def test_malformed_document_names_json_path(capsys, tmp_path, fixture, where, value, argv,

@@ -157,6 +157,30 @@ def test_rights_structure_validation():
     assert RightsStructure(states, {("a", "b"): frozenset()}).gamma == {}
 
 
+def test_validation_errors_locate_the_refused_value(xyz_structure):
+    states = tuple(State(k, k) for k in ("a", "b", "c"))
+    one = frozenset([frozenset([0])])
+    no_z = Profile.from_orders("B", ("x", "y"), [["x", "y"]])
+    refusals = [
+        (lambda: RightsStructure((), {}), ("states",)),
+        (lambda: RightsStructure(states + (State("b", "c"),), {}), ("states", 3, "key")),
+        (lambda: RightsStructure(states, {("a", "q"): one}), ("gamma", ("a", "q"), "to")),
+        (lambda: RightsStructure(states, {("q", "a"): one}), ("gamma", ("q", "a"), "from")),
+        (lambda: RightsStructure(states, {("b", "b"): one}), ("gamma", ("b", "b"), "to")),
+        (lambda: SocialEnvironment(xyz_structure, no_z), ("rights", "states", 2, "outcome")),
+    ]
+    for build, where in refusals:
+        with pytest.raises(InputError) as err:
+            build()
+        assert err.value.where == where and err.value.path is None
+    two_agent = Profile.from_orders("B", ALTS, [["x", "y", "z"], ["x", "y", "z"]])
+    with pytest.raises(InputError) as err:
+        SocialEnvironment(xyz_structure, two_agent)
+    # the first gamma pair, in declaration order, whose family holds agent 2
+    assert err.value.where == ("rights", "gamma", ("x", "y"), "coalitions")
+    assert err.value.value == 2
+
+
 def test_is_individual_based(xyz_structure):
     assert not xyz_structure.is_individual_based()
     states = tuple(State(k, k) for k in ("a", "b"))
