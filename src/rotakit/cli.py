@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -145,7 +146,7 @@ def _write(out: str | None, body: str) -> None:
 
 def _emit(ns: argparse.Namespace, payload: Mapping[str, Any], text: str | None = None) -> None:
     if ns.fmt == "json" or text is None:
-        body = serialize.dumps(payload) + "\n"
+        body = serialize.dumps(payload, "\n")
     else:
         body = text if text.endswith("\n") else text + "\n"
     _write(ns.out, body)
@@ -490,10 +491,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    collecting = gc.isenabled()
+    gc.disable()  # a command's data holds no cycles: refcounting frees it, so GC scans are waste
     ns = None  # arguments that fail to parse have no --format yet
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
         return _COMMANDS[ns.command](ns, _caps_from_env())
     except (InputError, CapExceeded) as exc:
         code = EXIT_INPUT if isinstance(exc, InputError) else EXIT_CAPPED
@@ -502,6 +504,9 @@ def main(argv: list[str] | None = None) -> int:
         json_out = getattr(ns, "fmt", None) == "json"  # one object that scripts can parse
         print(json.dumps(report) if json_out else f"{label}: {exc}", file=sys.stderr)
         return code
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

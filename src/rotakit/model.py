@@ -234,9 +234,19 @@ def dominates(profile: Profile, x: str, z: str) -> bool:
 
 
 def pareto_frontier(profile: Profile) -> frozenset[str]:
-    """Alternatives not weakly dominated (with one strict) by any other."""
-    alts = profile.alternatives
-    return frozenset(z for z in alts if not any(dominates(profile, x, z) for x in alts))
+    """Alternatives not weakly dominated (with one strict) by any other.  On bitmasks of
+    positions: z's dominators lie in every agent's weak upper contour of z and some strict one."""
+    n = len(profile.alternatives)
+    weak, strict = [-1] * n, [0] * n
+    for p in profile.prefs:
+        upto = [0] * (n + 1)  # upto[r + 1]: the alternatives ranked r or better
+        for j, r in enumerate(p.ranks):
+            upto[r + 1] |= 1 << j
+        for r in range(n):
+            upto[r + 1] |= upto[r]
+        for j, r in enumerate(p.ranks):
+            weak[j], strict[j] = weak[j] & upto[r + 1], strict[j] | upto[r]
+    return frozenset(z for z, w, s in zip(profile.alternatives, weak, strict) if not w & s)
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,8 @@ from .rights import (
 # how `dumps` writes a list of one scalar type, in one join
 _SCALAR_LISTS = {frozenset([str]): _quote, frozenset([int]): int.__repr__}
 _INT = frozenset([int])
+_KINDS = (BASE, GRAPH, OPAQUE)
+_PROFILE = (str, type(None))  # the types of a state's profile tag
 
 
 def load_document(path: str) -> dict:
@@ -135,7 +137,7 @@ def _agents(members: Any) -> frozenset[int]:
 def _profile_entries(doc: Mapping) -> Iterator[tuple[str, str, Mapping]]:
     """(path, id, entry) per entry of `$.profiles`; a repeated id is refused at its path."""
     seen = set()
-    for i, pdoc in _read(enumerate, _need(doc, "profiles", "$"), "$.profiles"):
+    for i, pdoc in enumerate(_list(_need(doc, "profiles", "$"), "$.profiles")):
         path = f"$.profiles[{i}]"
         pid = _need(pdoc, "id", path, str)
         if pid in seen:
@@ -188,18 +190,19 @@ def scr_to_doc(scr: SocialChoiceRule) -> dict:
 def rights_from_doc(doc: Mapping) -> RightsStructure:
     rdoc = _need(doc, "rights", "$")
     states = []
-    for i, sdoc in _read(enumerate, _need(rdoc, "states", "$.rights"), "$.rights.states"):
-        path = f"$.rights.states[{i}]"
-        key = _need(sdoc, "id", path, str)
-        kind = sdoc.get("kind", BASE)
-        if kind not in (BASE, GRAPH, OPAQUE):
-            raise _error(f"{path}.kind", f"unknown kind {kind!r}")
-        profile = _need(sdoc, "profile", path, str) if kind == GRAPH or "profile" in sdoc else None
-        states.append(State(key, _need(sdoc, "outcome", path, str), kind, profile))
+    for i, sdoc in enumerate(_list(_need(rdoc, "states", "$.rights"), "$.rights.states")):
+        try:  # plain subscripts; `_state` reads a refused entry again to name its field
+            key, outcome, kind = sdoc["id"], sdoc["outcome"], sdoc.get("kind", BASE)
+            profile = sdoc["profile"] if kind == GRAPH or "profile" in sdoc else None
+            fast = str is type(key) is type(outcome) and kind in _KINDS and type(profile) in _PROFILE
+        except (KeyError, TypeError, AttributeError):
+            fast = False
+        states.append(State(key, outcome, kind, profile) if fast else _state(sdoc, i))
     gamma: dict[tuple[str, str], frozenset] = {}
     provenance: dict[tuple[str, str], str] = {}
     families: dict[tuple, frozenset] = {}  # one shared family per coalition list
-    for i, gdoc in _read(enumerate, rdoc.get("gamma", []), "$.rights.gamma"):
+    entries = _list(rdoc.get("gamma", []), "$.rights.gamma")
+    for i, gdoc in enumerate(entries):
         try:  # 1, True and 1.0 are equal keys: only JSON integers may reach the memo
             pair, key = (gdoc["from"], gdoc["to"]), tuple(map(tuple, gdoc["coalitions"]))
             ints = _INT.issuperset(map(type, chain.from_iterable(key)))
@@ -215,8 +218,19 @@ def rights_from_doc(doc: Mapping) -> RightsStructure:
         if "rule" in gdoc and _need(gdoc, "rule", f"$.rights.gamma[{i}]", str):
             provenance[pair] = gdoc["rule"]
     fields = {"states": "$.rights.states", "gamma": "$.rights.gamma", "key": "id"}
-    with _at(fields, rdoc.get("gamma", [])):
+    with _at(fields, entries):
         return RightsStructure(tuple(states), gamma, provenance)
+
+
+def _state(sdoc: Any, i: int) -> State:
+    """State `i` of `$.rights.states`, read field by field so that a refusal names its field."""
+    path = f"$.rights.states[{i}]"
+    key = _need(sdoc, "id", path, str)
+    kind = sdoc.get("kind", BASE)
+    if kind not in _KINDS:
+        raise _error(f"{path}.kind", f"unknown kind {kind!r}")
+    profile = _need(sdoc, "profile", path, str) if kind == GRAPH or "profile" in sdoc else None
+    return State(key, _need(sdoc, "outcome", path, str), kind, profile)
 
 
 def _gamma_entry_error(gdoc: Any, path: str) -> NoReturn:
@@ -272,51 +286,64 @@ def environment_to_doc(
     return {**_profiles_doc(profiles), **scr_doc, "rights": rights_to_doc(structure)}
 
 
-def dumps(payload: Any) -> str:
-    """`json.dumps(payload, indent=2, sort_keys=True)`, byte for byte, for dicts with
-    string keys, lists, tuples, strings, ints, bools, None and rights structures
+def dumps(payload: Any, end: str = "") -> str:
+    """`json.dumps(payload, indent=2, sort_keys=True) + end`, byte for byte, in one join, for
+    dicts with string keys, lists, tuples, strings, ints, bools, None and rights structures
     (written as `rights_to_doc` would); anything else raises TypeError."""
-    return _encode(payload, "\n")
+    out: list[str] = []
+    _encode(payload, "\n", out)
+    out.append(end)
+    return "".join(out)
 
 
-def _encode(value: Any, nl: str) -> str:
-    """`value` as JSON; `nl` is the newline and indent of the line it starts on."""
+def _encode(value: Any, nl: str, out: list[str]) -> None:
+    """Append `value` as JSON to `out`; `nl` is the newline and indent of its line."""
     if value is None or isinstance(value, (str, int)):
-        return json.dumps(value)
+        return out.append(json.dumps(value))
     inner = nl + "  "
     if isinstance(value, (list, tuple)):
         scalar = _SCALAR_LISTS.get(frozenset(map(type, value)))
-        items = map(scalar, value) if scalar else [_encode(v, inner) for v in value]
-        brackets = "[]"
+        if scalar:
+            return out.extend(("[" + inner, ("," + inner).join(map(scalar, value)), nl + "]"))
+        items, brackets = [("", v) for v in value], "[]"
     elif isinstance(value, dict):
-        items = [_quote(k) + ": " + _encode(v, inner) for k, v in sorted(value.items())]
-        brackets = "{}"
+        items, brackets = [(_quote(k) + ": ", v) for k, v in sorted(value.items())], "{}"
     elif isinstance(value, RightsStructure):
-        return _encode_rights(value, nl)
+        return _encode_rights(value, nl, out)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    body = ("," + inner).join(items)
-    return brackets[0] + inner + body + nl + brackets[1] if body else brackets
+    sep = brackets[0] + inner
+    for k, v in items:
+        out.append(sep + k)
+        _encode(v, inner, out)
+        sep = "," + inner
+    out.append(nl + brackets[1] if items else brackets)
 
 
-def _encode_rights(structure: RightsStructure, nl: str) -> str:
-    """`rights_to_doc(structure)` as JSON, without json's pure-Python encoder that
-    `indent` forces: one template per gamma entry, one block per coalition family."""
+def _encode_rights(structure: RightsStructure, nl: str, out: list[str]) -> None:
+    """`rights_to_doc(structure)` as JSON, read off the compiled rows: each gamma entry is
+    four shared pieces, its compiled family's coalitions block, its source's head, its
+    rule's line and its target's tail."""
     n1, n2, n3 = nl + "  ", nl + "    ", nl + "      "
-    blocks: dict[frozenset, str] = {}
-    entries = []
-    for a in structure.keys():
+    keys, provenance, blocks = structure._core.keys, structure.provenance, {}
+    rules = {r: f'{n3}"rule": {_quote(r)},' for r in set(provenance.values()) if r}
+    tails = [f'{n3}"to": {_quote(b)}{n2}}}' for b in keys]
+    out.append(f'{{{n1}"gamma": [')
+    first = len(out)
+    for a, row in zip(keys, structure._core.rows):
         head = f'{n3}"from": {_quote(a)},'
-        for b in structure.targets_from(a):
-            fam = structure.gamma[(a, b)]
-            if fam not in blocks:
-                blocks[fam] = f'{{{n3}"coalitions": {_encode(sorted(sorted(k) for k in fam), n3)},'
-            rule = structure.provenance.get((a, b))
-            rule = f'{n3}"rule": {_quote(rule)},' if rule else ""
-            entries.append(f'{blocks[fam]}{head}{rule}{n3}"to": {_quote(b)}{n2}}}')
-    gamma = "[" + n2 + ("," + n2).join(entries) + n1 + "]" if entries else "[]"
-    states = _encode([_state_doc(s) for s in structure.states], n1)
-    return f'{{{n1}"gamma": {gamma},{n1}"states": {states}{nl}}}'
+        for b, _, _, _, family, _ in row:
+            if id(family) not in blocks:
+                block = [f',{n2}{{{n3}"coalitions": ']
+                _encode(sorted(sorted(k) for k in family), n3, block)
+                blocks[id(family)] = "".join(block) + ","
+            out += (blocks[id(family)], head, rules.get(provenance.get((a, keys[b])), ""), tails[b])
+    if len(out) > first:  # no separator before the first entry; the last closes its line
+        out[first] = out[first][1:]
+        out.append(n1)
+    out.append(f'],{n1}"states": ')
+    _encode([_state_doc(s) for s in structure.states], n1, out)
+    out.append(nl + "}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ rank rows, the per-entry rights-block reader that it now runs on one
 shared family per coalition list, and the domains' recursive allocation
 enumeration, `.index()` rank loops and pairwise dominance filter that it
 now runs on `itertools.product`, `Profile.from_shares` and
-`pareto_frontier`; differential tests compare the two.
+`pareto_frontier`, and the pairwise `dominates` scan that `pareto_frontier`
+now runs on upper-contour bitmasks; differential tests compare the two.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from rotakit.model import (
     CapExceeded,
     InputError,
     Profile,
+    dominates,
     is_monotonic_transformation,
     lower_contour_set,
 )
@@ -968,6 +970,12 @@ def _assignment_dominates(problem, agents, better, worse) -> bool:
         if rb < rw:
             strict = True
     return strict
+
+
+def dominance_scan_pareto_frontier(profile) -> frozenset[str]:
+    """`model.pareto_frontier` as a scan of every pair of alternatives with `dominates`."""
+    alts = profile.alternatives
+    return frozenset(z for z in alts if not any(dominates(profile, x, z) for x in alts))
 
 
 def dominance_scan_phi(problem) -> tuple[str, ...]:

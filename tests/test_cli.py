@@ -1,8 +1,10 @@
+import gc
 import json
 import pathlib
 
 import pytest
 
+from record_golden import cases, run_case
 from rotakit.cli import main
 from test_serialize import ECONOMY_DOC, XYZ_ENV_DOC, JOBS_DOC
 
@@ -505,6 +507,13 @@ def test_domain_check_names_json_path(capsys, tmp_path, doc, named):
          "--profile", "R", "--concept", "mss"), "$.rights.gamma[2].coalitions"),
         ("example-environment", ("scr", "Rp"), 7, ("check", "--condition", "maskin"),
          "$.scr.Rp"),
+        # a list field is refused whole when it is no list, not entry by entry
+        ("example-environment", ("profiles",), "ab", ("check", "--condition", "maskin"),
+         ("$.profiles: expected a list", "$.profiles")),
+        ("example-environment", ("rights", "states"), {"a": 1}, ("solve", "--profile", "R",
+         "--concept", "mss"), ("$.rights.states: expected a list", "$.rights.states")),
+        ("example-environment", ("rights", "gamma"), {}, ("solve", "--profile", "Rp",
+         "--concept", "mss"), ("$.rights.gamma: expected a list", "$.rights.gamma")),
         ("jobs-domain", ("jobs",), 7, ("domain",), "$.jobs"),
         ("jobs-domain", ("profiles", 1, "orders"), 7, ("domain",), "$.profiles[1].orders"),
         ("economy-domain", ("owners",), ["h1"], ("domain",), "$.owners"),
@@ -709,3 +718,45 @@ def test_malformed_document_names_json_path(capsys, tmp_path, fixture, where, va
     report = json.loads(err)
     assert code == 1 and out == "" and report["error"].startswith(message)
     assert report["path"] == path
+
+
+def test_commands_leave_no_garbage_cycles_but_the_parser(monkeypatch):
+    """`main` keeps the cyclic collector off for a command, which is safe only while
+    refcounting frees the command's data: run with the collector off, no fixture command
+    may leave more unreachable objects behind than a run that stops at an unreadable
+    file, whose are argparse's."""
+    monkeypatch.delenv("ROTAKIT_CAPS", raising=False)
+    gc.collect()
+    gc.freeze()  # each collection below scans only what the last command left
+    gc.disable()
+    try:
+        run_case(main, ["solve", "no-such.json", "--profile", "R", "--concept", "mss"])
+        parser_only = gc.collect()
+        assert parser_only > 0
+        for argv in cases():
+            run_case(main, argv)
+            assert gc.collect() <= parser_only, argv
+    finally:
+        gc.enable()
+        gc.unfreeze()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["solve", "fixtures/example-environment.json", "--profile", "Rp", "--concept", "mss"], 0),
+    (["solve", "no-such.json", "--profile", "R", "--concept", "mss"], 1),
+    (["solve", "--help"], None),
+])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_callers_collector(argv, code, enabled):
+    """After a return, an input error or argparse's SystemExit, the collector is on
+    exactly when it was on before the call."""
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if code is None:
+            with pytest.raises(SystemExit):
+                run_case(main, argv)
+        else:
+            assert run_case(main, argv)[0] == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()

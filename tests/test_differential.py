@@ -16,6 +16,7 @@ import pytest
 from oracles import (
     brute_force_stable_matching_ids,
     contour_five_rule_structure,
+    dominance_scan_pareto_frontier,
     dominance_scan_phi,
     forward_bfs_path,
     from_maps,
@@ -72,11 +73,12 @@ from rotakit.generators import (
     random_common_best_domain,
     random_environment,
     random_hat_domain,
+    random_linear_profile,
     random_marriage_problem,
     random_scr,
     random_weak_profile,
 )
-from rotakit.model import CapExceeded, InputError, Profile, SocialChoiceRule
+from rotakit.model import CapExceeded, InputError, Profile, SocialChoiceRule, pareto_frontier
 from rotakit.rights import (
     ImprovementDigraph,
     RightsStructure,
@@ -409,6 +411,21 @@ def test_economy_allocations_and_profile_match_recursive_enumeration():
         assert house_allocations(economy) == recursive_house_allocations(economy)
         _assert_same_profile(allocation_profile(economy), index_allocation_profile(economy))
     assert len(sizes) == 16, "the sample must cover 1-4 agents x 1-4 houses"
+
+
+def test_pareto_frontier_matches_dominance_scan():
+    """Weak and strict profiles over 1-7 alternatives, declared in shuffled order,
+    and 1-4 agents."""
+    rng = random.Random(34)
+    sizes = set()
+    for k in range(4000):
+        alts = tuple(f"a{i}" for i in rng.sample(range(7), rng.randint(1, 7)))
+        draw = random_weak_profile if k % 2 else random_linear_profile
+        profile = draw(rng, "R", alts, rng.randint(1, 4))
+        frontier = pareto_frontier(profile)
+        assert frontier == dominance_scan_pareto_frontier(profile), profile
+        sizes.add((len(alts), len(frontier) < len(alts)))
+    assert len(sizes) == 13, "every size but one alternative must have a dominated one"
 
 
 def test_job_extension_and_phi_match_index_loops_and_dominance_scan():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from rotakit import conditions, constructors
 from rotakit.generators import random_scr
-from rotakit.rights import RightsStructure, State
+from rotakit.rights import BASE, GRAPH, OPAQUE, RightsStructure, State
 from rotakit.serialize import (
     DOMAIN_RULES,
     domain_scr,
@@ -142,3 +142,48 @@ def test_structure_at_any_depth_and_without_rules():
     assert [e.get("rule") for e in doc["gamma"]] == [None, "r1", None]
     for wrap in (lambda r: r, lambda r: [r], lambda r: {"a": [{"b": r}, 7]}, lambda r: (r, r)):
         _assert_same(dumps(wrap(structure)), _reference(wrap(doc)))
+
+
+NAMES = st.text(CHARS, min_size=1, max_size=4)
+FAMILIES = st.frozensets(st.frozensets(st.integers(0, 3), min_size=1, max_size=3),
+                         min_size=1, max_size=3)
+
+
+@st.composite
+def _rights_structures(draw):
+    """1-4 states of every kind, gamma on some of their distinct pairs (none at all
+    included), each family drawn from a small pool and copied so that equal families
+    are distinct objects (some as lists, which compile to distinct families), and a
+    rule, an empty rule or none per entry."""
+    keys = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
+    states = []
+    for key in keys:
+        kind = draw(st.sampled_from([BASE, GRAPH, OPAQUE]))
+        profile = draw(NAMES if kind == GRAPH else st.none() | NAMES)
+        states.append(State(key, draw(NAMES), kind, profile))
+    pairs = [(a, b) for a in keys for b in keys if a != b]
+    pool = draw(st.lists(FAMILIES, min_size=1, max_size=3))
+    gamma, provenance = {}, {}
+    for pair in draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else ():
+        family = draw(st.sampled_from(pool))
+        gamma[pair] = [list(k) for k in family] if draw(st.booleans()) else frozenset(list(family))
+        rule = draw(st.none() | st.just("") | NAMES)
+        if rule is not None:
+            provenance[pair] = rule
+    return RightsStructure(tuple(states), gamma, provenance)
+
+
+def _nest(value, wraps):
+    for how, key in wraps:
+        value = {"list": [7, value], "tuple": (value,), "dict": {key: value, key + "~": None}}[how]
+    return value
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    structure=_rights_structures(),
+    wraps=st.lists(st.tuples(st.sampled_from(["list", "tuple", "dict"]), TEXT), max_size=3),
+)
+def test_dumps_writes_any_structure_as_its_rights_doc(structure, wraps):
+    got = dumps(_nest(structure, wraps))
+    assert got == _reference(_nest(rights_to_doc(structure), wraps))
