@@ -13,7 +13,8 @@ Everything in this module is immutable and pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_, or_
 from typing import Iterator, Mapping, Sequence
 
 
@@ -234,19 +235,14 @@ def dominates(profile: Profile, x: str, z: str) -> bool:
 
 
 def pareto_frontier(profile: Profile) -> frozenset[str]:
-    """Alternatives not weakly dominated (with one strict) by any other.  On bitmasks of
-    positions: z's dominators lie in every agent's weak upper contour of z and some strict one."""
-    n = len(profile.alternatives)
-    weak, strict = [-1] * n, [0] * n
-    for p in profile.prefs:
-        upto = [0] * (n + 1)  # upto[r + 1]: the alternatives ranked r or better
-        for j, r in enumerate(p.ranks):
-            upto[r + 1] |= 1 << j
-        for r in range(n):
-            upto[r + 1] |= upto[r]
-        for j, r in enumerate(p.ranks):
-            weak[j], strict[j] = weak[j] & upto[r + 1], strict[j] | upto[r]
-    return frozenset(z for z, w, s in zip(profile.alternatives, weak, strict) if not w & s)
+    """Alternatives not weakly dominated (with one strict) by any other: x dominates what lies
+    in every agent's lower contour of x, but for those with the same unanimous contour."""
+    below = [reduce(and_, masks) for masks in zip(*profile.contour_masks)]
+    alike: dict[int, int] = {}  # a unanimous lower contour -> the alternatives that have it
+    for j, mask in enumerate(below):
+        alike[mask] = alike.get(mask, 0) | 1 << j
+    beaten = reduce(or_, (mask & ~same for mask, same in alike.items()), 0)
+    return frozenset(z for j, z in enumerate(sorted(profile.alternatives)) if not beaten >> j & 1)
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,6 @@ from .rights import (
 # how `dumps` writes a list of one scalar type, in one join
 _SCALAR_LISTS = {frozenset([str]): _quote, frozenset([int]): int.__repr__}
 _INT = frozenset([int])
-_KINDS = (BASE, GRAPH, OPAQUE)
-_PROFILE = (str, type(None))  # the types of a state's profile tag
 
 
 def load_document(path: str) -> dict:
@@ -191,18 +189,17 @@ def rights_from_doc(doc: Mapping) -> RightsStructure:
     rdoc = _need(doc, "rights", "$")
     states = []
     for i, sdoc in enumerate(_list(_need(rdoc, "states", "$.rights"), "$.rights.states")):
-        try:  # plain subscripts; `_state` reads a refused entry again to name its field
-            key, outcome, kind = sdoc["id"], sdoc["outcome"], sdoc.get("kind", BASE)
-            profile = sdoc["profile"] if kind == GRAPH or "profile" in sdoc else None
-            fast = str is type(key) is type(outcome) and kind in _KINDS and type(profile) in _PROFILE
-        except (KeyError, TypeError, AttributeError):
-            fast = False
-        states.append(State(key, outcome, kind, profile) if fast else _state(sdoc, i))
+        path = f"$.rights.states[{i}]"
+        key = _need(sdoc, "id", path, str)
+        kind = sdoc.get("kind", BASE)
+        if kind not in (BASE, GRAPH, OPAQUE):
+            raise _error(f"{path}.kind", f"unknown kind {kind!r}")
+        profile = _need(sdoc, "profile", path, str) if kind == GRAPH or "profile" in sdoc else None
+        states.append(State(key, _need(sdoc, "outcome", path, str), kind, profile))
     gamma: dict[tuple[str, str], frozenset] = {}
     provenance: dict[tuple[str, str], str] = {}
     families: dict[tuple, frozenset] = {}  # one shared family per coalition list
-    entries = _list(rdoc.get("gamma", []), "$.rights.gamma")
-    for i, gdoc in enumerate(entries):
+    for i, gdoc in enumerate(_list(rdoc.get("gamma", []), "$.rights.gamma")):
         try:  # 1, True and 1.0 are equal keys: only JSON integers may reach the memo
             pair, key = (gdoc["from"], gdoc["to"]), tuple(map(tuple, gdoc["coalitions"]))
             ints = _INT.issuperset(map(type, chain.from_iterable(key)))
@@ -218,19 +215,8 @@ def rights_from_doc(doc: Mapping) -> RightsStructure:
         if "rule" in gdoc and _need(gdoc, "rule", f"$.rights.gamma[{i}]", str):
             provenance[pair] = gdoc["rule"]
     fields = {"states": "$.rights.states", "gamma": "$.rights.gamma", "key": "id"}
-    with _at(fields, entries):
+    with _at(fields, rdoc.get("gamma", [])):
         return RightsStructure(tuple(states), gamma, provenance)
-
-
-def _state(sdoc: Any, i: int) -> State:
-    """State `i` of `$.rights.states`, read field by field so that a refusal names its field."""
-    path = f"$.rights.states[{i}]"
-    key = _need(sdoc, "id", path, str)
-    kind = sdoc.get("kind", BASE)
-    if kind not in _KINDS:
-        raise _error(f"{path}.kind", f"unknown kind {kind!r}")
-    profile = _need(sdoc, "profile", path, str) if kind == GRAPH or "profile" in sdoc else None
-    return State(key, _need(sdoc, "outcome", path, str), kind, profile)
 
 
 def _gamma_entry_error(gdoc: Any, path: str) -> NoReturn:
@@ -254,15 +240,10 @@ def rights_to_doc(structure: RightsStructure) -> dict:
     gamma = []
     for a in structure.keys():
         for b in structure.targets_from(a):
-            entry = {
-                "from": a,
-                "to": b,
-                "coalitions": sorted(sorted(k) for k in structure.gamma[(a, b)]),
-            }
             rule = structure.provenance.get((a, b))
-            if rule:
-                entry["rule"] = rule
-            gamma.append(entry)
+            family = sorted(sorted(k) for k in structure.gamma[a, b])
+            entry = {"from": a, "to": b, "coalitions": family}
+            gamma.append({**entry, "rule": rule} if rule else entry)
     return {"states": [_state_doc(s) for s in structure.states], "gamma": gamma}
 
 
@@ -321,27 +302,24 @@ def _encode(value: Any, nl: str, out: list[str]) -> None:
 
 
 def _encode_rights(structure: RightsStructure, nl: str, out: list[str]) -> None:
-    """`rights_to_doc(structure)` as JSON, read off the compiled rows: each gamma entry is
-    four shared pieces, its compiled family's coalitions block, its source's head, its
-    rule's line and its target's tail."""
+    """`rights_to_doc(structure)` as JSON in five shared pieces per gamma entry: the
+    separator, its family's coalitions block, its source's head, its rule and its target."""
     n1, n2, n3 = nl + "  ", nl + "    ", nl + "      "
-    keys, provenance, blocks = structure._core.keys, structure.provenance, {}
+    blocks, sep, comma, provenance = {}, n2, "," + n2, structure.provenance
     rules = {r: f'{n3}"rule": {_quote(r)},' for r in set(provenance.values()) if r}
-    tails = [f'{n3}"to": {_quote(b)}{n2}}}' for b in keys]
+    tails = {b: f'{n3}"to": {_quote(b)}{n2}}}' for b in structure.keys()}
     out.append(f'{{{n1}"gamma": [')
-    first = len(out)
-    for a, row in zip(keys, structure._core.rows):
+    for a in structure.keys():
         head = f'{n3}"from": {_quote(a)},'
-        for b, _, _, _, family, _ in row:
-            if id(family) not in blocks:
-                block = [f',{n2}{{{n3}"coalitions": ']
-                _encode(sorted(sorted(k) for k in family), n3, block)
-                blocks[id(family)] = "".join(block) + ","
-            out += (blocks[id(family)], head, rules.get(provenance.get((a, keys[b])), ""), tails[b])
-    if len(out) > first:  # no separator before the first entry; the last closes its line
-        out[first] = out[first][1:]
-        out.append(n1)
-    out.append(f'],{n1}"states": ')
+        for b in structure.targets_from(a):
+            fam = structure.gamma[a, b]
+            if fam not in blocks:
+                block = [f'{{{n3}"coalitions": ']
+                _encode(sorted(sorted(k) for k in fam), n3, block)
+                blocks[fam] = "".join(block) + ","
+            out += (sep, blocks[fam], head, rules.get(provenance.get((a, b)), ""), tails[b])
+            sep = comma
+    out.append(f'{n1 if sep is comma else ""}],{n1}"states": ')
     _encode([_state_doc(s) for s in structure.states], n1, out)
     out.append(nl + "}")
 

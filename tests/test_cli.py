@@ -572,6 +572,11 @@ def test_domain_check_names_json_path(capsys, tmp_path, doc, named):
          "--profile", "R", "--concept", "mss"), "$.rights.states[2].outcome"),
         ("example-environment", ("rights", "states", 0, "profile"), 7, ("solve",
          "--profile", "R", "--concept", "mss"), "$.rights.states[0].profile"),
+        ("example-environment", ("rights", "states", 0, "profile"), None, ("solve",
+         "--profile", "R", "--concept", "mss"), "$.rights.states[0].profile"),
+        ("example-environment", ("rights", "states", 0),
+         {"id": "x", "kind": "graph", "outcome": "x", "profile": None},
+         ("solve", "--profile", "R", "--concept", "mss"), "$.rights.states[0].profile"),
         ("example-environment", ("rights", "states", 0, "kind"), "graph", ("solve",
          "--profile", "R", "--concept", "mss"), "missing field $.rights.states[0].profile"),
         ("example-environment", ("rights", "gamma", 1, "from"), ["x"], ("solve",
