@@ -175,7 +175,7 @@ class _Tables:
         self.chosen = {pid: sum(1 << x for x in xs) for pid, xs in self.outcomes.items()}
         self._better: dict[str, list[int]] = {}
         self._reversals: dict[tuple[str, str], int] = {}
-        self._triggers: dict[str, list[Profile]] = {}
+        self._triggers: dict[str, tuple[list[Profile], list[tuple[Profile, int]]]] = {}
 
     def ids(self, names: Sequence[str]) -> tuple[int, ...]:
         return tuple(map(self.index.__getitem__, names))
@@ -230,23 +230,27 @@ class _Tables:
         rev = self.reversals(r, rp)
         return _reach_back(self.better(rp), ordering, [rev >> x & 1 == 1 for x in ordering])
 
-    def rotation_triggers(self, r: Profile) -> list[Profile]:
-        """Profiles R' with F(R') != F(R), multi-valued or a singleton not chosen at R."""
-        triggers = self._triggers.get(r.id)
-        if triggers is None:
-            fr = self.scr.choice(r.id)
-            triggers = self._triggers[r.id] = [
-                rp
-                for rp in self.scr.profiles
-                if (frp := self.scr.choice(rp.id)) != fr and (len(frp) > 1 or not frp <= fr)
-            ]
-        return triggers
+    def triggers(self, r: Profile) -> tuple[list[Profile], list[tuple[Profile, int]]]:
+        """Profiles R' with F(R') != F(R), split once: Property M takes (R', t) when F(R') = {t}
+        lies in F(R); rotation the rest, less those where all of F(R) has a reversal."""
+        split = self._triggers.get(r.id)
+        if split is None:
+            mine, rotation, singletons = self.chosen[r.id], [], []
+            for rp in self.scr.profiles:
+                c = self.chosen[rp.id]
+                if c == mine:
+                    continue
+                if c & (c - 1) or not c & mine:  # several outcomes, or one outside F(R)
+                    if self.reversals(r, rp) != mine:
+                        rotation.append(rp)
+                else:
+                    singletons.append((rp, c.bit_length() - 1))
+            split = self._triggers[r.id] = (rotation, singletons)
+        return split
 
     def rotation_failure(self, r: Profile, ordering: Sequence[int]) -> tuple[str, int] | None:
         """(R' id, stuck outcome) for the first trigger the ordering fails, or None."""
-        for rp in self.rotation_triggers(r):
-            if self.reversals(r, rp) == self.chosen[r.id]:
-                continue  # every outcome is its own certificate
+        for rp in self.triggers(r)[0]:
             reach = self.certified(r, rp, ordering)
             if False in reach:
                 return rp.id, ordering[reach.index(False)]
@@ -259,30 +263,20 @@ class _Tables:
         some x(k) of this ordering.  An outcome x(j) without a rotation
         certificate must instead chain forward to x(k) through R'-improving
         steps, and the lower contour of x(k) at R, together with x(k+1),
-        must sit inside its lower contour at R'.
+        must sit inside its lower contour at R' for every agent: x(k) has
+        no reversal and nobody strictly prefers x(k+1) to it at R'.
         """
         m = len(ordering)
-        chosen = self.scr.choice(r.id)
-        for rp in self.scr.profiles:
-            frp = self.scr.choice(rp.id)
-            if frp == chosen or len(frp) != 1:
-                continue
-            (target,) = frp
-            if target not in chosen:
-                continue
-            t = self.index[target]
+        for rp, t in self.triggers(r)[1]:
             k = ordering.index(t)
             reach = self.certified(r, rp, ordering)
             reach[k] = True  # x(k) itself needs neither
             if all(reach):
                 continue
-            succ_bit = 1 << ordering[(k + 1) % m]
-            contour_ok = all(
-                (low[t] | succ_bit) & ~low_p[t] == 0
-                for low, low_p in zip(r.contour_masks, rp.contour_masks)
-            )
+            better = self.better(rp)
+            contour_ok = not (self.reversals(r, rp) >> t | better[t] >> ordering[(k + 1) % m]) & 1
             # chain[j]: R'-improving steps lead from x(j) to x(k)
-            chain = _reach_back(self.better(rp), ordering, [j == k for j in range(m)])
+            chain = _reach_back(better, ordering, [j == k for j in range(m)])
             for j in range(m):
                 if not reach[j] and not (chain[j] and contour_ok):
                     reason = "no chain to the singleton" if not chain[j] else (
@@ -297,13 +291,9 @@ class _Tables:
         Raises CapExceeded, before any ordering is tried, if F(r) exceeds `cap`.
         """
         outcomes = self.outcomes[r.id]
-        if len(outcomes) > cap:
-            raise CapExceeded(
-                f"ordering search over {len(outcomes)} outcomes at {r.id!r} "
-                f"exceeds the cap of {cap}",
-                cap=cap,
-                needed=len(outcomes),
-            )
+        m = len(outcomes)
+        message = f"ordering search over {m} outcomes at {r.id!r} exceeds the cap of {cap}"
+        CapExceeded.check(m, cap, message)
         head = outcomes[:1]
         return (head + tail for tail in itertools.permutations(outcomes[1:]))
 
@@ -401,8 +391,8 @@ def check_rotation_monotonicity(
     """Search, per profile, for a circular ordering certifying every trigger.
 
     The search is exhaustive over the (m-1)! circular orderings of each
-    chosen set; chosen sets larger than `cap` raise CapExceeded rather
-    than truncating.  The first passing ordering in lexicographic order
+    chosen set; chosen sets larger than `cap` are refused with CapExceeded
+    rather than truncated.  The first passing ordering in lexicographic order
     is recorded; a profile with no passing ordering is reported with the
     failure point of every candidate.
     """

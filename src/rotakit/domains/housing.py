@@ -82,12 +82,8 @@ def endowment(economy: Economy, members: Iterable[int]) -> frozenset[str]:
 
 def house_allocations(economy: Economy) -> tuple[Assignment, ...]:
     """All assignments of agents to houses or the outside option, houses unique."""
-    if economy.n_agents > ECONOMY_CAP or len(economy.houses) > ECONOMY_CAP:
-        raise CapExceeded(
-            f"economies beyond {ECONOMY_CAP} agents/houses are refused",
-            cap=ECONOMY_CAP,
-            needed=max(economy.n_agents, len(economy.houses)),
-        )
+    message = f"economies beyond {ECONOMY_CAP} agents/houses are refused"
+    CapExceeded.check(max(economy.n_agents, len(economy.houses)), ECONOMY_CAP, message)
     menu = economy.houses + (economy.outside,)
     return tuple(
         a

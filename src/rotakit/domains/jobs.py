@@ -85,13 +85,8 @@ def all_allocations(jobs: Sequence[str]) -> tuple[Allocation, ...]:
 
 def extend_job_preferences(problem: JobRotationProblem) -> Profile:
     """Weak order over all allocations per agent, determined by the own job."""
-    if problem.n > EXTENSION_CAP:
-        raise CapExceeded(
-            f"extension over {problem.n}! allocations exceeds the cap of "
-            f"{EXTENSION_CAP}! ",
-            cap=EXTENSION_CAP,
-            needed=problem.n,
-        )
+    message = f"extension over {problem.n}! allocations exceeds the cap of {EXTENSION_CAP}! "
+    CapExceeded.check(problem.n, EXTENSION_CAP, message)
     allocations = all_allocations(problem.jobs)
     alts = tuple(alloc_id(a) for a in allocations)
     return Profile.from_shares(problem.id, alts, allocations, problem.orders)
@@ -245,12 +240,8 @@ def build_phi(problem: JobRotationProblem) -> tuple[str, ...]:
     to agent 2, immediately followed by the 1<->2 swap.  Odd positions
     hand the shared top to agent 1, even positions to agent 2.
     """
-    if problem.n > PHI_CAP:
-        raise CapExceeded(
-            f"phi over {problem.n} agents exceeds the cap of {PHI_CAP}",
-            cap=PHI_CAP,
-            needed=problem.n,
-        )
+    message = f"phi over {problem.n} agents exceeds the cap of {PHI_CAP}"
+    CapExceeded.check(problem.n, PHI_CAP, message)
     tau = problem.top(0)
     if tau != problem.top(1):
         raise InputError("agents 1 and 2 do not share a top job")

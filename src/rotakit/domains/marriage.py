@@ -134,12 +134,8 @@ def matching_from_id(mid: str, problem: MarriageProblem) -> Matching:
 
 def all_matchings(problem: MarriageProblem) -> tuple[Matching, ...]:
     """Every matching of the problem, deterministically ordered by id."""
-    if len(problem.men) > MATCHING_CAP or len(problem.women) > MATCHING_CAP:
-        raise CapExceeded(
-            f"matching enumeration beyond {MATCHING_CAP} per side is refused",
-            cap=MATCHING_CAP,
-            needed=max(len(problem.men), len(problem.women)),
-        )
+    message = f"matching enumeration beyond {MATCHING_CAP} per side is refused"
+    CapExceeded.check(max(len(problem.men), len(problem.women)), MATCHING_CAP, message)
     found = []
     if problem.pure:
         for perm in itertools.permutations(problem.women):

@@ -10,8 +10,9 @@ checkers at the call site.
 from __future__ import annotations
 
 import itertools
+import math
 import random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .domains.housing import Economy
 from .domains.jobs import JobRotationProblem
@@ -123,6 +124,16 @@ def random_job_problem(
     return JobRotationProblem(pid, jobs, tuple(orders))
 
 
+def _at_most(request: int, factors: Iterable[int]) -> int:
+    """min(request, the product of `factors`), multiplied only while below the request."""
+    product = 1
+    for f in factors:
+        if product >= request:
+            break
+        product *= f
+    return min(request, product)
+
+
 def random_common_best_domain(
     rng: random.Random, n: int, n_profiles: int = 2
 ) -> list[JobRotationProblem]:
@@ -131,10 +142,7 @@ def random_common_best_domain(
     Only ((n-1)!)^n distinct profiles exist on this domain (one for n=2);
     the request is clamped to that.
     """
-    import math
-
-    available = math.factorial(n - 1) ** n
-    n_profiles = min(n_profiles, available)
+    n_profiles = _at_most(n_profiles, [math.factorial(n - 1)] * n)
     problems: list[JobRotationProblem] = []
     while len(problems) < n_profiles:
         p = random_job_problem(rng, f"P{len(problems)}", n, common_best="j1")
@@ -151,10 +159,8 @@ def random_hat_domain(
     Only n * ((n-1)!)^2 * (n!)^(n-2) distinct profiles exist on this domain
     (two for n=2); the request is clamped to that.
     """
-    import math
-
-    available = n * math.factorial(n - 1) ** 2 * math.factorial(n) ** (n - 2)
-    n_profiles = min(n_profiles, available)
+    tops = math.factorial(n - 1)
+    n_profiles = _at_most(n_profiles, [n, tops, tops] + [math.factorial(n)] * (n - 2))
     jobs = tuple(f"j{i + 1}" for i in range(n))
     problems: list[JobRotationProblem] = []
     while len(problems) < n_profiles:

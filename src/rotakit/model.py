@@ -31,12 +31,18 @@ class InputError(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """A brute-force cap was hit.  Searches refuse loudly, never truncate silently."""
+    """A brute-force cap was hit.  Searches refuse through `check` before any work,
+    reporting the compared `cap` and `needed`, and never truncate silently."""
 
     def __init__(self, message: str, cap: int | None = None, needed: int | None = None):
         super().__init__(message)
         self.cap = cap
         self.needed = needed
+
+    @staticmethod
+    def check(needed: int, cap: int, message: str) -> None:
+        if needed > cap:
+            raise CapExceeded(message, cap=cap, needed=needed)
 
 
 class Verdict:

@@ -40,6 +40,14 @@ def coalition_key(k: Coalition) -> tuple[int, tuple[int, ...]]:
     return (len(k), tuple(sorted(k)))
 
 
+def check_agent_range(gamma: Mapping, top: int, n_agents: int, *where) -> None:
+    """Refuse `top`, gamma's largest agent index, at its first pair unless below `n_agents`."""
+    if top >= n_agents:
+        pair = next(p for p, fam in gamma.items() if any(top in k for k in fam))
+        what = "gamma mentions an agent index outside the profile"
+        raise InputError(what, where=(*where, "gamma", pair, "coalitions"), value=top)
+
+
 @dataclass(frozen=True)
 class State:
     """A state with its outcome label.  Graph states remember their profile tag."""
@@ -190,11 +198,8 @@ class SocialEnvironment:
             if s.outcome not in alts:
                 what = f"state {s.key!r} has unknown outcome {s.outcome!r}"
                 raise InputError(what, where=("rights", "states", i, "outcome"))
-        m = self.rights.max_agent()
-        if m >= self.profile.n_agents:
-            pair = next(p for p, fam in self.rights.gamma.items() if any(m in k for k in fam))
-            what = "gamma mentions an agent index outside the profile"
-            raise InputError(what, where=("rights", "gamma", pair, "coalitions"), value=m)
+        rights = self.rights
+        check_agent_range(rights.gamma, rights.max_agent(), self.profile.n_agents, "rights")
 
     def outcome(self, key: str) -> str:
         return self.rights.outcome(key)

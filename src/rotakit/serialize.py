@@ -26,6 +26,7 @@ from .rights import (
     RightsStructure,
     SocialEnvironment,
     State,
+    check_agent_range,
     coalition,
 )
 
@@ -44,6 +45,8 @@ def load_document(path: str) -> dict:
         raise InputError(
             f"{path}: malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal beyond the int-string conversion limit
+        raise InputError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{path}: top-level JSON value must be an object", "$")
     return doc
@@ -216,6 +219,9 @@ def rights_from_doc(doc: Mapping) -> RightsStructure:
             provenance[pair] = gdoc["rule"]
     fields = {"states": "$.rights.states", "gamma": "$.rights.gamma", "key": "id"}
     with _at(fields, rdoc.get("gamma", [])):
+        if type(agents := doc.get("agents")) is int:  # before a bitmask is built per member
+            top = max((max(k) for fam in families.values() for k in fam), default=-1)
+            check_agent_range(gamma, top, agents)
         return RightsStructure(tuple(states), gamma, provenance)
 
 

@@ -227,12 +227,8 @@ def compute_generalized_stable_sets(
     n_candidates = 1
     for b in blocks:
         n_candidates *= len(b)
-    if n_candidates > cap:
-        raise CapExceeded(
-            f"{n_candidates} candidate selections exceed the cap of {cap}",
-            cap=cap,
-            needed=n_candidates,
-        )
+    message = f"{n_candidates} candidate selections exceed the cap of {cap}"
+    CapExceeded.check(n_candidates, cap, message)
     # reaches[s] has bit j when s has an improvement path into blocks[j].
     # Each block is strongly connected (compute_absorbing_sets verified
     # it), so s reaches a state of blocks[j] exactly when bit j is set.

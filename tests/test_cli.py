@@ -144,8 +144,9 @@ def test_json_format_reports_input_error_as_one_object(capsys, tmp_path):
     [
         (b'\xff\xfe{"agents": 3}', "'utf-8' codec can't decode byte 0xff"),
         (b"[" * 100_000 + b"]" * 100_000, "maximum recursion depth exceeded"),
+        (b'{"agents": ' + b"9" * 5_000 + b"}", "Exceeds the limit"),
     ],
-    ids=["not-utf-8", "nested-too-deep"],
+    ids=["not-utf-8", "nested-too-deep", "integer-too-long"],
 )
 def test_unreadable_document_is_an_input_error(capsys, tmp_path, content, detail):
     path = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,6 +21,7 @@ from rotakit.domains import (
     second_best_swap,
     top_job_groups,
 )
+from rotakit import generators
 from rotakit.generators import random_common_best_domain, random_hat_domain, random_job_problem
 from rotakit.model import CapExceeded, InputError
 
@@ -138,6 +140,20 @@ def test_holder_count_inequality_and_injection():
             for image in swapped:
                 assert image in frontier
                 assert parse_alloc(image).index("j1") != i
+
+
+def test_sampled_domains_are_clamped_to_their_distinct_profiles(monkeypatch):
+    rng = random.Random(7)
+    assert len(random_common_best_domain(rng, 3, 100)) == 8  # (2!)^3
+    assert len(random_hat_domain(rng, 3, 100)) == 72  # 3 * (2!)^2 * 3!
+    assert len(random_hat_domain(rng, 2, 100)) == 2
+    # stand-in problems with distinct orders: the clamp alone decides the count
+    ids = itertools.count()
+    stub = lambda rng, pid, n, common_best: SimpleNamespace(orders=next(ids))  # noqa: E731
+    monkeypatch.setattr(generators, "random_job_problem", stub)
+    assert len(random_common_best_domain(rng, 4, 10**6)) == 1296  # (3!)^4
+    # ((5000-1)!)^5000 has about 81 million digits; its first factor already exceeds 2
+    assert len(random_common_best_domain(rng, 5000, 2)) == 2
 
 
 def test_arrangement_orderings_cover_domain():

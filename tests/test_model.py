@@ -1,10 +1,17 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rotakit.conditions import check_rotation_monotonicity
+from rotakit.domains.housing import Economy, house_allocations
+from rotakit.domains.jobs import JobRotationProblem, build_phi, extend_job_preferences
+from rotakit.domains.marriage import all_matchings
+from rotakit.generators import random_marriage_problem
 from rotakit.model import (
+    CapExceeded,
     InputError,
     Preference,
     Profile,
@@ -16,6 +23,8 @@ from rotakit.model import (
     pareto_frontier,
     validate_domain_restriction,
 )
+from rotakit.rights import RightsStructure, SocialEnvironment, State
+from rotakit.solvers import compute_generalized_stable_sets
 
 ALTS = ("x", "y", "z")
 
@@ -171,3 +180,55 @@ def test_scr_graph_enumeration(xyz_scr):
     pairs = [(a, prof.id) for a, prof in xyz_scr.graph()]
     assert pairs == [("x", "R"), ("y", "R"), ("z", "R"), ("x", "Rp"), ("y", "Rp")]
     assert xyz_scr.range_set() == {"x", "y", "z"}
+
+
+def _ordering_search():
+    alts = tuple(f"a{i}" for i in range(4))
+    p = Profile.from_orders("R", alts, [list(alts), list(reversed(alts))])
+    check_rotation_monotonicity(SocialChoiceRule((p,), {"R": set(alts)}), cap=3)
+
+
+def _generalized_product():
+    """Two improving 2-cycles: two absorbing sets of two states each."""
+    keys = ("s0", "s1", "s2", "s3")
+    moves = [("s0", "s1"), ("s1", "s0"), ("s2", "s3"), ("s3", "s2")]
+    gamma = {move: frozenset([frozenset([i])]) for i, move in enumerate(moves)}
+    rows = [[int(k != b) for k in keys] for _, b in moves]  # agent i prefers its target
+    profile = Profile.from_ranks("R", keys, rows)
+    env = SocialEnvironment(RightsStructure(tuple(State(k, k) for k in keys), gamma), profile)
+    compute_generalized_stable_sets(env, cap=3)
+
+
+def _jobs(n):
+    jobs = tuple(f"j{i}" for i in range(n))
+    return JobRotationProblem("P", jobs, tuple([jobs] * n))
+
+
+def _economy(n_agents, n_houses):
+    houses = tuple(f"h{i}" for i in range(1, n_houses + 1))
+    owners = {h: frozenset([i % n_agents]) for i, h in enumerate(houses)}
+    house_allocations(Economy("big", n_agents, houses, "h0", owners, [houses + ("h0",)] * n_agents))
+
+
+@pytest.mark.parametrize(
+    "search, message, cap, needed",
+    [
+        (_ordering_search, "ordering search over 4 outcomes at 'R' exceeds the cap of 3", 3, 4),
+        (_generalized_product, "4 candidate selections exceed the cap of 3", 3, 4),
+        (lambda: extend_job_preferences(_jobs(7)),
+         "extension over 7! allocations exceeds the cap of 6! ", 6, 7),
+        (lambda: build_phi(_jobs(6)), "phi over 6 agents exceeds the cap of 5", 5, 6),
+        (lambda: _economy(5, 2), "economies beyond 4 agents/houses are refused", 4, 5),
+        (lambda: _economy(2, 5), "economies beyond 4 agents/houses are refused", 4, 5),
+        (lambda: all_matchings(random_marriage_problem(random.Random(71), "R", 6, 6)),
+         "matching enumeration beyond 5 per side is refused", 5, 6),
+        (lambda: all_matchings(random_marriage_problem(random.Random(71), "R", 2, 6)),
+         "matching enumeration beyond 5 per side is refused", 5, 6),
+    ],
+    ids=["ordering", "generalized", "extension", "phi", "agents", "houses", "both-sides", "women"],
+)
+def test_cap_refusals_report_message_cap_and_needed(search, message, cap, needed):
+    """Every brute-force search refuses with the compared cap and need."""
+    with pytest.raises(CapExceeded) as got:
+        search()
+    assert (str(got.value), got.value.cap, got.value.needed) == (message, cap, needed)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -144,6 +145,22 @@ def test_environment_doc_round_trip(xyz_scr, xyz_structure):
 def test_environment_requires_known_profile():
     with pytest.raises(InputError):
         environment_from_doc(XYZ_ENV_DOC, "nope")
+
+
+def test_huge_gamma_agent_index_is_refused_before_a_bitmask_is_built():
+    """An index of 10**8 as a coalition bitmask would be a 12.5 MB int."""
+    doc = json.loads(json.dumps(XYZ_ENV_DOC))
+    doc["rights"]["gamma"][2]["coalitions"] = [[0, 1], [10**8]]
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError) as err:
+            environment_from_doc(doc, "R")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "gamma mentions an agent index outside the profile"
+    assert err.value.path == "$.rights.gamma[2].coalitions"
+    assert peak < 2_000_000
 
 
 def test_environment_requires_rights_block():
