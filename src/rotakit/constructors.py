@@ -25,7 +25,6 @@ from .conditions import OrderingWitness, coerce_orderings
 from .rights import (
     GRAPH,
     BASE,
-    Coalition,
     RightsStructure,
     SocialEnvironment,
     State,
@@ -56,31 +55,22 @@ def _five_rule_structure(
     singletons = [frozenset([i]) for i in range(scr.n_agents)]
     everyone = frozenset(singletons)
     states: list[State] = []
-    gamma: dict[tuple[str, str], frozenset[Coalition]] = {}
-    provenance: dict[tuple[str, str], str] = {}
-
-    def grant(pair: tuple[str, str], fam: frozenset[Coalition], rule: str) -> None:
-        gamma[pair] = fam
-        provenance[pair] = rule
-
+    entries: list[tuple] = []
+    rule2: dict[frozenset, frozenset] = {}  # one object per family, checked once by the builder
     for z, p in scr.graph():
         key = graph_state_key(z, p.id)
         states.append(State(key, z, GRAPH, p.id))
         for x in rule1[p.id].get(z, ()):
-            grant((key, graph_state_key(x, p.id)), everyone, RULE1)
+            entries.append((key, graph_state_key(x, p.id), everyone, RULE1))
         # x lies in L_i(z, R) exactly when agent i ranks it no better than z
         floors = [(q.ranks, q.rank(z)) for q in p.prefs]
         for j, x in enumerate(scr.alternatives):
             fam = frozenset(singletons[i] for i, (ranks, rz) in enumerate(floors) if ranks[j] >= rz)
-            if fam:
-                grant((key, x), fam, RULE2)
-            grant((x, key), everyone, RULE3)
+            entries += ((key, x, rule2.setdefault(fam, fam), RULE2), (x, key, everyone, RULE3))
     for x in scr.alternatives:
         states.append(State(x, x, BASE))
-        for y in scr.alternatives:
-            if x != y:
-                grant((x, y), everyone, RULE4)
-    return RightsStructure(tuple(states), gamma, provenance)
+        entries += ((x, y, everyone, RULE4) for y in scr.alternatives if x != y)
+    return RightsStructure._build(states, entries)
 
 
 def build_thm1_structure(scr: SocialChoiceRule) -> RightsStructure:

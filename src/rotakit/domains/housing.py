@@ -197,20 +197,21 @@ def exclusion_rights_structure(economy: Economy) -> RightsStructure:
     requirement completes direct exclusion blocking."""
     kernel = _Kernel(economy)
     ids = kernel.ids
-    states = tuple(State(a, a, BASE) for a in ids)
-    gamma: dict[tuple[str, str], frozenset[Coalition]] = {}
-    for m, covered in enumerate(kernel.covered):
-        # a family depends on mu only through the harmed agents
-        families: dict[int, frozenset[Coalition]] = {}
-        for s, harmed, _ in kernel.moves(m):
-            fam = families.get(harmed)
-            if fam is None:
-                fam = families[harmed] = frozenset(
-                    k for k, mask in kernel.coalitions if harmed & ~(mask | covered[mask]) == 0
-                )
-            if fam:
-                gamma[(ids[m], ids[s])] = fam
-    return RightsStructure(states, gamma)
+    families: dict[frozenset[Coalition], frozenset[Coalition]] = {}  # checked once per object
+
+    def entries() -> Iterator[tuple]:
+        for m, covered in enumerate(kernel.covered):
+            # a family depends on mu only through the harmed agents
+            by_harm: dict[int, frozenset[Coalition]] = {}
+            for s, harmed, _ in kernel.moves(m):
+                if harmed not in by_harm:
+                    fam = frozenset(
+                        k for k, mask in kernel.coalitions if harmed & ~(mask | covered[mask]) == 0
+                    )
+                    by_harm[harmed] = families.setdefault(fam, fam)
+                yield ids[m], ids[s], by_harm[harmed], None
+
+    return RightsStructure._build((State(a, a, BASE) for a in ids), entries())
 
 
 def exclusion_environment(economy: Economy) -> SocialEnvironment:

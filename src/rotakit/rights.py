@@ -6,15 +6,15 @@ An absent gamma entry means nobody is entitled to that move.  Pairing a
 rights structure with a preference profile gives a social environment,
 whose improvement digraph has an edge (s, t, K) exactly when K is
 entitled to move from s to t and every member of K strictly prefers
-h(t) to h(s).  A rights structure is compiled once, when built, to ints
-and coalition bitmasks; each profile's digraph is built and solved on ints.
+h(t) to h(s).  A rights structure is compiled once, when built, to rows of
+ints and bitmasks, its only store; each digraph is built and solved on ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import InputError, Profile
 
@@ -27,7 +27,9 @@ OPAQUE = "opaque"
 
 def coalition(members: Iterable[int], where: tuple = ()) -> Coalition:
     """The members as a coalition; a refusal names `where` as its location."""
-    k = frozenset(int(m) for m in members)
+    k = frozenset(members := tuple(members))
+    if not all(type(m) is int for m in members):  # a bool or a float passes as the int it equals
+        raise InputError("agent indices must be integers", where=where)
     if not k:
         raise InputError("coalitions must be nonempty", where=where)
     if any(m < 0 for m in k):
@@ -40,10 +42,13 @@ def coalition_key(k: Coalition) -> tuple[int, tuple[int, ...]]:
     return (len(k), tuple(sorted(k)))
 
 
-def check_agent_range(gamma: Mapping, top: int, n_agents: int, *where) -> None:
-    """Refuse `top`, gamma's largest agent index, at its first pair unless below `n_agents`."""
+def check_agent_range(entries: Iterable[tuple], top: int, n_agents: int, *where) -> None:
+    """Refuse `top`, the entries' largest agent index, at its first pair unless below `n_agents`."""
     if top >= n_agents:
-        pair = next(p for p, fam in gamma.items() if any(top in k for k in fam))
+        held: dict = {}  # a document may repeat a pair
+        for a, b, fam, _ in entries:
+            held[a, b] = held.get((a, b)) or any(top in k for k in fam)
+        pair = next(p for p, found in held.items() if found)
         what = "gamma mentions an agent index outside the profile"
         raise InputError(what, where=(*where, "gamma", pair, "coalitions"), value=top)
 
@@ -65,18 +70,54 @@ class State:
 
 
 class CompiledRights(NamedTuple):
-    """A rights structure on ints.  `rows[a]` holds, by target id, one
-    `(b, p, single, multi, family, masks)` per gamma entry (a, b): `p` numbers
-    the outcome pair (h(a), h(b)), whose outcome ids are `pair_a[p]` and
-    `pair_b[p]`; `family` is the entry's coalitions sorted by `coalition_key`
-    and `masks` their agent bitmasks; `single` is the union of the one-agent
-    masks and `multi` the other masks."""
+    """A rights structure on ints, the only store of its gamma.  `rows[a]` holds, by target
+    id, one `(b, p, family, rule)` per gamma entry (a, b): `p` numbers the outcome pair
+    (h(a), h(b)), whose outcome ids are `pair_a[p]` and `pair_b[p]`.  Entries with equal
+    coalitions share `family`: the frozenset, the coalitions sorted by `coalition_key`,
+    their agent bitmasks, the union of the one-agent masks, and the other masks."""
 
     keys: tuple[str, ...]
     outcomes: tuple[str, ...]
     pair_a: tuple[int, ...]
     pair_b: tuple[int, ...]
     rows: tuple[tuple[tuple, ...], ...]
+
+    def entries(self) -> Iterator[tuple[str, str, frozenset[Coalition], str | None]]:
+        keys = self.keys
+        for a, row in zip(keys, self.rows):
+            for b, _, family, rule in row:
+                yield a, keys[b], family[0], rule
+
+    def winners(self, gain: list[int]) -> Iterator[tuple]:
+        keys = self.keys
+        for a, row in zip(keys, self.rows):
+            for b, p, (_, ordered, masks, _, _), _ in row:
+                if won := tuple(k for k, m in zip(ordered, masks) if m & gain[p] == m):
+                    yield (a, keys[b]), won
+
+
+class _View(Mapping):
+    """A read-only mapping of `size` items (counted when None) built from `items` on first
+    lookup; `items` reads a compiled core, never its owner, so a view closes no cycle."""
+
+    def __init__(self, items: Iterator[tuple], size: int | None = None):
+        self._items, self._size = items, size
+
+    def __len__(self) -> int:
+        return len(self._table) if self._size is None else self._size
+
+    def __getitem__(self, key):
+        return self._table[key]
+
+    def __iter__(self):
+        return iter(self._table)
+
+    def __reduce__(self):  # a pickle or a deep copy holds the mapping, not its iterator
+        return dict, (self._table,)
+
+    @cached_property
+    def _table(self) -> dict:
+        return dict(self._items)
 
 
 @dataclass(frozen=True)
@@ -89,8 +130,18 @@ class RightsStructure:
     _max_agent: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        states = tuple(self.states)
-        object.__setattr__(self, "states", states)
+        rule = self.provenance.get
+        self._compile(self.states, ((a, b, k, rule((a, b))) for (a, b), k in self.gamma.items()))
+
+    @classmethod
+    def _build(cls, states: Iterable[State], entries: Iterable[tuple]) -> RightsStructure:
+        (structure := object.__new__(cls))._compile(states, entries)
+        return structure
+
+    def _compile(self, states: Iterable[State], entries: Iterable[tuple]) -> None:
+        """Check and store `states` and the (from, to, coalitions, rule) `entries`; entries on
+        one pair merge their coalitions, and the last nonempty rule stands."""
+        object.__setattr__(self, "states", states := tuple(states))
         if not states:
             raise InputError("rights structure needs at least one state", where=("states",))
         index: dict[str, int] = {}
@@ -101,57 +152,49 @@ class RightsStructure:
         outcomes: dict[str, int] = {}
         outcome_of = [outcomes.setdefault(s.outcome, len(outcomes)) for s in states]
         n_out = len(outcomes)
-        gamma = {}
-        rows: list[list[tuple]] = [[] for _ in states]
+        shared: dict[frozenset, tuple] = {}
+        checked: dict[int, tuple] = {}  # by id: each family object, kept alive, is checked once
         pairs: dict[int, int] = {}
-        checked: dict[frozenset, Coalition] = {}
-        families: dict = {}
 
-        def validated(fam) -> tuple:
-            """The family, checked, with its `(single, multi, family, masks)`."""
-            valid = set()
-            for k in fam:
-                raw = frozenset(k)
-                if raw not in checked:
-                    checked[raw] = coalition(raw)
-                valid.add(checked[raw])
-            ordered = tuple(sorted(valid, key=coalition_key))
-            masks = tuple(sum(1 << i for i in k) for k in ordered)
-            single = sum(m for k, m in zip(ordered, masks) if len(k) == 1)
-            multi = tuple(m for k, m in zip(ordered, masks) if len(k) > 1)
-            return frozenset(valid), (single, multi, ordered, masks)
+        def family(valid: frozenset[Coalition]) -> tuple:
+            if valid not in shared:
+                ordered = tuple(sorted(valid, key=coalition_key))
+                masks = tuple(sum(1 << i for i in k) for k in ordered)
+                multi = tuple(m for m in masks if m & (m - 1))  # two or more agents
+                shared[valid] = valid, ordered, masks, sum(masks) - sum(multi), multi
+            return shared[valid]
 
-        for pair, fam in dict(self.gamma).items():
-            a, b = pair
+        rows: list[dict[int, tuple]] = [{} for _ in states]
+        for a, b, fam, rule in entries:
             ia, ib = index.get(a), index.get(b)
             if ia is None or ib is None:
-                where = ("gamma", pair, "from" if ia is None else "to")
+                where = ("gamma", (a, b), "from" if ia is None else "to")
                 raise InputError(f"gamma entry on unknown state pair ({a!r}, {b!r})", where=where)
             if ia == ib:
                 what = f"gamma is defined on distinct pairs only, got ({a!r}, {a!r})"
-                raise InputError(what, where=("gamma", pair, "to"))
-            try:
-                valid, compiled = families[fam]
-            except KeyError:
-                valid, compiled = families[fam] = validated(fam)
-            except TypeError:  # an unhashable family, such as a list of lists
-                valid, compiled = validated(fam)
-            if valid:
-                gamma[pair] = valid
-                p = pairs.setdefault(outcome_of[ia] * n_out + outcome_of[ib], len(pairs))
-                rows[ia].append((ib, p, *compiled))
-        object.__setattr__(self, "gamma", gamma)
-        for row in rows:
-            row.sort()  # by target id: a row holds each target once
+                raise InputError(what, where=("gamma", (a, b), "to"))
+            if id(fam) not in checked:
+                where = ("gamma", (a, b), "coalitions")
+                checked[id(fam)] = fam, family(frozenset(coalition(k, where) for k in fam))
+            record, row = checked[id(fam)][1], rows[ia]
+            if ib in row:
+                _, _, old, old_rule = row[ib]
+                record, rule = family(old[0] | record[0]), rule or old_rule
+            p = pairs.setdefault(outcome_of[ia] * n_out + outcome_of[ib], len(pairs))
+            row[ib] = ib, p, record, rule
         core = CompiledRights(
             tuple(index),
             tuple(outcomes),
             tuple(code // n_out for code in pairs),
             tuple(code % n_out for code in pairs),
-            tuple(map(tuple, rows)),
+            tuple(tuple(e for e in sorted(row.values()) if e[2][0]) for row in rows),
         )
         object.__setattr__(self, "_core", core)
-        object.__setattr__(self, "_max_agent", max((max(k) for k in checked.values()), default=-1))
+        object.__setattr__(self, "_max_agent", max((max(k) for f in shared for k in f), default=-1))
+        gamma = (((a, b), k) for a, b, k, _ in core.entries())
+        object.__setattr__(self, "gamma", _View(gamma, sum(map(len, core.rows))))
+        rules = (((a, b), rule) for a, b, _, rule in core.entries() if rule)
+        object.__setattr__(self, "provenance", _View(rules))
 
     def index(self, key: str) -> int:
         try:
@@ -172,13 +215,12 @@ class RightsStructure:
         self.index(a), self.index(b)
         return self.gamma.get((a, b), frozenset())
 
-    def targets_from(self, a: str) -> tuple[str, ...]:
-        """States b with a nonempty gamma entry (a, b), in declaration order."""
-        row = self._core.rows[self._index[a]] if a in self._index else ()
-        return tuple(self._core.keys[entry[0]] for entry in row)
+    def entries(self) -> Iterator[tuple[str, str, frozenset[Coalition], str | None]]:
+        """(from, to, coalitions, rule) per gamma entry, in the order of `gamma`."""
+        return self._core.entries()
 
     def is_individual_based(self) -> bool:
-        return all(len(k) == 1 for fam in self.gamma.values() for k in fam)
+        return not any(multi for row in self._core.rows for _, _, (*_, multi), _ in row)
 
     def max_agent(self) -> int:
         """Largest agent index mentioned anywhere in gamma (-1 if gamma is empty)."""
@@ -199,7 +241,7 @@ class SocialEnvironment:
                 what = f"state {s.key!r} has unknown outcome {s.outcome!r}"
                 raise InputError(what, where=("rights", "states", i, "outcome"))
         rights = self.rights
-        check_agent_range(rights.gamma, rights.max_agent(), self.profile.n_agents, "rights")
+        check_agent_range(rights.entries(), rights.max_agent(), self.profile.n_agents, "rights")
 
     def outcome(self, key: str) -> str:
         return self.rights.outcome(key)
@@ -270,34 +312,6 @@ class ImprovementDigraph:
     __hash__ = None  # type: ignore[assignment]
 
 
-class _EdgeTable(Mapping):
-    """`edge_coalitions` of a built digraph: its length is the edge count, and
-    the table is built from the compiled rows on first lookup."""
-
-    def __init__(self, core: CompiledRights, gain: list[int], size: int):
-        self._core, self._gain, self._size = core, gain, size
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, pair: tuple[str, str]) -> tuple[Coalition, ...]:
-        return self._table[pair]
-
-    def __iter__(self):
-        return iter(self._table)
-
-    @cached_property
-    def _table(self) -> dict[tuple[str, str], tuple[Coalition, ...]]:
-        keys, gain, table = self._core.keys, self._gain, {}
-        for a, row in enumerate(self._core.rows):
-            for b, p, _, _, family, masks in row:
-                g = gain[p]
-                winners = tuple(k for k, m in zip(family, masks) if m & g == m)
-                if winners:
-                    table[(keys[a], keys[b])] = winners
-        return table
-
-
 def build_improvement_digraph(env: SocialEnvironment) -> ImprovementDigraph:
     """All edges (s, t, K) with K entitled and h(t) strictly preferred by every member.
 
@@ -318,7 +332,7 @@ def build_improvement_digraph(env: SocialEnvironment) -> ImprovementDigraph:
     pred: list[list[int]] = [[] for _ in core.keys]
     for a, row in enumerate(core.rows):
         out = succ[a]
-        for b, p, single, multi, _, _ in row:
+        for b, p, (_, _, _, single, multi), _ in row:
             g = gain[p]
             if not g:
                 continue
@@ -330,7 +344,8 @@ def build_improvement_digraph(env: SocialEnvironment) -> ImprovementDigraph:
                     continue
             out.append(b)
             pred[b].append(a)
-    return ImprovementDigraph(rights._index, succ, pred, _EdgeTable(core, gain, sum(map(len, succ))))
+    edges = _View(core.winners(gain), sum(map(len, succ)))
+    return ImprovementDigraph(rights._index, succ, pred, edges)
 
 
 def search(

@@ -199,8 +199,7 @@ def rights_from_doc(doc: Mapping) -> RightsStructure:
             raise _error(f"{path}.kind", f"unknown kind {kind!r}")
         profile = _need(sdoc, "profile", path, str) if kind == GRAPH or "profile" in sdoc else None
         states.append(State(key, _need(sdoc, "outcome", path, str), kind, profile))
-    gamma: dict[tuple[str, str], frozenset] = {}
-    provenance: dict[tuple[str, str], str] = {}
+    entries = []
     families: dict[tuple, frozenset] = {}  # one shared family per coalition list
     for i, gdoc in enumerate(_list(rdoc.get("gamma", []), "$.rights.gamma")):
         try:  # 1, True and 1.0 are equal keys: only JSON integers may reach the memo
@@ -214,15 +213,14 @@ def rights_from_doc(doc: Mapping) -> RightsStructure:
         if fam is None:  # each distinct coalition list is checked once
             with _at({"coalitions": f"$.rights.gamma[{i}].coalitions"}):
                 fam = families[key] = frozenset(coalition(k, ("coalitions",)) for k in key)
-        gamma[pair] = fam | gamma[pair] if pair in gamma else fam
-        if "rule" in gdoc and _need(gdoc, "rule", f"$.rights.gamma[{i}]", str):
-            provenance[pair] = gdoc["rule"]
+        rule = _need(gdoc, "rule", f"$.rights.gamma[{i}]", str) if "rule" in gdoc else None
+        entries.append((*pair, fam, rule))
     fields = {"states": "$.rights.states", "gamma": "$.rights.gamma", "key": "id"}
     with _at(fields, rdoc.get("gamma", [])):
         if type(agents := doc.get("agents")) is int:  # before a bitmask is built per member
             top = max((max(k) for fam in families.values() for k in fam), default=-1)
-            check_agent_range(gamma, top, agents)
-        return RightsStructure(tuple(states), gamma, provenance)
+            check_agent_range(entries, top, agents)
+        return RightsStructure._build(states, entries)
 
 
 def _gamma_entry_error(gdoc: Any, path: str) -> NoReturn:
@@ -244,12 +242,9 @@ def _state_doc(s: State) -> dict:
 def rights_to_doc(structure: RightsStructure) -> dict:
     """The `rights` block of a document; `dumps` writes the same JSON from the structure."""
     gamma = []
-    for a in structure.keys():
-        for b in structure.targets_from(a):
-            rule = structure.provenance.get((a, b))
-            family = sorted(sorted(k) for k in structure.gamma[a, b])
-            entry = {"from": a, "to": b, "coalitions": family}
-            gamma.append({**entry, "rule": rule} if rule else entry)
+    for a, b, fam, rule in structure.entries():
+        entry = {"from": a, "to": b, "coalitions": sorted(sorted(k) for k in fam)}
+        gamma.append({**entry, "rule": rule} if rule else entry)
     return {"states": [_state_doc(s) for s in structure.states], "gamma": gamma}
 
 
@@ -311,20 +306,19 @@ def _encode_rights(structure: RightsStructure, nl: str, out: list[str]) -> None:
     """`rights_to_doc(structure)` as JSON in five shared pieces per gamma entry: the
     separator, its family's coalitions block, its source's head, its rule and its target."""
     n1, n2, n3 = nl + "  ", nl + "    ", nl + "      "
-    blocks, sep, comma, provenance = {}, n2, "," + n2, structure.provenance
-    rules = {r: f'{n3}"rule": {_quote(r)},' for r in set(provenance.values()) if r}
+    blocks, rules, sep, comma = {}, {}, n2, "," + n2
+    heads = {a: f'{n3}"from": {_quote(a)},' for a in structure.keys()}
     tails = {b: f'{n3}"to": {_quote(b)}{n2}}}' for b in structure.keys()}
     out.append(f'{{{n1}"gamma": [')
-    for a in structure.keys():
-        head = f'{n3}"from": {_quote(a)},'
-        for b in structure.targets_from(a):
-            fam = structure.gamma[a, b]
-            if fam not in blocks:
-                block = [f'{{{n3}"coalitions": ']
-                _encode(sorted(sorted(k) for k in fam), n3, block)
-                blocks[fam] = "".join(block) + ","
-            out += (sep, blocks[fam], head, rules.get(provenance.get((a, b)), ""), tails[b])
-            sep = comma
+    for a, b, fam, rule in structure.entries():
+        if fam not in blocks:
+            block = [f'{{{n3}"coalitions": ']
+            _encode(sorted(sorted(k) for k in fam), n3, block)
+            blocks[fam] = "".join(block) + ","
+        if rule not in rules:
+            rules[rule] = f'{n3}"rule": {_quote(rule)},' if rule else ""
+        out += (sep, blocks[fam], heads[a], rules[rule], tails[b])
+        sep = comma
     out.append(f'{n1 if sep is comma else ""}],{n1}"states": ')
     _encode([_state_doc(s) for s in structure.states], n1, out)
     out.append(nl + "}")

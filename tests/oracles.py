@@ -11,7 +11,9 @@ solvers that the library now runs on int ids, the housing definition
 scans that it now runs on bitmasks, the frozenset-contour condition
 checks and five-rule structure that it now runs on contour bitmasks and
 rank rows, the per-entry rights-block reader that it now runs on one
-shared family per coalition list, and the domains' recursive allocation
+shared family per coalition list, the dict compile of a rights structure
+(gamma and provenance dicts beside six-field rows) whose rows are now its
+only store, and the domains' recursive allocation
 enumeration, `.index()` rank loops and pairwise dominance filter that it
 now runs on `itertools.product`, `Profile.from_shares` and
 `pareto_frontier`, and the pairwise `dominates` scan that `pareto_frontier`
@@ -23,6 +25,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from itertools import combinations, product
+from typing import NamedTuple
 
 from rotakit.domains.housing import (
     ECONOMY_CAP,
@@ -61,8 +64,8 @@ from rotakit.rights import (
     ImprovementDigraph,
     ImprovementPath,
     PathStep,
-    RightsStructure,
     State,
+    coalition,
     coalition_key,
 )
 from rotakit.serialize import _agents, _error, _need, _read
@@ -295,25 +298,22 @@ def string_digraph(env) -> ImprovementDigraph:
     adjacency: dict[str, list[str]] = {k: [] for k in keys}
     predecessors: dict[str, list[str]] = {k: [] for k in keys}
     edge_coalitions = {}
-    for a in keys:
-        ra = ranks[a]
-        out = adjacency[a]
-        for b in rights.targets_from(a):
-            rb = ranks[b]
-            winners = []
-            for k in rights.gamma[(a, b)]:
-                for i in k:
-                    if rb[i] >= ra[i]:
-                        break
-                else:
-                    winners.append(k)
-            if not winners:
-                continue
-            if len(winners) > 1:
-                winners.sort(key=coalition_key)
-            edge_coalitions[(a, b)] = tuple(winners)
-            out.append(b)
-            predecessors[b].append(a)
+    for a, b, fam, _ in rights.entries():
+        ra, rb = ranks[a], ranks[b]
+        winners = []
+        for k in fam:
+            for i in k:
+                if rb[i] >= ra[i]:
+                    break
+            else:
+                winners.append(k)
+        if not winners:
+            continue
+        if len(winners) > 1:
+            winners.sort(key=coalition_key)
+        edge_coalitions[(a, b)] = tuple(winners)
+        adjacency[a].append(b)
+        predecessors[b].append(a)
     return from_maps(keys, adjacency, predecessors, edge_coalitions)
 
 
@@ -579,8 +579,9 @@ def scan_direct_exclusion_core(economy) -> tuple[str, ...]:
     return tuple(core)
 
 
-def scan_exclusion_rights_structure(economy) -> RightsStructure:
-    """Gamma over all allocations, one clause (b) test per coalition and pair."""
+def scan_exclusion_gamma(economy) -> tuple:
+    """The states and gamma (with no provenance) over all allocations, one clause (b)
+    test per coalition and pair."""
     allocations = house_allocations(economy)
     states = tuple(State(alloc_id(a), alloc_id(a), BASE) for a in allocations)
     coalitions = _all_coalitions(economy.n_agents)
@@ -592,7 +593,7 @@ def scan_exclusion_rights_structure(economy) -> RightsStructure:
             fam = frozenset(k for k in coalitions if _entitled(economy, mu, sigma, k))
             if fam:
                 gamma[(alloc_id(mu), alloc_id(sigma))] = fam
-    return RightsStructure(states, gamma)
+    return states, gamma, {}
 
 
 # ---------------------------------------------------------------------------
@@ -828,7 +829,8 @@ def string_find_shared_ordering(scr, cap: int) -> OrderingWitness | None:
 # builds on rank rows, with Rule 2 read off frozenset lower-contour sets.
 
 
-def contour_five_rule_structure(scr, rule1) -> RightsStructure:
+def contour_five_rule_gamma(scr, rule1) -> tuple:
+    """The states, gamma and provenance of the five-rule structure."""
     agents = range(scr.n_agents)
     singletons = [frozenset([i]) for i in agents]
     everyone = frozenset(singletons)
@@ -856,7 +858,7 @@ def contour_five_rule_structure(scr, rule1) -> RightsStructure:
         for y in scr.alternatives:
             if x != y:
                 grant((x, y), everyone, RULE4)
-    return RightsStructure(tuple(states), gamma, provenance)
+    return tuple(states), gamma, provenance
 
 
 # ---------------------------------------------------------------------------
@@ -865,7 +867,9 @@ def contour_five_rule_structure(scr, rule1) -> RightsStructure:
 # entry and checks each agent index with `_agents`.
 
 
-def scan_rights_from_doc(doc) -> RightsStructure:
+def scan_rights_gamma(doc) -> tuple:
+    """The states, merged gamma and provenance (every rule, ghost ones too) of a
+    document's rights block."""
     rdoc = _need(doc, "rights", "$")
     states = []
     for i, sdoc in _read(enumerate, _need(rdoc, "states", "$.rights"), "$.rights.states"):
@@ -893,7 +897,130 @@ def scan_rights_from_doc(doc) -> RightsStructure:
         raise
     except (TypeError, ValueError) as exc:
         raise _error(f"{path}.coalitions", f"expected lists of agent indices: {exc}") from None
-    return RightsStructure(tuple(states), gamma, provenance)
+    return tuple(states), gamma, provenance
+
+
+# ---------------------------------------------------------------------------
+# Reference code: the compile that `RightsStructure` ran while it kept gamma
+# and provenance as dicts beside its rows: a copy of gamma, a rebuilt gamma of
+# validated families, and one six-field row entry per gamma entry.  Here gamma
+# and provenance are listed in row order, and provenance keeps only the
+# nonempty rules of stored entries, as the rows, now the only store, do.
+
+
+class DictRights(NamedTuple):
+    states: tuple
+    keys: tuple
+    outcomes: tuple
+    pair_a: tuple
+    pair_b: tuple
+    rows: tuple  # per source id: (b, p, single, multi, family, masks) by target id
+    gamma: dict
+    provenance: dict
+    max_agent: int
+
+
+def dict_compiled_rights(states, gamma, provenance=None) -> DictRights:
+    provenance = provenance or {}
+    states = tuple(states)
+    if not states:
+        raise InputError("rights structure needs at least one state", where=("states",))
+    index: dict[str, int] = {}
+    for i, s in enumerate(states):
+        if index.setdefault(s.key, i) != i:
+            raise InputError("duplicate state keys", where=("states", i, "key"))
+    outcomes: dict[str, int] = {}
+    outcome_of = [outcomes.setdefault(s.outcome, len(outcomes)) for s in states]
+    n_out = len(outcomes)
+    rebuilt = {}
+    rows: list[list[tuple]] = [[] for _ in states]
+    pairs: dict[int, int] = {}
+    checked: dict[frozenset, frozenset] = {}
+    families: dict = {}
+
+    def validated(fam) -> tuple:
+        valid = set()
+        for k in fam:
+            raw = frozenset(k)
+            if raw not in checked:
+                checked[raw] = coalition(raw)
+            valid.add(checked[raw])
+        ordered = tuple(sorted(valid, key=coalition_key))
+        masks = tuple(sum(1 << i for i in k) for k in ordered)
+        single = sum(m for k, m in zip(ordered, masks) if len(k) == 1)
+        multi = tuple(m for k, m in zip(ordered, masks) if len(k) > 1)
+        return frozenset(valid), (single, multi, ordered, masks)
+
+    for pair, fam in dict(gamma).items():
+        a, b = pair
+        ia, ib = index.get(a), index.get(b)
+        if ia is None or ib is None:
+            where = ("gamma", pair, "from" if ia is None else "to")
+            raise InputError(f"gamma entry on unknown state pair ({a!r}, {b!r})", where=where)
+        if ia == ib:
+            what = f"gamma is defined on distinct pairs only, got ({a!r}, {a!r})"
+            raise InputError(what, where=("gamma", pair, "to"))
+        try:
+            valid, compiled = families[fam]
+        except KeyError:
+            valid, compiled = families[fam] = validated(fam)
+        except TypeError:  # an unhashable family, such as a list of lists
+            valid, compiled = validated(fam)
+        if valid:
+            rebuilt[pair] = valid
+            p = pairs.setdefault(outcome_of[ia] * n_out + outcome_of[ib], len(pairs))
+            rows[ia].append((ib, p, *compiled))
+    for row in rows:
+        row.sort()
+    ordered = sorted(rebuilt, key=lambda pair: (index[pair[0]], index[pair[1]]))
+    return DictRights(
+        states,
+        tuple(index),
+        tuple(outcomes),
+        tuple(code // n_out for code in pairs),
+        tuple(code % n_out for code in pairs),
+        tuple(map(tuple, rows)),
+        {pair: rebuilt[pair] for pair in ordered},
+        {pair: provenance[pair] for pair in ordered if provenance.get(pair)},
+        max((max(k) for k in checked.values()), default=-1),
+    )
+
+
+def dict_rights_doc(ref: DictRights) -> dict:
+    """The `rights` block that `rights_to_doc` wrote from the dicts."""
+    gamma = []
+    for a, row in zip(ref.keys, ref.rows):
+        for b, *_ in row:
+            pair = (a, ref.keys[b])
+            entry = {"from": a, "to": pair[1], "coalitions": sorted(map(sorted, ref.gamma[pair]))}
+            gamma.append({**entry, "rule": ref.provenance[pair]} if pair in ref.provenance else entry)
+    states = []
+    for s in ref.states:
+        doc = {"id": s.key, "kind": s.kind, "outcome": s.outcome}
+        states.append(doc if s.profile_id is None else {**doc, "profile": s.profile_id})
+    return {"states": states, "gamma": gamma}
+
+
+def dict_rights_digraph(ref: DictRights, profile) -> tuple[list, list, dict]:
+    """`succ`, `pred` and `edge_coalitions` of one profile's digraph, built on the
+    six-field rows as `build_improvement_digraph` did."""
+    gain = [0] * len(ref.pair_a)
+    for i, pref in enumerate(profile.prefs[: ref.max_agent + 1]):
+        bit, rank = 1 << i, [pref.rank(h) for h in ref.outcomes]
+        gain = [g | bit if rank[b] < rank[a] else g for g, a, b in zip(gain, ref.pair_a, ref.pair_b)]
+    succ: list[list[int]] = [[] for _ in ref.keys]
+    pred: list[list[int]] = [[] for _ in ref.keys]
+    edges = {}
+    for a, row in enumerate(ref.rows):
+        for b, p, single, multi, family, masks in row:
+            g = gain[p]
+            if g and (g & single or any(m & g == m for m in multi)):
+                succ[a].append(b)
+                pred[b].append(a)
+            winners = tuple(k for k, m in zip(family, masks) if m & g == m)
+            if winners:
+                edges[(ref.keys[a], ref.keys[b])] = winners
+    return succ, pred, edges
 
 
 # ---------------------------------------------------------------------------

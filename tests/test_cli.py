@@ -6,6 +6,7 @@ import pytest
 
 from record_golden import cases, run_case
 from rotakit.cli import main
+from rotakit.rights import RightsStructure
 from test_serialize import ECONOMY_DOC, XYZ_ENV_DOC, JOBS_DOC
 
 
@@ -766,3 +767,29 @@ def test_main_restores_the_callers_collector(argv, code, enabled):
         assert gc.isenabled() is enabled
     finally:
         gc.enable()
+
+
+def test_commands_leave_the_rights_views_unbuilt(monkeypatch):
+    """A rights structure's `gamma` and `provenance` are views of its rows, built on first
+    lookup, and no fixture command that succeeds looks one up but the backward clause
+    (iii) of a rotation check; the economy `solve` and the Theorem-4 `construct` are
+    among them."""
+    built = []
+    compile_rows = RightsStructure._compile
+
+    def recorded(structure, states, entries):
+        compile_rows(structure, states, entries)
+        built.append(structure)
+
+    monkeypatch.setattr(RightsStructure, "_compile", recorded)
+    seen = set()
+    for argv in cases():
+        built.clear()
+        if run_case(main, argv)[0] != 0 or "--backward-iii" in argv:
+            continue
+        for structure in built:
+            assert "_table" not in vars(structure.gamma), argv
+            assert "_table" not in vars(structure.provenance), argv
+        seen.update(" ".join(argv[:3]) for _ in built)
+    assert "solve fixtures/economy-domain.json --profile" in seen
+    assert {f"construct fixtures/{f}-domain.json --theorem" for f in ("jobs", "marriage")} <= seen

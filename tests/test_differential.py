@@ -1,6 +1,7 @@
 """The int-indexed digraph and solver core, the linear-time paths, the
 housing bitmask kernel, the table-driven condition checks, the rank-row
-five-rule structure, the rights-block reader and the domains' allocation
+five-rule structure, the rights-block reader, the rows as the only store
+of a rights structure (against the dict compile) and the domains' allocation
 enumeration, own-share extensions and phi filter against the reference
 code they replaced (tests/oracles.py), plus forged digraphs that must
 still trip every post-hoc re-verification check."""
@@ -15,7 +16,10 @@ import pytest
 
 from oracles import (
     brute_force_stable_matching_ids,
-    contour_five_rule_structure,
+    contour_five_rule_gamma,
+    dict_compiled_rights,
+    dict_rights_digraph,
+    dict_rights_doc,
     dominance_scan_pareto_frontier,
     dominance_scan_phi,
     forward_bfs_path,
@@ -29,8 +33,8 @@ from oracles import (
     per_state_external_paths,
     recursive_house_allocations,
     scan_direct_exclusion_core,
-    scan_exclusion_rights_structure,
-    scan_rights_from_doc,
+    scan_exclusion_gamma,
+    scan_rights_gamma,
     string_absorbing_sets,
     string_check_indirect_monotonicity,
     string_check_maskin_monotonicity,
@@ -113,6 +117,24 @@ def _shuffled_gamma(env: SocialEnvironment, rng: random.Random) -> SocialEnviron
     items = list(env.rights.gamma.items())
     rng.shuffle(items)
     return SocialEnvironment(RightsStructure(env.rights.states, dict(items)), env.profile)
+
+
+def _assert_rows_match_dicts(fast: RightsStructure, ref, rng: random.Random) -> None:
+    """The views, the JSON and two random profiles' digraphs of a structure equal
+    those of the dict compile `ref` of the same input."""
+    assert fast.states == ref.states
+    assert list(fast.gamma.items()) == list(ref.gamma.items())
+    assert list(fast.provenance.items()) == list(ref.provenance.items())
+    assert fast.max_agent() == ref.max_agent
+    doc = dict_rights_doc(ref)  # tests/test_writer.py pins the bytes `dumps` writes for a doc
+    assert rights_to_doc(fast) == doc and json.loads(dumps(fast)) == doc
+    outcomes = tuple(dict.fromkeys(s.outcome for s in fast.states))
+    for draw in (random_linear_profile, random_weak_profile):
+        profile = draw(rng, "R", outcomes, max(1, fast.max_agent() + 1))
+        dg = build_improvement_digraph(SocialEnvironment(fast, profile))
+        succ, pred, edges = dict_rights_digraph(ref, profile)
+        assert (dg.succ, dg.pred) == (succ, pred)
+        assert list(dg.edge_coalitions.items()) == list(edges.items())
 
 
 def _sparse_environments(seed: int, count: int):
@@ -387,12 +409,11 @@ def _random_economies(seed: int, count: int):
 
 
 def test_housing_kernel_matches_definition_scans():
+    rng = random.Random(22)
     cores = set()
     for economy in _random_economies(21, 60):
-        fast, ref = exclusion_rights_structure(economy), scan_exclusion_rights_structure(economy)
-        assert fast.states == ref.states
-        assert list(fast.gamma.items()) == list(ref.gamma.items())
-        assert rights_to_doc(fast) == rights_to_doc(ref)
+        fast = exclusion_rights_structure(economy)
+        _assert_rows_match_dicts(fast, dict_compiled_rights(*scan_exclusion_gamma(economy)), rng)
         core = direct_exclusion_core(economy)
         assert core == scan_direct_exclusion_core(economy)
         cores.add(len(core) / len(fast.states))
@@ -498,20 +519,49 @@ def _rights_documents():
             yield {"rights": rights_to_doc(structure)}
 
 
+def _scan_read(doc):
+    return dict_compiled_rights(*scan_rights_gamma(doc))
+
+
 def test_rights_reader_matches_per_entry_reader():
+    rng = random.Random(23)
     documents = 0
     for doc in _rights_documents():
-        fast, ref = rights_from_doc(doc), scan_rights_from_doc(doc)
-        assert fast.states == ref.states
-        assert list(fast.gamma.items()) == list(ref.gamma.items())
-        assert list(fast.provenance.items()) == list(ref.provenance.items())
-        assert fast._core == ref._core
-        assert fast.max_agent() == ref.max_agent()
-        assert dumps(fast) == dumps(ref)
+        fast = rights_from_doc(doc)
+        _assert_rows_match_dicts(fast, _scan_read(doc), rng)
         one: dict = {}
         assert all(one.setdefault(fam, fam) is fam for fam in fast.gamma.values())
         documents += 1
     assert documents >= 150 + 4
+
+
+def test_sparse_solve_documents_match_dict_compile(monkeypatch):
+    """The benchmark's sparse-solve documents, at 40-64 states, read to the rows that
+    the dict compile of the per-entry reader gives."""
+    monkeypatch.syspath_prepend(str(FIXTURES.parent / "bench"))
+    import workloads
+
+    rng = random.Random(25)
+    for seed in range(4):
+        for doc in workloads.sparse_solve(seed, scale=0.02).docs.values():
+            _assert_rows_match_dicts(rights_from_doc(doc), _scan_read(doc), rng)
+
+
+def test_public_constructor_matches_dict_compile():
+    """`RightsStructure(states, gamma, provenance)` on the seeded sparse environments,
+    with families given as frozensets or lists, some empty, and rules that are empty,
+    on pairs with no entry, or on unknown states."""
+    rng = random.Random(24)
+    for env in _sparse_environments(12, 150):
+        states, keys = env.rights.states, env.rights.keys()
+        pairs = [(a, b) for a in keys for b in keys if a != b]
+        gamma = {p: rng.choice([fam, [list(k) for k in fam]]) for p, fam in env.rights.gamma.items()}
+        for p in rng.sample(pairs, min(3, len(pairs))):
+            gamma.setdefault(p, rng.choice([frozenset(), []]))
+        provenance = {p: rng.choice(["", "r1", "r2"]) for p in rng.sample(pairs, len(pairs) // 2)}
+        provenance[("nope", keys[0])] = "ghost"
+        fast = RightsStructure(states, gamma, provenance)
+        _assert_rows_match_dicts(fast, dict_compiled_rights(states, gamma, provenance), rng)
 
 
 def _read_error(read, doc) -> tuple[str, str | None] | None:
@@ -547,7 +597,7 @@ def test_rights_reader_fails_like_per_entry_reader():
             broken = json.loads(json.dumps(doc))
             rights = broken["rights"]
             mutate(rng.choice(rights["gamma"]), rng.choice(rights["states"]))
-            fast, ref = _read_error(rights_from_doc, broken), _read_error(scan_rights_from_doc, broken)
+            fast, ref = _read_error(rights_from_doc, broken), _read_error(_scan_read, broken)
             assert (fast is None) == (ref is None)
             if ref is not None:
                 assert fast[0] == ref[0]
@@ -618,9 +668,10 @@ def test_ordering_searches_match_string_search():
 
 
 def test_theorem_structures_match_contour_structures(monkeypatch):
-    """Rule 2 read off rank rows grants what frozenset lower contours grant:
-    the same states, gamma and provenance, in the same order, for both
-    theorem structures on every fixture and on seeded weak-order rules."""
+    """Rule 2 read off rank rows grants what frozenset lower contours grant, and the
+    rows hold what the dict compile of those grants holds, in the same order, for both
+    theorem structures on every fixture, on seeded weak-order rules and on the SCRs
+    of the ordering searches."""
     rng = random.Random(34)
     rules = []
     for path in sorted(FIXTURES.glob("*.json")):
@@ -635,17 +686,16 @@ def test_theorem_structures_match_contour_structures(monkeypatch):
         )
         choices = {p.id: rng.sample(alts, rng.randint(1, n_alts)) for p in profiles}
         rules.append((SocialChoiceRule(profiles, choices), None))
+    rules += ((scr, None) for scr in _ordering_scrs(31, 1100))
     for scr, witness in rules:
         table = _orderings(rng, scr, witness)
         built = [build_thm1_structure(scr), build_thm4_structure(scr, table)]
-        monkeypatch.setattr(constructors, "_five_rule_structure", contour_five_rule_structure)
+        monkeypatch.setattr(constructors, "_five_rule_structure", contour_five_rule_gamma)
         reference = [build_thm1_structure(scr), build_thm4_structure(scr, table)]
         monkeypatch.undo()
         for fast, ref in zip(built, reference):
-            assert fast.states == ref.states
-            assert list(fast.gamma.items()) == list(ref.gamma.items())
-            assert list(fast.provenance.items()) == list(ref.provenance.items())
-    assert len(rules) == 64
+            _assert_rows_match_dicts(fast, dict_compiled_rights(*ref), rng)
+    assert len(rules) == 64 + 1100
 
 
 def test_rotation_certificates_match_string_certificates_on_every_ordering():

@@ -1,8 +1,11 @@
+import copy
+import pickle
 import random
 
 import pytest
 
 from oracles import dfs_reachable, digraph_adjacency
+from rotakit.domains import Economy
 from rotakit.generators import random_environment
 from rotakit.model import InputError, Profile
 from rotakit.rights import (
@@ -10,8 +13,10 @@ from rotakit.rights import (
     SocialEnvironment,
     State,
     build_improvement_digraph,
+    coalition,
     find_myopic_improvement_path,
 )
+from rotakit.serialize import _state_doc, dumps, rights_from_doc
 
 ALTS = ("x", "y", "z")
 
@@ -167,6 +172,8 @@ def test_validation_errors_locate_the_refused_value(xyz_structure):
         (lambda: RightsStructure(states, {("a", "q"): one}), ("gamma", ("a", "q"), "to")),
         (lambda: RightsStructure(states, {("q", "a"): one}), ("gamma", ("q", "a"), "from")),
         (lambda: RightsStructure(states, {("b", "b"): one}), ("gamma", ("b", "b"), "to")),
+        (lambda: RightsStructure(states, {("a", "b"): [[]]}), ("gamma", ("a", "b"), "coalitions")),
+        (lambda: RightsStructure(states, {("a", "b"): [[-1]]}), ("gamma", ("a", "b"), "coalitions")),
         (lambda: SocialEnvironment(xyz_structure, no_z), ("rights", "states", 2, "outcome")),
     ]
     for build, where in refusals:
@@ -179,6 +186,51 @@ def test_validation_errors_locate_the_refused_value(xyz_structure):
     # the first gamma pair, in declaration order, whose family holds agent 2
     assert err.value.where == ("rights", "gamma", ("x", "y"), "coalitions")
     assert err.value.value == 2
+
+
+@pytest.mark.parametrize("members", [[1.7], "01", [True], [1, True], [1.0], [0, 2**64 * 1.0]])
+def test_coalition_refuses_members_that_are_not_ints(members):
+    with pytest.raises(InputError) as err:
+        coalition(members, ("owners", "h1"))
+    assert str(err.value) == "agent indices must be integers"
+    assert err.value.where == ("owners", "h1")
+
+
+def test_structures_and_economies_refuse_members_that_are_not_ints():
+    states = tuple(State(k, k) for k in ("a", "b"))
+    ints = frozenset([frozenset([1])])
+    # an equal family of a bool, after one of ints, is refused too
+    for gamma in ({("a", "b"): [[1.7]]}, {("a", "b"): ints, ("b", "a"): {frozenset([True])}}):
+        with pytest.raises(InputError) as err:
+            RightsStructure(states, gamma)
+        assert err.value.where == ("gamma", list(gamma)[-1], "coalitions")
+    with pytest.raises(InputError) as err:
+        Economy("E", 1, ("h1",), "h0", {"h1": [0.9]}, (("h1", "h0"),))
+    assert err.value.where == ("owners", "h1")
+
+
+def test_rules_are_kept_on_stored_entries_only():
+    """A rule lives on a gamma entry: one on a pair with no coalitions or on unknown
+    states is dropped, and so is an empty rule, so structures that write the same
+    JSON compare equal."""
+    states = tuple(State(k, k) for k in ("x", "y"))
+    bare = RightsStructure(states, {("x", "y"): [[0]]})
+    ghosts = {("x", "y"): "", ("y", "x"): "r1", ("nope", "q"): "r2"}
+    assert dict(RightsStructure(states, {("x", "y"): [[0]], ("y", "x"): []}, ghosts).provenance) == {}
+    assert RightsStructure(states, {("x", "y"): [[0]], ("y", "x"): []}, ghosts) == bare
+    gamma = [{"from": "x", "to": "y", "coalitions": [[0]]},
+             {"from": "y", "to": "x", "coalitions": [], "rule": "ghost"}]
+    read = rights_from_doc({"rights": {"states": [_state_doc(s) for s in states], "gamma": gamma}})
+    assert (dict(read.gamma), dict(read.provenance)) == ({("x", "y"): frozenset([frozenset([0])])}, {})
+    assert read == bare and dumps(read) == dumps(bare)
+
+
+def test_structures_and_digraphs_survive_pickle_and_deepcopy(xyz_structure, xyz_profiles):
+    dg = build_improvement_digraph(_env(xyz_structure, xyz_profiles[1]))
+    for copy_of in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
+        again = copy_of(xyz_structure)
+        assert again == xyz_structure and again.max_agent() == xyz_structure.max_agent()
+        assert copy_of(dg) == dg
 
 
 def test_is_individual_based(xyz_structure):
