@@ -48,11 +48,7 @@ def _positive_int(text: str) -> int:
 
 def _caps_from_env() -> dict[str, int]:
     caps = dict(DEFAULT_CAPS)
-    raw = os.environ.get("ROTAKIT_CAPS", "")
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, map(str.strip, os.environ.get("ROTAKIT_CAPS", "").split(","))):
         if "=" not in chunk:
             raise InputError(f"ROTAKIT_CAPS: expected name=value, got {chunk!r}")
         name, value = chunk.split("=", 1)
@@ -389,7 +385,7 @@ def _cmd_construct(ns: argparse.Namespace, caps: dict[str, int]) -> int:
     # the structure itself, which `serialize.dumps` writes as `rights_to_doc` would
     payload: dict[str, Any] = {**serialize.scr_to_doc(scr), "rights": structure}
     code = EXIT_OK
-    lines = [f"built theorem-{ns.theorem} structure with {len(structure.states)} states"]
+    lines = [f"built theorem-{ns.theorem} structure with {len(structure.keys())} states"]
     if ns.verify:
         if ns.verify == "mss":
             report = constructors.verify_implementation_in_mss(structure, scr)

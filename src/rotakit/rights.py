@@ -12,7 +12,7 @@ ints and bitmasks, its only store; each digraph is built and solved on ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -53,29 +53,25 @@ def check_agent_range(entries: Iterable[tuple], top: int, n_agents: int, *where)
         raise InputError(what, where=(*where, "gamma", pair, "coalitions"), value=top)
 
 
-@dataclass(frozen=True)
-class State:
-    """A state with its outcome label.  Graph states remember their profile tag."""
+class State(NamedTuple):
+    """A state with its outcome label.  Graph states remember their profile tag; a rights
+    structure refuses an unknown kind, or a graph state with no profile, when it is built."""
 
     key: str
     outcome: str
     kind: str = BASE
     profile_id: str | None = None
 
-    def __post_init__(self):
-        if self.kind not in (BASE, GRAPH, OPAQUE):
-            raise InputError(f"unknown state kind {self.kind!r}")
-        if self.kind == GRAPH and self.profile_id is None:
-            raise InputError(f"graph state {self.key!r} needs a profile id")
-
 
 class CompiledRights(NamedTuple):
-    """A rights structure on ints, the only store of its gamma.  `rows[a]` holds, by target
-    id, one `(b, p, family, rule)` per gamma entry (a, b): `p` numbers the outcome pair
-    (h(a), h(b)), whose outcome ids are `pair_a[p]` and `pair_b[p]`.  Entries with equal
-    coalitions share `family`: the frozenset, the coalitions sorted by `coalition_key`,
-    their agent bitmasks, the union of the one-agent masks, and the other masks."""
+    """A rights structure on ints, the only store of its states and gamma.  `states` holds
+    the (key, outcome, kind, profile) rows it was given; `rows[a]` holds, by target id, one
+    `(b, p, family, rule)` per gamma entry (a, b): `p` numbers the outcome pair (h(a), h(b)),
+    whose outcome ids are `pair_a[p]` and `pair_b[p]`.  Entries with equal coalitions share
+    `family`: the frozenset, the coalitions sorted by `coalition_key`, their agent bitmasks,
+    the union of the one-agent masks, and the other masks."""
 
+    states: tuple[tuple, ...]
     keys: tuple[str, ...]
     outcomes: tuple[str, ...]
     pair_a: tuple[int, ...]
@@ -115,42 +111,42 @@ class _View(Mapping):
     def __reduce__(self):  # a pickle or a deep copy holds the mapping, not its iterator
         return dict, (self._table,)
 
+    def __repr__(self) -> str:
+        return repr(self._table)
+
     @cached_property
     def _table(self) -> dict:
         return dict(self._items)
 
 
-@dataclass(frozen=True)
 class RightsStructure:
-    states: tuple[State, ...]
-    gamma: Mapping[tuple[str, str], frozenset[Coalition]]
-    provenance: Mapping[tuple[str, str], str] = field(default_factory=dict)
-    _index: Mapping[str, int] = field(init=False, repr=False, compare=False)
-    _core: CompiledRights = field(init=False, repr=False, compare=False)
-    _max_agent: int = field(init=False, repr=False, compare=False)
+    """States and gamma, stored once as a compiled core that `states`, `gamma` and
+    `provenance` are built from on first read; equal structures write the same document."""
 
-    def __post_init__(self):
-        rule = self.provenance.get
-        self._compile(self.states, ((a, b, k, rule((a, b))) for (a, b), k in self.gamma.items()))
+    def __init__(self, states: Iterable[State], gamma: Mapping, provenance: Mapping | None = None):
+        rule = (provenance or {}).get
+        self._compile(states, ((a, b, k, rule((a, b))) for (a, b), k in gamma.items()))
 
     @classmethod
-    def _build(cls, states: Iterable[State], entries: Iterable[tuple]) -> RightsStructure:
-        (structure := object.__new__(cls))._compile(states, entries)
+    def _build(cls, states: Iterable[tuple], entries: Iterable[tuple]) -> RightsStructure:
+        (structure := cls.__new__(cls))._compile(states, entries)
         return structure
 
-    def _compile(self, states: Iterable[State], entries: Iterable[tuple]) -> None:
-        """Check and store `states` and the (from, to, coalitions, rule) `entries`; entries on
-        one pair merge their coalitions, and the last nonempty rule stands."""
-        object.__setattr__(self, "states", states := tuple(states))
-        if not states:
+    def _compile(self, states: Iterable[tuple], entries: Iterable[tuple]) -> None:
+        """Check and store (key, outcome, kind, profile) `states` and (from, to, coalitions,
+        rule) `entries`: entries on one pair merge coalitions, and the last nonempty rule stands."""
+        if not (states := tuple(states)):
             raise InputError("rights structure needs at least one state", where=("states",))
-        index: dict[str, int] = {}
-        for i, s in enumerate(states):
-            if index.setdefault(s.key, i) != i:
+        index, outcomes, outcome_of = {}, {}, []  # key -> id, outcome -> id, id -> outcome id
+        for i, (key, outcome, kind, profile) in enumerate(states):
+            if kind not in (BASE, GRAPH, OPAQUE):
+                raise InputError(f"unknown state kind {kind!r}", where=("states", i, "kind"))
+            if kind == GRAPH and profile is None:
+                what = f"graph state {key!r} needs a profile id"
+                raise InputError(what, where=("states", i, "profile"))
+            if index.setdefault(key, i) != i:
                 raise InputError("duplicate state keys", where=("states", i, "key"))
-        object.__setattr__(self, "_index", index)
-        outcomes: dict[str, int] = {}
-        outcome_of = [outcomes.setdefault(s.outcome, len(outcomes)) for s in states]
+            outcome_of.append(outcomes.setdefault(outcome, len(outcomes)))
         n_out = len(outcomes)
         shared: dict[frozenset, tuple] = {}
         checked: dict[int, tuple] = {}  # by id: each family object, kept alive, is checked once
@@ -181,20 +177,31 @@ class RightsStructure:
                 _, _, old, old_rule = row[ib]
                 record, rule = family(old[0] | record[0]), rule or old_rule
             p = pairs.setdefault(outcome_of[ia] * n_out + outcome_of[ib], len(pairs))
-            row[ib] = ib, p, record, rule
-        core = CompiledRights(
+            row[ib] = ib, p, record, rule or None
+        self._index, self._max_agent = index, max((max(k) for f in shared for k in f), default=-1)
+        self._core = core = CompiledRights(
+            states,
             tuple(index),
             tuple(outcomes),
             tuple(code // n_out for code in pairs),
             tuple(code % n_out for code in pairs),
             tuple(tuple(e for e in sorted(row.values()) if e[2][0]) for row in rows),
         )
-        object.__setattr__(self, "_core", core)
-        object.__setattr__(self, "_max_agent", max((max(k) for f in shared for k in f), default=-1))
         gamma = (((a, b), k) for a, b, k, _ in core.entries())
-        object.__setattr__(self, "gamma", _View(gamma, sum(map(len, core.rows))))
-        rules = (((a, b), rule) for a, b, _, rule in core.entries() if rule)
-        object.__setattr__(self, "provenance", _View(rules))
+        self.gamma = _View(gamma, sum(map(len, core.rows)))
+        self.provenance = _View(((a, b), rule) for a, b, _, rule in core.entries() if rule)
+
+    @cached_property
+    def states(self) -> tuple[State, ...]:
+        return tuple(map(State._make, self._core.states))
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, RightsStructure) and self._core.states == other._core.states
+        return same and list(self.entries()) == list(other.entries())
+
+    def __repr__(self) -> str:  # each family as written: a frozenset's print order can vary
+        gamma = {(a, b): sorted(sorted(k) for k in fam) for a, b, fam, _ in self.entries()}
+        return f"RightsStructure({self.states!r}, {gamma!r}, {self.provenance!r})"
 
     def index(self, key: str) -> int:
         try:
@@ -203,10 +210,10 @@ class RightsStructure:
             raise InputError(f"unknown state {key!r}") from None
 
     def state(self, key: str) -> State:
-        return self.states[self.index(key)]
+        return State._make(self._core.states[self.index(key)])
 
     def outcome(self, key: str) -> str:
-        return self.state(key).outcome
+        return self._core.states[self.index(key)][1]
 
     def keys(self) -> tuple[str, ...]:
         return self._core.keys
@@ -235,12 +242,11 @@ class SocialEnvironment:
     profile: Profile
 
     def __post_init__(self):
-        alts = set(self.profile.alternatives)
-        for i, s in enumerate(self.rights.states):
-            if s.outcome not in alts:
-                what = f"state {s.key!r} has unknown outcome {s.outcome!r}"
-                raise InputError(what, where=("rights", "states", i, "outcome"))
-        rights = self.rights
+        rights, alts = self.rights, frozenset(self.profile.alternatives)
+        if not alts.issuperset(rights._core.outcomes):
+            i, (key, h, *_) = next(s for s in enumerate(rights._core.states) if s[1][1] not in alts)
+            what = f"state {key!r} has unknown outcome {h!r}"
+            raise InputError(what, where=("rights", "states", i, "outcome"))
         check_agent_range(rights.entries(), rights.max_agent(), self.profile.n_agents, "rights")
 
     def outcome(self, key: str) -> str:
@@ -308,8 +314,6 @@ class ImprovementDigraph:
         return isinstance(other, ImprovementDigraph) and all(
             getattr(self, v) == getattr(other, v) for v in views
         )
-
-    __hash__ = None  # type: ignore[assignment]
 
 
 def build_improvement_digraph(env: SocialEnvironment) -> ImprovementDigraph:

@@ -198,7 +198,7 @@ def rights_from_doc(doc: Mapping) -> RightsStructure:
         if kind not in (BASE, GRAPH, OPAQUE):
             raise _error(f"{path}.kind", f"unknown kind {kind!r}")
         profile = _need(sdoc, "profile", path, str) if kind == GRAPH or "profile" in sdoc else None
-        states.append(State(key, _need(sdoc, "outcome", path, str), kind, profile))
+        states.append((key, _need(sdoc, "outcome", path, str), kind, profile))
     entries = []
     families: dict[tuple, frozenset] = {}  # one shared family per coalition list
     for i, gdoc in enumerate(_list(rdoc.get("gamma", []), "$.rights.gamma")):

@@ -13,7 +13,8 @@ checks and five-rule structure that it now runs on contour bitmasks and
 rank rows, the per-entry rights-block reader that it now runs on one
 shared family per coalition list, the dict compile of a rights structure
 (gamma and provenance dicts beside six-field rows) whose rows are now its
-only store, and the domains' recursive allocation
+only store, the per-state loop with which a social environment refused a
+state whose outcome the profile lacks, and the domains' recursive allocation
 enumeration, `.index()` rank loops and pairwise dominance filter that it
 now runs on `itertools.product`, `Profile.from_shares` and
 `pareto_frontier`, and the pairwise `dominates` scan that `pareto_frontier`
@@ -999,6 +1000,17 @@ def dict_rights_doc(ref: DictRights) -> dict:
         doc = {"id": s.key, "kind": s.kind, "outcome": s.outcome}
         states.append(doc if s.profile_id is None else {**doc, "profile": s.profile_id})
     return {"states": states, "gamma": gamma}
+
+
+def per_state_unknown_outcome(states, profile) -> InputError | None:
+    """The refusal of the first state whose outcome `profile` lacks, as
+    `SocialEnvironment` raised it while it walked every state, or None."""
+    alts = set(profile.alternatives)
+    for i, s in enumerate(states):
+        if s.outcome not in alts:
+            what = f"state {s.key!r} has unknown outcome {s.outcome!r}"
+            return InputError(what, where=("rights", "states", i, "outcome"))
+    return None
 
 
 def dict_rights_digraph(ref: DictRights, profile) -> tuple[list, list, dict]:

@@ -700,6 +700,11 @@ def test_domain_check_names_json_path(capsys, tmp_path, doc, named):
          ("need at least one marriage problem", "$.profiles")),
         ("economy-domain", ("profiles",), [], ("construct", "--theorem", "1"),
          ("need at least one economy", "$.profiles")),
+        # an unknown kind is the reader's refusal, at the kind's path
+        *(("example-environment", ("rights", "states", 0, "kind"), kind, ("solve", "--profile",
+           "R", "--concept", "mss"), (f"$.rights.states[0].kind: unknown kind {kind!r}",
+                                      "$.rights.states[0].kind"))
+          for kind in ("weird", None, ["x"])),
     ],
 )
 def test_malformed_document_names_json_path(capsys, tmp_path, fixture, where, value, argv,
@@ -770,10 +775,10 @@ def test_main_restores_the_callers_collector(argv, code, enabled):
 
 
 def test_commands_leave_the_rights_views_unbuilt(monkeypatch):
-    """A rights structure's `gamma` and `provenance` are views of its rows, built on first
-    lookup, and no fixture command that succeeds looks one up but the backward clause
-    (iii) of a rotation check; the economy `solve` and the Theorem-4 `construct` are
-    among them."""
+    """A rights structure's `states`, `gamma` and `provenance` are built from its rows on
+    first read, and no fixture command that succeeds reads `gamma` or `provenance` but the
+    backward clause (iii) of a rotation check, nor `states` but a `construct`, which writes
+    them; the economy `solve` and the Theorem-4 `construct` are among them."""
     built = []
     compile_rows = RightsStructure._compile
 
@@ -790,6 +795,8 @@ def test_commands_leave_the_rights_views_unbuilt(monkeypatch):
         for structure in built:
             assert "_table" not in vars(structure.gamma), argv
             assert "_table" not in vars(structure.provenance), argv
+            assert argv[0] == "construct" or "states" not in vars(structure), argv
         seen.update(" ".join(argv[:3]) for _ in built)
     assert "solve fixtures/economy-domain.json --profile" in seen
+    assert any(command.startswith("export-dot") for command in seen)
     assert {f"construct fixtures/{f}-domain.json --theorem" for f in ("jobs", "marriage")} <= seen

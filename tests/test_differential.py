@@ -1,7 +1,8 @@
 """The int-indexed digraph and solver core, the linear-time paths, the
 housing bitmask kernel, the table-driven condition checks, the rank-row
 five-rule structure, the rights-block reader, the rows as the only store
-of a rights structure (against the dict compile) and the domains' allocation
+of a rights structure's states and gamma (against the dict compile), the
+environment's unknown-outcome refusal and the domains' allocation
 enumeration, own-share extensions and phi filter against the reference
 code they replaced (tests/oracles.py), plus forged digraphs that must
 still trip every post-hoc re-verification check."""
@@ -31,6 +32,7 @@ from oracles import (
     pairwise_generalized_stable_sets,
     per_member_absorbing_sets,
     per_state_external_paths,
+    per_state_unknown_outcome,
     recursive_house_allocations,
     scan_direct_exclusion_core,
     scan_exclusion_gamma,
@@ -120,9 +122,13 @@ def _shuffled_gamma(env: SocialEnvironment, rng: random.Random) -> SocialEnviron
 
 
 def _assert_rows_match_dicts(fast: RightsStructure, ref, rng: random.Random) -> None:
-    """The views, the JSON and two random profiles' digraphs of a structure equal
-    those of the dict compile `ref` of the same input."""
-    assert fast.states == ref.states
+    """The states, the views, the JSON, two random profiles' digraphs and the refusal of
+    a profile that lacks some outcomes of a structure equal those of the dict compile
+    `ref` of the same input."""
+    for key, s in zip(fast.keys(), ref.states, strict=True):  # read off the rows
+        assert (fast.outcome(key), fast.state(key)) == (s.outcome, s)
+        assert type(fast.state(key)) is State
+    assert fast.states == ref.states and all(type(s) is State for s in fast.states)
     assert list(fast.gamma.items()) == list(ref.gamma.items())
     assert list(fast.provenance.items()) == list(ref.provenance.items())
     assert fast.max_agent() == ref.max_agent
@@ -135,6 +141,13 @@ def _assert_rows_match_dicts(fast: RightsStructure, ref, rng: random.Random) -> 
         succ, pred, edges = dict_rights_digraph(ref, profile)
         assert (dg.succ, dg.pred) == (succ, pred)
         assert list(dg.edge_coalitions.items()) == list(edges.items())
+    if len(outcomes) > 1:
+        kept = rng.sample(outcomes, rng.randint(1, len(outcomes) - 1))
+        profile = random_linear_profile(rng, "L", kept, max(1, fast.max_agent() + 1))
+        want = per_state_unknown_outcome(ref.states, profile)
+        with pytest.raises(InputError) as err:
+            SocialEnvironment(fast, profile)
+        assert (str(err.value), err.value.where) == (str(want), want.where)
 
 
 def _sparse_environments(seed: int, count: int):

@@ -180,6 +180,16 @@ def test_validation_errors_locate_the_refused_value(xyz_structure):
         with pytest.raises(InputError) as err:
             build()
         assert err.value.where == where and err.value.path is None
+    # a state is refused when a structure is built, whether a `State` or a plain tuple
+    odd_states = [
+        (("d", "d", "weird", None), ("states", 3, "kind"), "unknown state kind 'weird'"),
+        (("d", "d", "graph", None), ("states", 3, "profile"), "graph state 'd' needs a profile id"),
+    ]
+    for row, where, message in odd_states:
+        for state in (State(*row), row):
+            with pytest.raises(InputError) as err:
+                RightsStructure(states + (state,), {})
+            assert (str(err.value), err.value.where, err.value.path) == (message, where, None)
     two_agent = Profile.from_orders("B", ALTS, [["x", "y", "z"], ["x", "y", "z"]])
     with pytest.raises(InputError) as err:
         SocialEnvironment(xyz_structure, two_agent)
@@ -230,7 +240,49 @@ def test_structures_and_digraphs_survive_pickle_and_deepcopy(xyz_structure, xyz_
     for copy_of in (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy):
         again = copy_of(xyz_structure)
         assert again == xyz_structure and again.max_agent() == xyz_structure.max_agent()
+        assert repr(again) == repr(xyz_structure)
         assert copy_of(dg) == dg
+        for structure in (again, xyz_structure):
+            with pytest.raises(TypeError):
+                hash(structure)
+
+
+def test_views_and_structures_print_their_entries(xyz_structure, xyz_profiles):
+    dg = build_improvement_digraph(_env(xyz_structure, xyz_profiles[1]))
+    assert len(dg.edge_coalitions) > 0
+    for view in (xyz_structure.gamma, xyz_structure.provenance, dg.edge_coalitions):
+        assert repr(view) == repr(dict(view))
+    # families print as the document writes them, so equal structures print alike
+    gamma = {pair: sorted(sorted(k) for k in fam) for pair, fam in xyz_structure.gamma.items()}
+    states = tuple(State(a, a) for a in ALTS)
+    assert repr(xyz_structure) == f"RightsStructure({states!r}, {gamma!r}, {{}})"
+    names = {"RightsStructure": RightsStructure, "State": State}
+    assert eval(repr(xyz_structure), names) == xyz_structure
+
+
+def test_states_are_named_tuples_and_equality_is_the_written_form():
+    """A `State` is a 4-tuple; a structure equals another exactly when both write the
+    same document, whatever their states were given as or their gamma's order."""
+    state = State("g", "x", "graph", "R")
+    key, outcome, kind, profile = state
+    assert state == ("g", "x", "graph", "R") and (key, profile) == ("g", "R")
+    assert State("x", "x") == ("x", "x", "base", None)
+    rows = (("x", "x", "base", None), ("y", "y", "opaque", None), ("g", "x", "graph", "R"))
+    gamma = {("x", "y"): [[0]], ("g", "x"): [[1], [0, 1]]}
+    made = RightsStructure(tuple(State(*r) for r in rows), gamma, {("g", "x"): "r"})
+    again = RightsStructure(rows, dict(reversed(gamma.items())), {("g", "x"): "r"})
+    assert made == again and dumps(made) == dumps(again) and repr(made) == repr(again)
+    assert made.states == rows and all(type(s) is State for s in again.states)
+    assert made.state("g") == state and type(again.state("g")) is State
+    assert made.outcome("g") == "x"
+    for other in (
+        RightsStructure(rows[::-1], gamma, {("g", "x"): "r"}),
+        RightsStructure(rows, gamma),
+        RightsStructure(rows, {**gamma, ("x", "y"): [[1]]}, {("g", "x"): "r"}),
+        RightsStructure(rows[:2] + (("g", "x", "graph", "Rp"),), gamma, {("g", "x"): "r"}),
+    ):
+        assert other != made and dumps(other) != dumps(made)
+    assert made != rows and made != dict(made.gamma)
 
 
 def test_is_individual_based(xyz_structure):
