@@ -133,11 +133,14 @@ def _build_parser() -> _Parser:
 
 
 def _write(out: str | None, body: str) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(body)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(body)
-    else:
-        sys.stdout.write(body)
+    except OSError as exc:  # a missing directory, a directory, no permission, a full disk
+        raise InputError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _emit(ns: argparse.Namespace, payload: Mapping[str, Any], text: str | None = None) -> None:
@@ -243,12 +246,8 @@ _SOLVERS = {
 
 
 def _check_domain(scr, cap):
-    bad = [
-        (p.id, v.pair)
-        for p in scr.profiles
-        for v in [model.validate_domain_restriction(p)]
-        if not v.ok
-    ]
+    verdicts = {p.id: model.validate_domain_restriction(p) for p in scr.profiles}
+    bad = [(pid, v.pair) for pid, v in verdicts.items() if not v]
     payload = {"condition": "domain-restriction", "ok": not bad, "violations": bad}
     return payload, "ok" if not bad else f"violated: {bad}", EXIT_OK
 
@@ -436,10 +435,13 @@ def _sample_domain(ns: argparse.Namespace) -> dict:
     import random
 
     from . import generators
-    from .domains.housing import Economy
+    from .domains import housing, jobs, marriage
 
-    rng = random.Random(ns.seed)
     n, k = ns.agents, ns.profiles
+    caps = {"marriage": marriage.MATCHING_CAP, "economy": housing.ECONOMY_CAP}
+    cap = caps.get(ns.sample, jobs.EXTENSION_CAP)  # beyond it no command compiles the sample
+    CapExceeded.check(n, cap, f"--sample {ns.sample} beyond {cap} agents is refused")
+    rng = random.Random(ns.seed)
     if ns.sample == "jobs-common-best":
         return serialize.jobs_to_doc(generators.random_common_best_domain(rng, n, k))
     if ns.sample == "jobs-hat":
@@ -454,7 +456,7 @@ def _sample_domain(ns: argparse.Namespace) -> dict:
     for i in range(1, k):
         other = generators.random_economy(rng, f"R{i}", n)
         economies.append(
-            Economy(f"R{i}", n, first.houses, first.outside, first.owners, other.orders)
+            housing.Economy(f"R{i}", n, first.houses, first.outside, first.owners, other.orders)
         )
     return serialize.economy_to_doc(economies)
 

@@ -172,37 +172,31 @@ def verify_implementation_in_mss(
     structure: RightsStructure, scr: SocialChoiceRule
 ) -> ImplementationReport:
     """Per profile, does h(MSS) equal the chosen set exactly?"""
-
-    def check(p: Profile) -> ProfileVerdict:
-        env = SocialEnvironment(structure, p)
-        mss = verified_mss_states(env, build_improvement_digraph(env))
-        actual = frozenset(map(env.outcome, mss))
-        expected = scr.choice(p.id)
-        return ProfileVerdict(p.id, actual == expected, expected, actual)
-
-    verdicts = [check(p) for p in scr.profiles]
-    return ImplementationReport("mss", all(v.ok for v in verdicts), tuple(verdicts))
+    return _verify(structure, scr, "mss")
 
 
 def verify_implementation_in_rotation_programs(
     structure: RightsStructure, scr: SocialChoiceRule
 ) -> ImplementationReport:
     """MSS equality plus a rotation-program partition with blocks onto F(R)."""
+    return _verify(structure, scr, "rotation-programs")
 
-    def check(p: Profile) -> tuple[ProfileVerdict, PartitionResult]:
+
+def _verify(structure: RightsStructure, scr: SocialChoiceRule, kind: str) -> ImplementationReport:
+    """The one per-profile loop of both verifiers: each profile's verified MSS
+    against its chosen set, and for "rotation-programs" its partition too."""
+    partitions = {} if kind == "rotation-programs" else None
+    verdicts = []
+    for p in scr.profiles:
         env = SocialEnvironment(structure, p)
         dg = build_improvement_digraph(env)
         mss = verified_mss_states(env, dg)
         actual = frozenset(map(env.outcome, mss))
         expected = scr.choice(p.id)
-        # a partition's blocks cover the MSS onto one outcome set: each block's is `actual`
-        partition = partition_into_rotation_programs(env, mss, dg)
-        ok = partition.ok and actual == expected
-        return ProfileVerdict(p.id, ok, expected, actual), partition
-
-    results = [check(p) for p in scr.profiles]
-    verdicts = tuple(v for v, _ in results)
-    partitions = {v.profile_id: part for v, part in results}
-    return ImplementationReport(
-        "rotation-programs", all(v.ok for v in verdicts), tuple(verdicts), partitions
-    )
+        ok = actual == expected
+        if partitions is not None:
+            # a partition's blocks cover the MSS onto one outcome set: each block's is `actual`
+            partitions[p.id] = part = partition_into_rotation_programs(env, mss, dg)
+            ok = ok and part.ok
+        verdicts.append(ProfileVerdict(p.id, ok, expected, actual))
+    return ImplementationReport(kind, all(v.ok for v in verdicts), tuple(verdicts), partitions)

@@ -219,13 +219,13 @@ class DomainRestrictionVerdict(Verdict):
 
 
 def validate_domain_restriction(profile: Profile) -> DomainRestrictionVerdict:
-    """Check that no two distinct alternatives are unanimously indifferent."""
-    alts = profile.alternatives
-    for i, x in enumerate(alts):
-        for y in alts[i + 1 :]:
-            if all(p.indifferent(x, y) for p in profile.prefs):
-                return DomainRestrictionVerdict(False, (x, y))
-    return DomainRestrictionVerdict(True)
+    """Check that no two distinct alternatives are unanimously indifferent, that is,
+    share a rank column across the agents; `pair` is the first two that do."""
+    alike: dict[tuple[int, ...], list[str]] = {}
+    for x, column in zip(profile.alternatives, zip(*(p.ranks for p in profile.prefs))):
+        alike.setdefault(column, []).append(x)
+    pair = next((tuple(xs[:2]) for xs in alike.values() if len(xs) > 1), None)
+    return DomainRestrictionVerdict(pair is None, pair)
 
 
 def dominates(profile: Profile, x: str, z: str) -> bool:
@@ -330,12 +330,13 @@ class EfficiencyVerdict(Verdict):
 
 
 def check_efficiency(scr: SocialChoiceRule) -> EfficiencyVerdict:
-    """Every chosen outcome must be Pareto-undominated at its profile."""
+    """Every chosen outcome must be Pareto-undominated at its profile; a failure
+    names the first chosen outcome off the frontier and its first dominator."""
     for p in scr.profiles:
-        for z in sorted(scr.choices[p.id]):
-            for x in p.alternatives:
-                if x != z and dominates(p, x, z):
-                    return EfficiencyVerdict(False, p.id, z, x)
+        z = min(scr.choices[p.id] - pareto_frontier(p), default=None)
+        if z is not None:
+            x = next(x for x in p.alternatives if x != z and dominates(p, x, z))
+            return EfficiencyVerdict(False, p.id, z, x)
     return EfficiencyVerdict(True)
 
 

@@ -14,6 +14,7 @@ trusting that characterisation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -213,43 +214,25 @@ def compute_generalized_stable_sets(
     digraph: ImprovementDigraph | None = None,
     cap: int = GENERALIZED_PRODUCT_CAP,
 ) -> tuple[tuple[str, ...], ...]:
-    """All generalized stable sets of a finite environment.
+    """All generalized stable sets of a finite environment: each pick of one
+    state per absorbing set, in declaration order.
 
-    Candidates pick exactly one state per absorbing set; each candidate is
-    then checked against iterated internal stability (no improvement path
-    between distinct members) and iterated external stability, on bitmasks
-    of the absorbing sets each state reaches (one reverse search per
-    absorbing set).  The union of the returned sets must equal the union
-    of the absorbing sets, and that equality is enforced here.
+    `_verified_mss` proves each absorbing set strongly connected with no
+    path out of it (so no path joins two picks: internal stability) and
+    every state reaching the MSS (so reaching a pick: external stability).
+    One scan of the members' predecessors confirms that no member of one
+    set is listed as improving into another.
     """
     dg = digraph if digraph is not None else build_improvement_digraph(env)
-    blocks = compute_absorbing_sets(env, dg)
-    n_candidates = 1
-    for b in blocks:
-        n_candidates *= len(b)
+    blocks = _verified_mss(env, dg)[0]
+    n_candidates = math.prod(map(len, blocks))
     message = f"{n_candidates} candidate selections exceed the cap of {cap}"
     CapExceeded.check(n_candidates, cap, message)
-    # reaches[s] has bit j when s has an improvement path into blocks[j].
-    # Each block is strongly connected (compute_absorbing_sets verified
-    # it), so s reaches a state of blocks[j] exactly when bit j is set.
-    reaches = [0] * len(dg.nodes)
-    own = {}
-    id_blocks = [[dg.id_of[s] for s in b] for b in blocks]
-    for j, ids in enumerate(id_blocks):
-        for s in search(dg.pred, ids):
-            reaches[s] |= 1 << j
-        own.update(dict.fromkeys(ids, 1 << j))
-    # A candidate takes one state from every block, so a state outside it
-    # reaches a member exactly when it reaches some block, and a member
-    # reaches another member exactly when it reaches a block not its own.
-    found: list[tuple[str, ...]] = []
-    if all(reaches):
-        stable_picks = [[s for s in ids if reaches[s] == own[s]] for ids in id_blocks]
-        for pick in itertools.product(*stable_picks):
-            found.append(tuple(dg.nodes[s] for s in sorted(pick)))
-    if {s for v in found for s in v} != {dg.nodes[s] for s in own}:
-        raise RuntimeError("generalized stable sets do not cover the absorbing union")
-    return tuple(found)
+    owner = {dg.id_of[s]: j for j, b in enumerate(blocks) for s in b}
+    for s, j in owner.items():
+        if any(owner.get(a, j) != j for a in dg.pred[s]):
+            raise RuntimeError("generalized stable sets do not cover the absorbing union")
+    return tuple(tuple(sorted(pick, key=dg.id_of.get)) for pick in itertools.product(*blocks))
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,10 @@ only store, the per-state loop with which a social environment refused a
 state whose outcome the profile lacks, and the domains' recursive allocation
 enumeration, `.index()` rank loops and pairwise dominance filter that it
 now runs on `itertools.product`, `Profile.from_shares` and
-`pareto_frontier`, and the pairwise `dominates` scan that `pareto_frontier`
-now runs on upper-contour bitmasks; differential tests compare the two.
+`pareto_frontier`, the pairwise `dominates` scan that `pareto_frontier`
+now runs on upper-contour bitmasks, and the pairwise scans with which the
+domain-restriction and efficiency checks now read rank columns and the
+Pareto frontier; differential tests compare the two.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ from rotakit.conditions import (
 from rotakit.constructors import RULE1, RULE2, RULE3, RULE4, graph_state_key
 from rotakit.model import (
     CapExceeded,
+    DomainRestrictionVerdict,
+    EfficiencyVerdict,
     InputError,
     Profile,
     dominates,
@@ -1115,6 +1119,28 @@ def dominance_scan_pareto_frontier(profile) -> frozenset[str]:
     """`model.pareto_frontier` as a scan of every pair of alternatives with `dominates`."""
     alts = profile.alternatives
     return frozenset(z for z in alts if not any(dominates(profile, x, z) for x in alts))
+
+
+def pairwise_domain_restriction(profile) -> DomainRestrictionVerdict:
+    """`model.validate_domain_restriction` as a scan of every pair of alternatives
+    for unanimous indifference."""
+    alts = profile.alternatives
+    for i, x in enumerate(alts):
+        for y in alts[i + 1 :]:
+            if all(p.indifferent(x, y) for p in profile.prefs):
+                return DomainRestrictionVerdict(False, (x, y))
+    return DomainRestrictionVerdict(True)
+
+
+def dominance_scan_efficiency(scr) -> EfficiencyVerdict:
+    """`model.check_efficiency` as a scan of every chosen outcome against every
+    alternative with `dominates`."""
+    for p in scr.profiles:
+        for z in sorted(scr.choices[p.id]):
+            for x in p.alternatives:
+                if x != z and dominates(p, x, z):
+                    return EfficiencyVerdict(False, p.id, z, x)
+    return EfficiencyVerdict(True)
 
 
 def dominance_scan_phi(problem) -> tuple[str, ...]:

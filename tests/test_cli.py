@@ -162,6 +162,26 @@ def test_unreadable_document_is_an_input_error(capsys, tmp_path, content, detail
     assert code == 1 and out == "" and err == f"error: {report['error']}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (("solve", "FILE", "--profile", "Rp", "--concept", "mss"), "missing/out.json"),
+        (("export-dot", "FILE", "--profile", "Rp"), "."),
+    ],
+    ids=["missing-directory", "a-directory"],
+)
+def test_unwritable_out_is_an_input_error(capsys, env_path, tmp_path, argv, target):
+    out_path = tmp_path / target
+    argv = (*(env_path if a == "FILE" else a for a in argv), "--out", str(out_path))
+    code, out, err = _run(capsys, *argv, "--format", "json")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    report = json.loads(err)
+    assert report["error"].startswith(f"cannot write {out_path}: ")
+    assert report["path"] is None and report["exit"] == 1
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == "" and err == f"error: {report['error']}\n"
+
+
 def test_json_format_reports_cap_refusal_as_one_object(capsys, env_path, monkeypatch):
     monkeypatch.setenv("ROTAKIT_CAPS", "ordering=1")
     code, out, err = _run(capsys, "check", env_path, "--condition", "rotation", "--format", "json")
@@ -455,6 +475,22 @@ def test_domain_sample_hat_clamps_to_distinct_profiles(capsys):
         capsys, "domain", "--sample", "jobs-hat", "--agents", "2", "--profiles", "3"
     )
     assert code == 0 and len(json.loads(out)["profiles"]) == 2
+
+
+@pytest.mark.parametrize(
+    "kind, cap", [("jobs-common-best", 6), ("jobs-hat", 6), ("marriage", 5), ("economy", 4)]
+)
+def test_domain_sample_refuses_agents_beyond_the_enumeration_cap(capsys, kind, cap):
+    # no command could compile a larger sample, so it is refused before any sampling
+    argv = ("domain", "--sample", kind, "--profiles", "1")
+    code, out, err = _run(capsys, *argv, "--agents", str(cap + 1), "--format", "json")
+    assert code == 3 and out == ""
+    error = f"--sample {kind} beyond {cap} agents is refused"
+    assert json.loads(err) == {"error": error, "path": None, "exit": 3}
+    code, out, err = _run(capsys, *argv, "--agents", str(cap + 1))
+    assert code == 3 and out == "" and err == f"search truncated: {error}\n"
+    code, out, _ = _run(capsys, *argv, "--agents", str(cap))
+    assert code == 0 and json.loads(out)["profiles"]
 
 
 _ECONOMY_PROFILE = {

@@ -21,6 +21,7 @@ from oracles import (
     dict_compiled_rights,
     dict_rights_digraph,
     dict_rights_doc,
+    dominance_scan_efficiency,
     dominance_scan_pareto_frontier,
     dominance_scan_phi,
     forward_bfs_path,
@@ -29,6 +30,7 @@ from oracles import (
     index_extend_job_preferences,
     index_matching_profile,
     pair_scan_digraph,
+    pairwise_domain_restriction,
     pairwise_generalized_stable_sets,
     per_member_absorbing_sets,
     per_state_external_paths,
@@ -84,7 +86,15 @@ from rotakit.generators import (
     random_scr,
     random_weak_profile,
 )
-from rotakit.model import CapExceeded, InputError, Profile, SocialChoiceRule, pareto_frontier
+from rotakit.model import (
+    CapExceeded,
+    InputError,
+    Profile,
+    SocialChoiceRule,
+    check_efficiency,
+    pareto_frontier,
+    validate_domain_restriction,
+)
 from rotakit.rights import (
     ImprovementDigraph,
     RightsStructure,
@@ -96,6 +106,7 @@ from rotakit.rights import (
 from rotakit.serialize import (
     domain_scr,
     dumps,
+    environment_from_doc,
     is_domain_doc,
     load_document,
     rights_from_doc,
@@ -253,9 +264,10 @@ def _assert_int_core_matches_strings(env: SocialEnvironment, cap: int = 256) -> 
     assert list(paths.items()) == list(expected.witness["external_paths"].items())
     try:
         generalized = compute_generalized_stable_sets(env, fast, cap=cap)
-    except CapExceeded:
-        with pytest.raises(CapExceeded):
+    except CapExceeded as exc:
+        with pytest.raises(CapExceeded) as expected_exc:
             string_generalized_stable_sets(ref, cap)
+        assert str(exc) == str(expected_exc.value)
     else:
         assert generalized == string_generalized_stable_sets(ref, cap)
     partition = partition_into_rotation_programs(env, report.states, fast)
@@ -462,6 +474,36 @@ def test_pareto_frontier_matches_dominance_scan():
     assert len(sizes) == 13, "every size but one alternative must have a dominated one"
 
 
+def test_domain_restriction_and_efficiency_match_pairwise_scans():
+    """Verdict and witness on weak profiles over 2-7 alternatives, declared in
+    shuffled order, and 1-4 agents (ties are where domain restriction fails),
+    with chosen sets that are random nonempty subsets of all the alternatives
+    (where efficiency fails) or of the frontier; and on every fixture."""
+    rng = random.Random(35)
+    seen = set()
+    for k in range(3000):
+        alts = tuple(f"a{i}" for i in rng.sample(range(7), rng.randint(2, 7)))
+        n_agents = rng.randint(1, 4)
+        profiles = [random_weak_profile(rng, f"R{j}", alts, n_agents) for j in range(3)]
+        for p in profiles:
+            verdict = validate_domain_restriction(p)
+            assert verdict == pairwise_domain_restriction(p), p
+            seen.add(("domain", verdict.ok))
+        pool = {p.id: sorted(pareto_frontier(p)) if k % 2 else alts for p in profiles}
+        choices = {pid: rng.sample(z, rng.randint(1, len(z))) for pid, z in pool.items()}
+        scr = SocialChoiceRule(profiles, choices)
+        verdict = check_efficiency(scr)
+        assert verdict == dominance_scan_efficiency(scr), scr
+        seen.add(("efficiency", verdict.ok))
+    assert len(seen) == 4, "each check must both pass and fail in the sample"
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = load_document(str(path))
+        scr = domain_scr(doc)[0] if is_domain_doc(doc) else scr_from_doc(doc)
+        for p in scr.profiles:
+            assert validate_domain_restriction(p) == pairwise_domain_restriction(p)
+        assert check_efficiency(scr) == dominance_scan_efficiency(scr)
+
+
 def test_job_extension_and_phi_match_index_loops_and_dominance_scan():
     rng = random.Random(32)
     phis = 0
@@ -558,6 +600,20 @@ def test_sparse_solve_documents_match_dict_compile(monkeypatch):
     for seed in range(4):
         for doc in workloads.sparse_solve(seed, scale=0.02).docs.values():
             _assert_rows_match_dicts(rights_from_doc(doc), _scan_read(doc), rng)
+
+
+def test_int_core_matches_strings_on_sparse_solve_documents(monkeypatch):
+    """The benchmark's sparse-solve documents at 40-64 states, with a dozen
+    absorbing sets or one of about 40 states, so generalized stable sets are
+    compared at that many sets, and their cap refusal at that size."""
+    monkeypatch.syspath_prepend(str(FIXTURES.parent / "bench"))
+    import workloads
+
+    for seed in range(4):
+        for doc in workloads.sparse_solve(seed, scale=0.02).docs.values():
+            env = environment_from_doc(doc, doc["profiles"][0]["id"])
+            for cap in (256, 16):
+                _assert_int_core_matches_strings(env, cap)
 
 
 def test_public_constructor_matches_dict_compile():
