@@ -447,18 +447,8 @@ def _sample_domain(ns: argparse.Namespace) -> dict:
     if ns.sample == "jobs-hat":
         return serialize.jobs_to_doc(generators.random_hat_domain(rng, n, k))
     if ns.sample == "marriage":
-        problems = [
-            generators.random_marriage_problem(rng, f"R{i}", n, n) for i in range(k)
-        ]
-        return serialize.marriage_to_doc(problems)
-    first = generators.random_economy(rng, "R0", n)
-    economies = [first]
-    for i in range(1, k):
-        other = generators.random_economy(rng, f"R{i}", n)
-        economies.append(
-            housing.Economy(f"R{i}", n, first.houses, first.outside, first.owners, other.orders)
-        )
-    return serialize.economy_to_doc(economies)
+        return serialize.marriage_to_doc(generators.random_marriage_domain(rng, n, k))
+    return serialize.economy_to_doc(generators.random_economy_domain(rng, n, k))
 
 
 def _cmd_export_dot(ns: argparse.Namespace, caps: dict[str, int]) -> int:

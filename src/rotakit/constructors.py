@@ -49,28 +49,33 @@ def _five_rule_structure(
     """States Gr(F) plus the bare alternatives, with gamma from the five rules.
 
     `rule1[profile id][z]` lists the chosen alternatives that everyone may
-    move the state (z, R) to; one walk of the chosen states grants those
-    moves and Rules 2 and 3, and the alternatives then get Rule 4.
+    move the state (z, R) to.  Each chosen state gets that Rule-1 group and
+    one Rule-2 group per set of agents whose lower contour holds the target;
+    each alternative then gets one Rule-3 and one Rule-4 group.
     """
     singletons = [frozenset([i]) for i in range(scr.n_agents)]
     everyone = frozenset(singletons)
+    alts = scr.alternatives
     states: list[State] = []
-    entries: list[tuple] = []
+    groups: list[tuple] = []
     rule2: dict[frozenset, frozenset] = {}  # one object per family, checked once by the builder
     for z, p in scr.graph():
         key = graph_state_key(z, p.id)
         states.append(State(key, z, GRAPH, p.id))
-        for x in rule1[p.id].get(z, ()):
-            entries.append((key, graph_state_key(x, p.id), everyone, RULE1))
+        chosen = [graph_state_key(x, p.id) for x in rule1[p.id].get(z, ())]
+        groups.append((key, chosen, everyone, RULE1))
         # x lies in L_i(z, R) exactly when agent i ranks it no better than z
         floors = [(q.ranks, q.rank(z)) for q in p.prefs]
-        for j, x in enumerate(scr.alternatives):
+        by_family: dict[frozenset, list[str]] = {}
+        for j, x in enumerate(alts):
             fam = frozenset(singletons[i] for i, (ranks, rz) in enumerate(floors) if ranks[j] >= rz)
-            entries += ((key, x, rule2.setdefault(fam, fam), RULE2), (x, key, everyone, RULE3))
-    for x in scr.alternatives:
+            by_family.setdefault(rule2.setdefault(fam, fam), []).append(x)
+        groups += ((key, targets, fam, RULE2) for fam, targets in by_family.items())
+    graph = [s.key for s in states]
+    for x in alts:
         states.append(State(x, x, BASE))
-        entries += ((x, y, everyone, RULE4) for y in scr.alternatives if x != y)
-    return RightsStructure._build(states, entries)
+        groups += ((x, graph, everyone, RULE3), (x, [y for y in alts if y != x], everyone, RULE4))
+    return RightsStructure._build(states, groups)
 
 
 def build_thm1_structure(scr: SocialChoiceRule) -> RightsStructure:

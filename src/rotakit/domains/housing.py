@@ -25,6 +25,8 @@ ECONOMY_CAP = 4  # agents and houses; the allocation space is enumerated
 
 Assignment = tuple[str, ...]  # per agent: a house or the outside option
 
+_BITS = bytes.maketrans(b"01", b"\0\1")  # a bitset's binary digits, lowest first, as 0/1 flags
+
 
 @dataclass(frozen=True)
 class Economy:
@@ -129,7 +131,9 @@ class _Kernel:
     bitmasks (bit i is agent i).  `covered[m][mask]` holds the agents whose
     house in allocation m is owned by the coalition `mask`, so clause (b)
     for a move harming the agents `harmed` reads
-    `harmed & ~(mask | covered[m][mask]) == 0`.
+    `harmed & ~(mask | covered[m][mask]) == 0`.  `worse[i][r]` and
+    `better[i][r]` are the bitsets of the allocations that give agent i a
+    house ranked below, and above, rank r.
     """
 
     def __init__(self, economy: Economy):
@@ -137,7 +141,7 @@ class _Kernel:
         allocations = house_allocations(economy)
         self.ids = tuple(alloc_id(a) for a in allocations)
         rank = [{h: r for r, h in enumerate(order)} for order in economy.orders]
-        self.rows = tuple(tuple(rank[i][a[i]] for i in range(n)) for a in allocations)
+        self.rows = rows = tuple(tuple(rank[i][a[i]] for i in range(n)) for a in allocations)
         self.bits = tuple(1 << i for i in range(n))
         self.coalitions = tuple(
             (frozenset(c), sum(1 << i for i in c))
@@ -155,22 +159,28 @@ class _Kernel:
                 )
             )
         self.covered = tuple(covered)
+        ranks = range(len(economy.houses) + 1)
+        self.worse, self.better = (
+            [
+                [sum(1 << s for s, x in enumerate(rows) if cmp(x[i], r)) for r in ranks]
+                for i in range(n)
+            ]
+            for cmp in (int.__gt__, int.__lt__)
+        )
 
-    def moves(self, m: int) -> Iterator[tuple[int, int, int]]:
-        """(s, harmed, gains) for every allocation s != m: the agents who
-        strictly prefer their house in m, and those who strictly prefer
-        their house in s."""
-        row = self.rows[m]
-        for s, other in enumerate(self.rows):
-            if s == m:
-                continue
-            harmed = gains = 0
-            for bit, x, y in zip(self.bits, row, other):
-                if x < y:
-                    harmed |= bit
-                elif y < x:
-                    gains |= bit
-            yield s, harmed, gains
+    def split(self, m: int, sets: list[list[int]]) -> dict[int, int]:
+        """The allocations other than m as bitsets, at most one per set of agents: those
+        that lie, for exactly the agents i of the set, in `sets[i]` at i's rank in m."""
+        parts = {0: (1 << len(self.ids)) - 1 & ~(1 << m)}
+        for bit, by_rank, r in zip(self.bits, sets, self.rows[m]):
+            split = {}
+            for agents, found in parts.items():
+                if hit := found & by_rank[r]:
+                    split[agents | bit] = hit
+                if rest := found & ~by_rank[r]:
+                    split[agents] = rest
+            parts = split
+        return parts
 
 
 def direct_exclusion_core(economy: Economy) -> tuple[str, ...]:
@@ -178,13 +188,18 @@ def direct_exclusion_core(economy: Economy) -> tuple[str, ...]:
 
     Clause (b) only gets easier as a coalition grows (fewer outsiders, a
     larger endowment), so some coalition of gainers blocks mu with sigma
-    exactly when the set of all gainers does.
+    exactly when the set of all gainers does: when sigma harms no agent
+    outside the gainers and the agents whose houses they own.
     """
     kernel = _Kernel(economy)
     core = []
-    for m, covered in enumerate(kernel.covered):
-        for _, harmed, gains in kernel.moves(m):
-            if gains and harmed & ~(gains | covered[gains]) == 0:
+    for m, (covered, row) in enumerate(zip(kernel.covered, kernel.rows)):
+        for gains, found in kernel.split(m, kernel.better).items():
+            excluded = gains | covered[gains]
+            for bit, by_rank, r in zip(kernel.bits, kernel.worse, row):
+                if not excluded & bit:
+                    found &= ~by_rank[r]
+            if gains and found:
                 break
         else:
             core.append(kernel.ids[m])
@@ -199,19 +214,21 @@ def exclusion_rights_structure(economy: Economy) -> RightsStructure:
     ids = kernel.ids
     families: dict[frozenset[Coalition], frozenset[Coalition]] = {}  # checked once per object
 
-    def entries() -> Iterator[tuple]:
+    def groups() -> Iterator[tuple]:
         for m, covered in enumerate(kernel.covered):
-            # a family depends on mu only through the harmed agents
-            by_harm: dict[int, frozenset[Coalition]] = {}
-            for s, harmed, _ in kernel.moves(m):
-                if harmed not in by_harm:
-                    fam = frozenset(
-                        k for k, mask in kernel.coalitions if harmed & ~(mask | covered[mask]) == 0
-                    )
-                    by_harm[harmed] = families.setdefault(fam, fam)
-                yield ids[m], ids[s], by_harm[harmed], None
+            # a family depends on mu only through the harmed agents: one group per family
+            merged: dict[frozenset, int] = {}
+            for harmed, found in kernel.split(m, kernel.worse).items():
+                fam = frozenset(
+                    k for k, mask in kernel.coalitions if harmed & ~(mask | covered[mask]) == 0
+                )
+                fam = families.setdefault(fam, fam)
+                merged[fam] = merged.get(fam, 0) | found
+            for fam, found in merged.items():
+                flags = bin(found)[:1:-1].encode().translate(_BITS)  # lowest bit first
+                yield ids[m], tuple(itertools.compress(ids, flags)), fam, None
 
-    return RightsStructure._build((State(a, a, BASE) for a in ids), entries())
+    return RightsStructure._build((State(a, a, BASE) for a in ids), groups())
 
 
 def exclusion_environment(economy: Economy) -> SocialEnvironment:

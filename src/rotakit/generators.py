@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Sequence
 
 from .domains.housing import Economy
 from .domains.jobs import JobRotationProblem
@@ -124,14 +125,21 @@ def random_job_problem(
     return JobRotationProblem(pid, jobs, tuple(orders))
 
 
-def _at_most(request: int, factors: Iterable[int]) -> int:
-    """min(request, the product of `factors`), multiplied only while below the request."""
-    product = 1
+def _distinct(request: int, factors: Iterable[int], draw: Callable, key=attrgetter("orders")):
+    """Draws `draw(k)`, k the number kept so far, with distinct `key`s (by default the
+    preference orders): `request` of them, or all the product of `factors` that a domain
+    has, a product multiplied only while below the request."""
+    count = 1
     for f in factors:
-        if product >= request:
+        if count >= request:
             break
-        product *= f
-    return min(request, product)
+        count *= f
+    kept, seen = [], set()
+    while len(kept) < min(request, count):
+        if (k := key(new := draw(len(kept)))) not in seen:
+            seen.add(k)
+            kept.append(new)
+    return kept
 
 
 def random_common_best_domain(
@@ -142,13 +150,9 @@ def random_common_best_domain(
     Only ((n-1)!)^n distinct profiles exist on this domain (one for n=2);
     the request is clamped to that.
     """
-    n_profiles = _at_most(n_profiles, [math.factorial(n - 1)] * n)
-    problems: list[JobRotationProblem] = []
-    while len(problems) < n_profiles:
-        p = random_job_problem(rng, f"P{len(problems)}", n, common_best="j1")
-        if all(p.orders != q.orders for q in problems):
-            problems.append(p)
-    return problems
+    return _distinct(
+        n_profiles, [math.factorial(n - 1)] * n, lambda k: random_job_problem(rng, f"P{k}", n, "j1")
+    )
 
 
 def random_hat_domain(
@@ -160,10 +164,9 @@ def random_hat_domain(
     (two for n=2); the request is clamped to that.
     """
     tops = math.factorial(n - 1)
-    n_profiles = _at_most(n_profiles, [n, tops, tops] + [math.factorial(n)] * (n - 2))
     jobs = tuple(f"j{i + 1}" for i in range(n))
-    problems: list[JobRotationProblem] = []
-    while len(problems) < n_profiles:
+
+    def draw(k: int) -> JobRotationProblem:
         tau = rng.choice(jobs)
         orders = []
         for agent in range(n):
@@ -175,10 +178,9 @@ def random_hat_domain(
                 order = list(jobs)
                 rng.shuffle(order)
                 orders.append(tuple(order))
-        p = JobRotationProblem(f"P{len(problems)}", jobs, tuple(orders))
-        if all(p.orders != q.orders for q in problems):
-            problems.append(p)
-    return problems
+        return JobRotationProblem(f"P{k}", jobs, tuple(orders))
+
+    return _distinct(n_profiles, [n, tops, tops] + [math.factorial(n)] * (n - 2), draw)
 
 
 def random_marriage_problem(
@@ -199,6 +201,17 @@ def random_marriage_problem(
     return MarriageProblem(pid, men, women, men_prefs, women_prefs, pure)
 
 
+def random_marriage_domain(rng: random.Random, n: int, n_profiles: int = 2) -> list:
+    """Distinct n x n marriage profiles, in which everyone may also stay single; only
+    ((n+1)!)^(2n) exist, and the request is clamped to that."""
+    return _distinct(
+        n_profiles,
+        [math.factorial(n + 1)] * (2 * n),
+        lambda k: random_marriage_problem(rng, f"R{k}", n, n),
+        lambda m: (*sorted(m.men_prefs.items()), *sorted(m.women_prefs.items())),
+    )
+
+
 def random_economy(rng: random.Random, eid: str, n: int = 3) -> Economy:
     """Random endowment economy; the outside option is everyone's last choice."""
     houses = tuple(f"h{i + 1}" for i in range(n))
@@ -212,3 +225,15 @@ def random_economy(rng: random.Random, eid: str, n: int = 3) -> Economy:
         rng.shuffle(order)
         orders.append(tuple(order + ["h0"]))
     return Economy(eid, n, houses, "h0", owners, tuple(orders))
+
+
+def random_economy_domain(rng: random.Random, n: int, n_profiles: int = 2) -> list[Economy]:
+    """Economies on the first draw's market with distinct preference orders; only (n!)^n
+    exist (the outside option is always last), and the request is clamped to that."""
+    first = random_economy(rng, "R0", n)
+
+    def draw(k: int) -> Economy:
+        e = random_economy(rng, f"R{k}", n) if k else first
+        return Economy(e.id, n, first.houses, first.outside, first.owners, e.orders)
+
+    return _distinct(n_profiles, [math.factorial(n)] * n, draw)

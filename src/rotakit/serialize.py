@@ -307,18 +307,19 @@ def _encode_rights(structure: RightsStructure, nl: str, out: list[str]) -> None:
     separator, its family's coalitions block, its source's head, its rule and its target."""
     n1, n2, n3 = nl + "  ", nl + "    ", nl + "      "
     blocks, rules, sep, comma = {}, {}, n2, "," + n2
-    heads = {a: f'{n3}"from": {_quote(a)},' for a in structure.keys()}
-    tails = {b: f'{n3}"to": {_quote(b)}{n2}}}' for b in structure.keys()}
+    tails = [f'{n3}"to": {_quote(b)}{n2}}}' for b in structure.keys()]
     out.append(f'{{{n1}"gamma": [')
-    for a, b, fam, rule in structure.entries():
-        if fam not in blocks:
-            block = [f'{{{n3}"coalitions": ']
-            _encode(sorted(sorted(k) for k in fam), n3, block)
-            blocks[fam] = "".join(block) + ","
-        if rule not in rules:
-            rules[rule] = f'{n3}"rule": {_quote(rule)},' if rule else ""
-        out += (sep, blocks[fam], heads[a], rules[rule], tails[b])
-        sep = comma
+    for a, merged in structure._core.sources():
+        head = f'{n3}"from": {_quote(a)},'
+        for b, _, family, rule in merged:
+            if (fam := family[0]) not in blocks:
+                block = [f'{{{n3}"coalitions": ']
+                _encode(sorted(sorted(k) for k in fam), n3, block)
+                blocks[fam] = "".join(block) + ","
+            if rule not in rules:
+                rules[rule] = f'{n3}"rule": {_quote(rule)},' if rule else ""
+            out += (sep, blocks[fam], head, rules[rule], tails[b])
+            sep = comma
     out.append(f'{n1 if sep is comma else ""}],{n1}"states": ')
     _encode([_state_doc(s) for s in structure.states], n1, out)
     out.append(nl + "}")

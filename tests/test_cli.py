@@ -1,10 +1,12 @@
 import gc
 import json
 import pathlib
+import random
 
 import pytest
 
 from record_golden import cases, run_case
+from rotakit import generators
 from rotakit.cli import main
 from rotakit.rights import RightsStructure
 from test_serialize import ECONOMY_DOC, XYZ_ENV_DOC, JOBS_DOC
@@ -475,6 +477,37 @@ def test_domain_sample_hat_clamps_to_distinct_profiles(capsys):
         capsys, "domain", "--sample", "jobs-hat", "--agents", "2", "--profiles", "3"
     )
     assert code == 0 and len(json.loads(out)["profiles"]) == 2
+
+
+@pytest.mark.parametrize(
+    "kind, agents, distinct",
+    [
+        ("jobs-common-best", 2, 1),  # ((n-1)!)^n
+        ("jobs-hat", 2, 2),  # n * ((n-1)!)^2 * (n!)^(n-2)
+        ("marriage", 1, 4),  # ((n+1)!)^(2n)
+        ("economy", 1, 1),  # (n!)^n
+        ("economy", 2, 4),
+    ],
+)
+def test_domain_sample_profiles_are_distinct_and_clamped(capsys, kind, agents, distinct):
+    """Every kind emits distinct profiles, as many as asked for while the domain has them."""
+    for asked in (1, distinct, distinct + 3):
+        argv = ("domain", "--sample", kind, "--agents", str(agents), "--profiles", str(asked))
+        code, out, _ = _run(capsys, *argv, "--seed", "4")
+        profiles = json.loads(out)["profiles"]
+        assert code == 0 and len(profiles) == min(asked, distinct)
+        prefix = "P" if kind.startswith("jobs") else "R"
+        assert [p.pop("id") for p in profiles] == [f"{prefix}{i}" for i in range(len(profiles))]
+        assert len({json.dumps(p, sort_keys=True) for p in profiles}) == len(profiles)
+
+
+def test_domain_sample_reads_each_draw_key_once():
+    """Each drawn profile's key is read once and looked up in a set, so a large `--profiles`
+    request costs time linear in the draws, not quadratic in the profiles kept."""
+    rng, keys = random.Random(2), []
+    draw = lambda k: generators.random_economy(rng, f"R{k}", 4)  # noqa: E731
+    kept = generators._distinct(3000, [24] * 4, draw, lambda e: keys.append(e.orders) or e.orders)
+    assert len({e.orders for e in kept}) == 3000 and len(keys) < 3100
 
 
 @pytest.mark.parametrize(

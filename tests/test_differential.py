@@ -108,6 +108,7 @@ from rotakit.serialize import (
     dumps,
     environment_from_doc,
     is_domain_doc,
+    jobs_to_doc,
     load_document,
     rights_from_doc,
     rights_to_doc,
@@ -133,9 +134,15 @@ def _shuffled_gamma(env: SocialEnvironment, rng: random.Random) -> SocialEnviron
 
 
 def _assert_rows_match_dicts(fast: RightsStructure, ref, rng: random.Random) -> None:
-    """The states, the views, the JSON, two random profiles' digraphs and the refusal of
-    a profile that lacks some outcomes of a structure equal those of the dict compile
-    `ref` of the same input."""
+    """The gamma count, the entries in order, the states, the views, the JSON, two random
+    profiles' digraphs and the refusal of a profile that lacks some outcomes of a structure
+    equal those of the dict compile `ref` of the same input."""
+    assert len(fast.gamma) == len(ref.gamma) and "_table" not in vars(fast.gamma)  # counted
+    assert list(fast.entries()) == [  # by source, then target id, whatever the groups
+        (a, b, fam, ref.provenance.get((a, b))) for (a, b), fam in ref.gamma.items()
+    ]
+    singles = all(len(k) == 1 for fam in ref.gamma.values() for k in fam)
+    assert fast.is_individual_based() == singles
     for key, s in zip(fast.keys(), ref.states, strict=True):  # read off the rows
         assert (fast.outcome(key), fast.state(key)) == (s.outcome, s)
         assert type(fast.state(key)) is State
@@ -631,6 +638,90 @@ def test_public_constructor_matches_dict_compile():
         provenance[("nope", keys[0])] = "ghost"
         fast = RightsStructure(states, gamma, provenance)
         _assert_rows_match_dicts(fast, dict_compiled_rights(states, gamma, provenance), rng)
+
+
+def _random_groups(rng: random.Random, keys: list[str], agents: int, count: int) -> list:
+    """(from, targets, coalitions, rule) groups over `keys` that repeat pairs within and
+    across groups, give some alone, grant nobody now and then, and share family objects."""
+    families = [
+        frozenset(frozenset(rng.sample(range(agents), rng.randint(1, agents))) for _ in range(2))
+        for _ in range(4)
+    ] + [frozenset()]
+    groups = []
+    for _ in range(count):
+        a = rng.choice(keys)
+        targets = rng.choices([k for k in keys if k != a], k=rng.choice([1, 1, 2, 3, 5]))
+        to = targets[0] if len(targets) == 1 and rng.random() < 0.5 else targets  # one key: alone
+        groups.append((a, to, rng.choice(families), rng.choice([None, "", "r1", "r2"])))
+    return groups
+
+
+def _targets(to) -> list:
+    return [to] if type(to) is str else list(to)
+
+
+def _one_at_a_time(states, groups):
+    """The dict compile of `groups` read one entry at a time: coalitions on a repeated pair
+    join, and the last nonempty rule stands."""
+    gamma, provenance = {}, {}
+    for a, to, fam, rule in groups:
+        for b in _targets(to):
+            gamma[a, b] = gamma.get((a, b), frozenset()) | fam
+            provenance[a, b] = rule or provenance.get((a, b))
+    return dict_compiled_rights(states, gamma, provenance)
+
+
+def test_grouped_input_matches_one_entry_at_a_time():
+    """Groups that repeat pairs, alone or in other groups, and groups that grant nobody
+    store what their entries, given one at a time, store; a broken entry is refused as it
+    is when the entries come one at a time."""
+    rng = random.Random(26)
+    broken = 0
+    for _ in range(300):
+        states = [State(f"s{i}", f"o{rng.randrange(4)}") for i in range(rng.randint(2, 7))]
+        keys = [s.key for s in states]
+        groups = _random_groups(rng, keys, rng.randint(1, 3), rng.randint(0, 12))
+        grouped = RightsStructure._build(states, groups)
+        _assert_rows_match_dicts(grouped, _one_at_a_time(states, groups), rng)
+        if groups:
+            a, to, fam, rule = groups[k := rng.randrange(len(groups))]
+            targets = _targets(to)
+            targets[rng.randrange(len(targets))] = rng.choice(["ghost", a])
+            bad = rng.choice([fam, [[0], [-1]]])
+            groups[k] = (rng.choice([a, "ghost"]), targets, bad, rule)
+            alone = [(x, b, f, r) for x, to, f, r in groups for b in _targets(to)]
+            errors = []
+            for given in (groups, alone):
+                with pytest.raises(InputError) as err:
+                    RightsStructure._build(states, given)
+                errors.append((str(err.value), err.value.where))
+            assert errors[0] == errors[1]
+            broken += 1
+    assert broken > 250
+
+
+def test_rule_made_structures_store_groups_not_entries():
+    """The exclusion structure of an n = 4 economy stores at most 2^n groups per source (an
+    entry stored alone counts as a group), the Theorem-4 structure of a jobs n = 5 domain fewer groups than a tenth of its entries, and
+    no structure stores a group that grants nobody, as the Rule-2 group of the targets that
+    every agent ranks above a Pareto-dominated choice would."""
+    economy = Economy(
+        "E", 4, ("h1", "h2", "h3", "h4"), "h0",
+        {"h1": {0}, "h2": {1, 2}, "h3": {3}, "h4": {0, 3}},
+        tuple((*random.Random(i).sample(["h1", "h2", "h3", "h4"], 4), "h0") for i in range(4)),
+    )
+    core = (structure := exclusion_rights_structure(economy))._core
+    assert len(structure.gamma) > 40_000
+    assert max(len(g) + len(e) for g, e in zip(core.rows, core.lone)) <= 2**4
+    problems = random_common_best_domain(random.Random(5), 5, 2)
+    scr, witness = domain_scr(jobs_to_doc(problems))
+    structures = [structure, build_thm4_structure(scr, witness)]
+    core = structures[1]._core
+    assert sum(map(len, core.rows)) + sum(map(len, core.lone)) < len(structures[1].gamma) / 10
+    p = Profile.from_orders("R", ("x", "y", "z"), [["x", "y", "z"], ["y", "x", "z"]])
+    structures.append(build_thm1_structure(SocialChoiceRule((p,), {"R": {"z"}})))
+    assert structures[2].entitled("z@R", "x") == frozenset()
+    assert all(fam[0] for s in structures for row in s._core.rows for _, fam, _ in row)
 
 
 def _read_error(read, doc) -> tuple[str, str | None] | None:

@@ -260,6 +260,15 @@ def test_views_and_structures_print_their_entries(xyz_structure, xyz_profiles):
     assert eval(repr(xyz_structure), names) == xyz_structure
 
 
+def test_view_items_and_values_are_those_of_the_built_dict(xyz_structure, xyz_profiles):
+    dg = build_improvement_digraph(_env(xyz_structure, xyz_profiles[1]))
+    for view in (xyz_structure.gamma, xyz_structure.provenance, dg.edge_coalitions):
+        table = dict(view)
+        assert list(view.items()) == list(table.items())
+        assert list(view.values()) == list(table.values())
+        assert type(view.items()) is type(table.items())  # the dict's own, not per-key lookups
+
+
 def test_states_are_named_tuples_and_equality_is_the_written_form():
     """A `State` is a 4-tuple; a structure equals another exactly when both write the
     same document, whatever their states were given as or their gamma's order."""
