@@ -226,7 +226,7 @@ def exclusion_rights_structure(economy: Economy) -> RightsStructure:
                 merged[fam] = merged.get(fam, 0) | found
             for fam, found in merged.items():
                 flags = bin(found)[:1:-1].encode().translate(_BITS)  # lowest bit first
-                yield ids[m], tuple(itertools.compress(ids, flags)), fam, None
+                yield ids[m], [*itertools.compress(ids, flags)], fam, None
 
     return RightsStructure._build((State(a, a, BASE) for a in ids), groups())
 

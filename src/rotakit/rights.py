@@ -13,12 +13,15 @@ ints and bitmasks, its only store; each digraph is built and solved on ints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import groupby
+from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import InputError, Profile
 
 Coalition = frozenset[int]
+_target = itemgetter(0)  # of a compiled gamma entry
 
 BASE = "base"
 GRAPH = "graph"
@@ -65,40 +68,30 @@ class State(NamedTuple):
 
 class CompiledRights(NamedTuple):
     """A rights structure on ints, the only store of its states and gamma.  `states` holds
-    the (key, outcome, kind, profile) rows it was given.  Source a's gamma entries (a, b),
-    with distinct targets b, are stored in `rows[a]` as groups `(members, family, rule)`
-    of members `(b, p)` by target id, or, when given alone, in `lone[a]` as `(b, p, family,
-    rule)` by target id.  `p` numbers the outcome pair (h(a), h(b)), whose outcome ids are
-    `pair_a[p]` and `pair_b[p]`.  Entries with equal coalitions share `family`: the
-    frozenset, the coalitions sorted by `coalition_key`, their agent bitmasks, the union of
-    the one-agent masks, and the other masks."""
+    the (key, outcome, kind, profile) rows it was given; `rows[a]` holds, in strictly
+    increasing target id, one `(b, p, family, rule)` per gamma entry (a, b): `p` numbers the
+    outcome pair (h(a), h(b)), whose outcome ids are `pair_a[p]` and `pair_b[p]`.  Entries
+    with equal coalitions share `family`: the frozenset, the coalitions sorted by
+    `coalition_key`, their agent bitmasks, the union of the one-agent masks, and the other
+    masks."""
 
     states: tuple[tuple, ...]
     keys: tuple[str, ...]
     outcomes: tuple[str, ...]
     pair_a: tuple[int, ...]
     pair_b: tuple[int, ...]
-    lone: tuple[tuple[tuple, ...], ...]
     rows: tuple[tuple[tuple, ...], ...]
-
-    def sources(self) -> Iterator[tuple[str, Sequence[tuple]]]:
-        """Each source key with its (target id, pair id, family, rule) entries by target id:
-        its lone entries merged with its groups' members."""
-        for a, lone, row in zip(self.keys, self.lone, self.rows):
-            if row:
-                (lone := [*lone, *[(*m, f, r) for group, f, r in row for m in group]]).sort()
-            yield a, lone
 
     def entries(self) -> Iterator[tuple[str, str, frozenset[Coalition], str | None]]:
         keys = self.keys
-        for a, merged in self.sources():
-            for b, _, family, rule in merged:
+        for a, row in zip(keys, self.rows):
+            for b, _, family, rule in row:
                 yield a, keys[b], family[0], rule
 
     def winners(self, gain: list[int]) -> Iterator[tuple]:
         keys = self.keys
-        for a, merged in self.sources():
-            for b, p, (_, ordered, masks, _, _), _ in merged:
+        for a, row in zip(keys, self.rows):
+            for b, p, (_, ordered, masks, _, _), _ in row:
                 if won := tuple(k for k, m in zip(ordered, masks) if m & gain[p] == m):
                     yield (a, keys[b]), won
 
@@ -151,9 +144,10 @@ class RightsStructure:
 
     def _compile(self, states: Iterable[tuple], groups: Iterable[tuple]) -> None:
         """Check and store (key, outcome, kind, profile) `states` and (from, to, coalitions,
-        rule) `groups`, checked one entry per target in the order given: `to` is one key, an
-        entry alone, or a list or tuple of keys, stored as one group.  Entries on one pair
-        merge coalitions, and the last nonempty rule stands."""
+        rule) `groups`, checked one entry at a time in the order given: `to` is a list of
+        keys, one entry each, or one key.  A stable sort by target puts the entries on a
+        repeated pair side by side, in the order given: their coalitions join, and the last
+        nonempty rule stands."""
         if not (states := tuple(states)):
             raise InputError("rights structure needs at least one state", where=("states",))
         index, outcomes, outcome_of = {}, {}, []  # key -> id, outcome -> id, id -> outcome id
@@ -179,7 +173,7 @@ class RightsStructure:
                 shared[valid] = valid, ordered, masks, sum(masks) - sum(multi), multi
             return shared[valid]
 
-        def check(a: str, ia: int | None, targets: Sequence[str], ids: tuple, fam) -> None:
+        def check(a: str, ia: int | None, targets: Sequence[str], ids: Sequence, fam) -> None:
             for b, ib in zip(targets, ids):  # one entry at a time, for the first refusal
                 if ia is None or ib is None:
                     where = ("gamma", (a, b), "from" if ia is None else "to")
@@ -192,55 +186,46 @@ class RightsStructure:
                     where = ("gamma", (a, b), "coalitions")
                     checked[id(fam)] = fam, family(frozenset(coalition(k, where) for k in fam))
 
+        def join(old: tuple, new: tuple) -> tuple:
+            return new[0], new[1], family(old[2][0] | new[2][0]), new[3] or old[3]
+
         get, number = index.get, pairs.setdefault
-        lone: list[dict[int, tuple]] = [{} for _ in states]  # per source: target id -> entry
-        given: dict[int, list[tuple]] = {}  # by source id: (target ids, family, rule)
-        for a, to, fam, rule in (groups := groups if type(groups) is list else [*groups]):
+        rows: list[list[tuple]] = [[] for _ in states]  # per source: entries in the order given
+        for a, to, fam, rule in groups:
             ia = get(a)
-            if type(to) is not str:  # a group
-                ids = tuple(map(get, to))
-                if ia is None or None in ids or ia in ids or ids and id(fam) not in checked:
-                    check(a, ia, to, ids, fam)
-                if ids:
-                    given.setdefault(ia, []).append((ids, checked[id(fam)][1], rule or None))
+            if type(to) is not list:  # one key, as a document gives its entries
+                ib = get(to)
+                if ia is None or ib is None or ia == ib or id(fam) not in checked:
+                    check(a, ia, (to,), (ib,), fam)
+                p = number(outcome_of[ia] * n_out + outcome_of[ib], len(pairs))
+                rows[ia].append((ib, p, checked[id(fam)][1], rule or None))
                 continue
-            ib = get(to)  # an entry alone, merged with an earlier one on its pair
-            if ia is None or ib is None or ia == ib or id(fam) not in checked:
-                check(a, ia, (to,), (ib,), fam)
-            record, row = checked[id(fam)][1], lone[ia]
-            if ib in row:
-                _, _, old, old_rule = row[ib]
-                record, rule = family(old[0] | record[0]), rule or old_rule
-            p = number(outcome_of[ia] * n_out + outcome_of[ib], len(pairs))
-            row[ib] = ib, p, record, rule or None
-        rows: list[tuple] = [()] * len(states)
-        for ia, grouped in given.items():
-            targets = [b for ids, _, _ in grouped for b in ids]
-            if len(set(targets).union(lone[ia])) < len(targets) + len(lone[ia]):
-                # a pair given in a group and once more: every entry is read alone, in order
-                alone = ((a, [to] if type(to) is str else to, f, r) for a, to, f, r in groups)
-                return self._compile(states, [(a, b, f, r) for a, to, f, r in alone for b in to])
-            base = outcome_of[ia] * n_out
-            rows[ia] = tuple(
-                (tuple((b, number(base + outcome_of[b], len(pairs))) for b in sorted(ids)), fam, r)
-                for ids, fam, r in grouped
-                if fam[0]  # a group granting nobody is not stored
-            )
+            ids = [*map(get, to)]
+            if ia is None or None in ids or ia in ids or ids and id(fam) not in checked:
+                check(a, ia, to, ids, fam)
+            if ids:
+                base, record, rule = outcome_of[ia] * n_out, checked[id(fam)][1], rule or None
+                rows[ia] += [
+                    (b, number(base + outcome_of[b], len(pairs)), record, rule) for b in ids
+                ]
+        for row in rows:
+            row.sort(key=_target)
+            if len(set(map(_target, row))) < len(row):  # a pair given twice
+                row[:] = [reduce(join, same) for _, same in groupby(row, _target)]
+        if frozenset() in shared:  # an entry granting nobody is not stored
+            rows = [[e for e in row if e[2][0]] for row in rows]
         self._index, self._max_agent = index, max((max(k) for f in shared for k in f), default=-1)
         self._individual = not any(record[4] for record in shared.values())
-        lone = tuple(tuple(e for e in sorted(row.values()) if e[2][0]) for row in lone)
-        size = sum(map(len, lone)) + sum(len(g[0]) for row in rows for g in row)
         self._core = core = CompiledRights(
             states,
             tuple(index),
             tuple(outcomes),
             tuple(code // n_out for code in pairs),
             tuple(code % n_out for code in pairs),
-            lone,
-            tuple(rows),
+            tuple(map(tuple, rows)),
         )
         gamma = (((a, b), k) for a, b, k, _ in core.entries())
-        self.gamma = _View(gamma, size)
+        self.gamma = _View(gamma, sum(map(len, rows)))
         self.provenance = _View(((a, b), rule) for a, b, _, rule in core.entries() if rule)
 
     @cached_property
@@ -372,10 +357,10 @@ def build_improvement_digraph(env: SocialEnvironment) -> ImprovementDigraph:
     """All edges (s, t, K) with K entitled and h(t) strictly preferred by every member.
 
     One bitmask of strict gainers per outcome pair that gamma uses; then,
-    per group of a source, its family is unpacked once, and each member
-    wins when some K of the family has its mask inside the gainers of the
-    member's pair.  The cost is linear in the gamma entries and outcome
-    pairs, not in the number of state pairs.
+    per gamma entry, in the rows' target order, the target wins when some
+    K of the entry's family has its mask inside the gainers of the entry's
+    pair.  The cost is linear in the gamma entries and outcome pairs, not
+    in the number of state pairs.
     """
     rights = env.rights
     core = rights._core
@@ -387,37 +372,18 @@ def build_improvement_digraph(env: SocialEnvironment) -> ImprovementDigraph:
         ]
     succ: list[list[int]] = [[] for _ in core.keys]
     pred: list[list[int]] = [[] for _ in core.keys]
-    for a, (lone, row) in enumerate(zip(core.lone, core.rows)):
+    for a, row in enumerate(core.rows):
         out = succ[a]
-        for b, p, (_, _, _, single, multi), _ in lone:
+        for b, p, fam, _ in row:
             g = gain[p]
-            if not g & single:
-                for m in multi:  # a coalition of two or more agents may win where no one alone does
+            if not g & fam[3]:  # no one-agent coalition gains
+                for m in fam[4]:  # two or more agents may win where no one alone does
                     if m & g == m:
                         break
                 else:
                     continue
             out.append(b)
             pred[b].append(a)
-        for members, (_, _, _, single, multi), _ in row:  # each family unpacked once per group
-            if not multi:  # one-agent coalitions only, as in every five-rule structure
-                for b, p in members:
-                    if gain[p] & single:
-                        out.append(b)
-                        pred[b].append(a)
-                continue
-            for b, p in members:
-                g = gain[p]
-                if not g & single:
-                    for m in multi:
-                        if m & g == m:
-                            break
-                    else:
-                        continue
-                out.append(b)
-                pred[b].append(a)
-        if row:
-            out.sort()
     edges = _View(core.winners(gain), sum(map(len, succ)))
     return ImprovementDigraph(rights._index, succ, pred, edges)
 

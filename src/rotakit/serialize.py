@@ -309,9 +309,9 @@ def _encode_rights(structure: RightsStructure, nl: str, out: list[str]) -> None:
     blocks, rules, sep, comma = {}, {}, n2, "," + n2
     tails = [f'{n3}"to": {_quote(b)}{n2}}}' for b in structure.keys()]
     out.append(f'{{{n1}"gamma": [')
-    for a, merged in structure._core.sources():
+    for a, row in zip(structure.keys(), structure._core.rows):
         head = f'{n3}"from": {_quote(a)},'
-        for b, _, family, rule in merged:
+        for b, _, family, rule in row:
             if (fam := family[0]) not in blocks:
                 block = [f'{{{n3}"coalitions": ']
                 _encode(sorted(sorted(k) for k in fam), n3, block)

@@ -11,7 +11,7 @@ import itertools
 import json
 import pathlib
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -700,28 +700,38 @@ def test_grouped_input_matches_one_entry_at_a_time():
     assert broken > 250
 
 
-def test_rule_made_structures_store_groups_not_entries():
-    """The exclusion structure of an n = 4 economy stores at most 2^n groups per source (an
-    entry stored alone counts as a group), the Theorem-4 structure of a jobs n = 5 domain fewer groups than a tenth of its entries, and
-    no structure stores a group that grants nobody, as the Rule-2 group of the targets that
-    every agent ranks above a Pareto-dominated choice would."""
+def test_rule_made_structures_reach_the_builder_as_groups(monkeypatch):
+    """The exclusion structure of an n = 4 economy reaches the builder as at most 2^n groups
+    per source, and the Theorem-4 structure of a jobs n = 5 domain as fewer groups than a
+    tenth of its entries.  Each stored row strictly increases in target id, and no stored
+    entry grants nobody, as the Rule-2 group of the targets that every agent ranks above a
+    Pareto-dominated choice would."""
+    given = []
+    compile_rows = RightsStructure._compile
+
+    def recorded(structure, states, groups):
+        given.append(groups := list(groups))
+        compile_rows(structure, states, groups)
+
+    monkeypatch.setattr(RightsStructure, "_compile", recorded)
     economy = Economy(
         "E", 4, ("h1", "h2", "h3", "h4"), "h0",
         {"h1": {0}, "h2": {1, 2}, "h3": {3}, "h4": {0, 3}},
         tuple((*random.Random(i).sample(["h1", "h2", "h3", "h4"], 4), "h0") for i in range(4)),
     )
-    core = (structure := exclusion_rights_structure(economy))._core
-    assert len(structure.gamma) > 40_000
-    assert max(len(g) + len(e) for g, e in zip(core.rows, core.lone)) <= 2**4
+    structures = [exclusion_rights_structure(economy)]
+    assert len(structures[0].gamma) > 40_000
+    assert max(Counter(a for a, *_ in given.pop()).values()) <= 2**4
     problems = random_common_best_domain(random.Random(5), 5, 2)
     scr, witness = domain_scr(jobs_to_doc(problems))
-    structures = [structure, build_thm4_structure(scr, witness)]
-    core = structures[1]._core
-    assert sum(map(len, core.rows)) + sum(map(len, core.lone)) < len(structures[1].gamma) / 10
+    structures.append(build_thm4_structure(scr, witness))
+    assert len(given.pop()) < len(structures[1].gamma) / 10 and not given
     p = Profile.from_orders("R", ("x", "y", "z"), [["x", "y", "z"], ["y", "x", "z"]])
     structures.append(build_thm1_structure(SocialChoiceRule((p,), {"R": {"z"}})))
     assert structures[2].entitled("z@R", "x") == frozenset()
-    assert all(fam[0] for s in structures for row in s._core.rows for _, fam, _ in row)
+    for row in (row for s in structures for row in s._core.rows):
+        assert all(b < c for (b, *_), (c, *_) in zip(row, row[1:]))
+        assert all(fam[0] for _, _, fam, _ in row)
 
 
 def _read_error(read, doc) -> tuple[str, str | None] | None:

@@ -166,11 +166,14 @@ def test_validation_errors_locate_the_refused_value(xyz_structure):
     states = tuple(State(k, k) for k in ("a", "b", "c"))
     one = frozenset([frozenset([0])])
     no_z = Profile.from_orders("B", ("x", "y"), [["x", "y"]])
+    bc = ("b", "c")  # a tuple target is one unknown key, not a group of keys
     refusals = [
         (lambda: RightsStructure((), {}), ("states",)),
         (lambda: RightsStructure(states + (State("b", "c"),), {}), ("states", 3, "key")),
         (lambda: RightsStructure(states, {("a", "q"): one}), ("gamma", ("a", "q"), "to")),
         (lambda: RightsStructure(states, {("q", "a"): one}), ("gamma", ("q", "a"), "from")),
+        (lambda: RightsStructure(states, {("a", bc): one}), ("gamma", ("a", bc), "to")),
+        (lambda: RightsStructure(states, {("a", ()): one}), ("gamma", ("a", ()), "to")),
         (lambda: RightsStructure(states, {("b", "b"): one}), ("gamma", ("b", "b"), "to")),
         (lambda: RightsStructure(states, {("a", "b"): [[]]}), ("gamma", ("a", "b"), "coalitions")),
         (lambda: RightsStructure(states, {("a", "b"): [[-1]]}), ("gamma", ("a", "b"), "coalitions")),
