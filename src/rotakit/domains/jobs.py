@@ -61,12 +61,6 @@ class JobRotationProblem:
     def n(self) -> int:
         return len(self.jobs)
 
-    def job_rank(self, agent: int, job: str) -> int:
-        try:
-            return self.orders[agent].index(job)
-        except ValueError:
-            raise InputError(f"unknown job {job!r}") from None
-
     def top(self, agent: int) -> str:
         return self.orders[agent][0]
 

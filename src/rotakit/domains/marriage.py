@@ -115,21 +115,9 @@ class Matching:
         except KeyError:
             raise InputError(f"unknown agent {agent!r}") from None
 
-    def is_single(self, agent: str) -> bool:
-        return self.partner(agent) == agent
-
 
 def matching_id(matching: Matching, problem: MarriageProblem) -> str:
     return ",".join(f"{m}:{matching.partner(m)}" for m in problem.men)
-
-
-def matching_from_id(mid: str, problem: MarriageProblem) -> Matching:
-    table = {}
-    for chunk in mid.split(","):
-        m, partner = chunk.split(":")
-        if partner != m:
-            table[m] = partner
-    return Matching.from_man_map(problem, table)
 
 
 def all_matchings(problem: MarriageProblem) -> tuple[Matching, ...]:

@@ -314,12 +314,6 @@ class SocialChoiceRule:
                 if a in chosen:
                     yield a, p
 
-    def range_set(self) -> frozenset[str]:
-        out: set[str] = set()
-        for ch in self.choices.values():
-            out |= ch
-        return frozenset(out)
-
 
 @dataclass(frozen=True)
 class EfficiencyVerdict(Verdict):

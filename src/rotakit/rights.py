@@ -22,6 +22,7 @@ from .model import InputError, Profile
 
 Coalition = frozenset[int]
 _target = itemgetter(0)  # of a compiled gamma entry
+_OUTSIDE = "gamma mentions an agent index outside the profile"
 
 BASE = "base"
 GRAPH = "graph"
@@ -43,17 +44,6 @@ def coalition(members: Iterable[int], where: tuple = ()) -> Coalition:
 def coalition_key(k: Coalition) -> tuple[int, tuple[int, ...]]:
     """Deterministic sort key: by size, then by sorted members."""
     return (len(k), tuple(sorted(k)))
-
-
-def check_agent_range(entries: Iterable[tuple], top: int, n_agents: int, *where) -> None:
-    """Refuse `top`, the entries' largest agent index, at its first pair unless below `n_agents`."""
-    if top >= n_agents:
-        held: dict = {}  # a document may repeat a pair
-        for a, b, fam, _ in entries:
-            held[a, b] = held.get((a, b)) or any(top in k for k in fam)
-        pair = next(p for p, found in held.items() if found)
-        what = "gamma mentions an agent index outside the profile"
-        raise InputError(what, where=(*where, "gamma", pair, "coalitions"), value=top)
 
 
 class State(NamedTuple):
@@ -138,16 +128,18 @@ class RightsStructure:
         self._compile(states, ((a, b, k, rule((a, b))) for (a, b), k in gamma.items()))
 
     @classmethod
-    def _build(cls, states: Iterable[tuple], groups: Iterable[tuple]) -> RightsStructure:
-        (structure := cls.__new__(cls))._compile(states, groups)
+    def _build(
+        cls, states: Iterable, groups: Iterable, agents: int | None = None
+    ) -> RightsStructure:
+        (structure := cls.__new__(cls))._compile(states, groups, agents)
         return structure
 
-    def _compile(self, states: Iterable[tuple], groups: Iterable[tuple]) -> None:
-        """Check and store (key, outcome, kind, profile) `states` and (from, to, coalitions,
-        rule) `groups`, checked one entry at a time in the order given: `to` is a list of
-        keys, one entry each, or one key.  A stable sort by target puts the entries on a
-        repeated pair side by side, in the order given: their coalitions join, and the last
-        nonempty rule stands."""
+    def _compile(self, states: Iterable, groups: Iterable, agents: int | None = None) -> None:
+        """Check and store (key, outcome, kind, profile) `states`, then (from, to, coalitions,
+        rule) `groups`, each checked in full, agent indices below `agents` when it is given,
+        before the next one is drawn: `to` is a list of keys, one entry each, or one key.  A
+        stable sort by target puts the entries on a repeated pair side by side, in the order
+        given: their coalitions join, and the last nonempty rule stands."""
         if not (states := tuple(states)):
             raise InputError("rights structure needs at least one state", where=("states",))
         index, outcomes, outcome_of = {}, {}, []  # key -> id, outcome -> id, id -> outcome id
@@ -182,9 +174,12 @@ class RightsStructure:
                 if ia == ib:
                     what = f"gamma is defined on distinct pairs only, got ({a!r}, {a!r})"
                     raise InputError(what, where=("gamma", (a, b), "to"))
-                if id(fam) not in checked:
+                if id(fam) not in checked:  # before a bitmask is built per member
                     where = ("gamma", (a, b), "coalitions")
-                    checked[id(fam)] = fam, family(frozenset(coalition(k, where) for k in fam))
+                    valid = frozenset(coalition(k, where) for k in fam)
+                    if agents is not None and (top := max(map(max, valid), default=-1)) >= agents:
+                        raise InputError(_OUTSIDE, where=where, value=top)
+                    checked[id(fam)] = fam, family(valid)
 
         def join(old: tuple, new: tuple) -> tuple:
             return new[0], new[1], family(old[2][0] | new[2][0]), new[3] or old[3]
@@ -215,7 +210,6 @@ class RightsStructure:
         if frozenset() in shared:  # an entry granting nobody is not stored
             rows = [[e for e in row if e[2][0]] for row in rows]
         self._index, self._max_agent = index, max((max(k) for f in shared for k in f), default=-1)
-        self._individual = not any(record[4] for record in shared.values())
         self._core = core = CompiledRights(
             states,
             tuple(index),
@@ -263,9 +257,6 @@ class RightsStructure:
         """(from, to, coalitions, rule) per gamma entry, in the order of `gamma`."""
         return self._core.entries()
 
-    def is_individual_based(self) -> bool:
-        return self._individual
-
     def max_agent(self) -> int:
         """Largest agent index mentioned anywhere in gamma (-1 if gamma is empty)."""
         return self._max_agent
@@ -284,7 +275,9 @@ class SocialEnvironment:
             i, (key, h, *_) = next(s for s in enumerate(rights._core.states) if s[1][1] not in alts)
             what = f"state {key!r} has unknown outcome {h!r}"
             raise InputError(what, where=("rights", "states", i, "outcome"))
-        check_agent_range(rights.entries(), rights.max_agent(), self.profile.n_agents, "rights")
+        if (top := rights.max_agent()) >= self.profile.n_agents:  # named at its first entry
+            pair = next((a, b) for a, b, fam, _ in rights.entries() if any(top in k for k in fam))
+            raise InputError(_OUTSIDE, where=("rights", "gamma", pair, "coalitions"), value=top)
 
     def outcome(self, key: str) -> str:
         return self.rights.outcome(key)
@@ -472,7 +465,7 @@ def find_myopic_improvement_path(
     """
     rights = env.rights
     rights.index(start)
-    target_set = set(targets)
+    target_set = dict.fromkeys(targets)  # in the caller's order: the first unknown is named
     for t in target_set:
         rights.index(t)
     dg = digraph if digraph is not None else build_improvement_digraph(env)

@@ -26,8 +26,6 @@ from .rights import (
     RightsStructure,
     SocialEnvironment,
     State,
-    check_agent_range,
-    coalition,
 )
 
 # how `dumps` writes a list of one scalar type, in one join
@@ -103,14 +101,14 @@ def _rows(value: Any, path: str, kind: type) -> tuple[tuple, ...]:
 
 
 @contextmanager
-def _at(fields: Mapping[str, str], gamma: Sequence = ()) -> Iterator[None]:
+def _at(fields: Mapping[str, str]) -> Iterator[list]:
     """Re-raise a library check's `InputError` at the JSON path of its `where`: `fields`
     maps a field of the object being built to its path, and an element's field (a name
     after an index) to its document key where the two differ.  Indices and mapping keys
-    extend the path; a gamma pair `(from, to)` becomes the first entry of `gamma` on that
-    pair that holds `InputError.value`, if one is given."""
+    extend the path; a gamma pair `(from, to)` becomes the index of the entry being read,
+    which the reader keeps in the list this yields."""
     try:
-        yield
+        yield (entry := [None])
     except InputError as exc:
         where = exc.where
         if not where or where[0] not in fields:
@@ -118,8 +116,7 @@ def _at(fields: Mapping[str, str], gamma: Sequence = ()) -> Iterator[None]:
         path = fields[where[0]]
         for prev, step in zip(where, where[1:]):
             if type(step) is tuple:
-                step = next(i for i, g in enumerate(gamma) if (g["from"], g["to"]) == step
-                            and exc.value in (None, *chain.from_iterable(g["coalitions"])))
+                step = entry[0]
             if type(step) is int:
                 path += f"[{step}]"
             else:  # after a name: a mapping key or a nested field, written as it is
@@ -199,28 +196,26 @@ def rights_from_doc(doc: Mapping) -> RightsStructure:
             raise _error(f"{path}.kind", f"unknown kind {kind!r}")
         profile = _need(sdoc, "profile", path, str) if kind == GRAPH or "profile" in sdoc else None
         states.append((key, _need(sdoc, "outcome", path, str), kind, profile))
-    entries = []
-    families: dict[tuple, frozenset] = {}  # one shared family per coalition list
-    for i, gdoc in enumerate(_list(rdoc.get("gamma", []), "$.rights.gamma")):
+    agents = doc.get("agents") if type(doc.get("agents")) is int else None
+    fields = {"states": "$.rights.states", "gamma": "$.rights.gamma", "key": "id"}
+    with _at(fields) as entry:  # the builder checks the states, then each entry as it is read
+        return RightsStructure._build(states, _gamma(rdoc.get("gamma", []), entry), agents)
+
+
+def _gamma(gdocs: Any, entry: list) -> Iterator[tuple]:
+    """(from, to, coalitions, rule) per entry of `$.rights.gamma`, its index kept in
+    `entry[0]`, with one shared tuple for each distinct list of coalitions."""
+    families: dict[tuple, tuple] = {}
+    for entry[0], gdoc in enumerate(_list(gdocs, "$.rights.gamma")):
         try:  # 1, True and 1.0 are equal keys: only JSON integers may reach the memo
-            pair, key = (gdoc["from"], gdoc["to"]), tuple(map(tuple, gdoc["coalitions"]))
+            a, b, key = gdoc["from"], gdoc["to"], tuple(map(tuple, gdoc["coalitions"]))
             ints = _INT.issuperset(map(type, chain.from_iterable(key)))
-            if not (ints and str is type(pair[0]) is type(pair[1])):
+            if not (ints and str is type(a) is type(b)):
                 raise TypeError
         except (KeyError, TypeError):
-            _gamma_entry_error(gdoc, f"$.rights.gamma[{i}]")
-        fam = families.get(key)
-        if fam is None:  # each distinct coalition list is checked once
-            with _at({"coalitions": f"$.rights.gamma[{i}].coalitions"}):
-                fam = families[key] = frozenset(coalition(k, ("coalitions",)) for k in key)
-        rule = _need(gdoc, "rule", f"$.rights.gamma[{i}]", str) if "rule" in gdoc else None
-        entries.append((*pair, fam, rule))
-    fields = {"states": "$.rights.states", "gamma": "$.rights.gamma", "key": "id"}
-    with _at(fields, rdoc.get("gamma", [])):
-        if type(agents := doc.get("agents")) is int:  # before a bitmask is built per member
-            top = max((max(k) for fam in families.values() for k in fam), default=-1)
-            check_agent_range(entries, top, agents)
-        return RightsStructure._build(states, entries)
+            _gamma_entry_error(gdoc, f"$.rights.gamma[{entry[0]}]")
+        rule = _need(gdoc, "rule", f"$.rights.gamma[{entry[0]}]", str) if "rule" in gdoc else None
+        yield a, b, families.setdefault(key, key), rule
 
 
 def _gamma_entry_error(gdoc: Any, path: str) -> NoReturn:
@@ -255,7 +250,7 @@ def environment_from_doc(doc: Mapping, profile_id: str) -> SocialEnvironment:
     if profile_id not in profiles:
         raise InputError(f"unknown profile id {profile_id!r}")
     rights = rights_from_doc(doc)
-    with _at({"rights": "$.rights"}, doc["rights"].get("gamma", [])):
+    with _at({"rights": "$.rights"}):
         return SocialEnvironment(rights, profiles[profile_id])
 
 

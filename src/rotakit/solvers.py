@@ -326,7 +326,7 @@ def partition_into_rotation_programs(
     state breaking the rules is returned as the witness.
     """
     dg = digraph if digraph is not None else build_improvement_digraph(env)
-    members = set(mss_states)
+    members = dict.fromkeys(mss_states)  # in the caller's order: the first unknown is named
     for s in members:
         env.rights.index(s)
     keys = dg.nodes

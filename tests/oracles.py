@@ -1106,8 +1106,8 @@ def _assignment_dominates(problem, agents, better, worse) -> bool:
         return False
     strict = False
     for pos, agent in enumerate(agents):
-        rb = problem.job_rank(agent, better[pos])
-        rw = problem.job_rank(agent, worse[pos])
+        rb = problem.orders[agent].index(better[pos])
+        rw = problem.orders[agent].index(worse[pos])
         if rb > rw:
             return False
         if rb < rw:

@@ -12,6 +12,7 @@ import random
 import time
 from contextlib import contextmanager
 
+from instances import random_environment, random_scr
 from oracles import brute_force_mss, brute_force_pareto
 from rotakit.conditions import (
     check_indirect_monotonicity,
@@ -46,12 +47,7 @@ from rotakit.domains import (
     phi_scr,
     top_job_groups,
 )
-from rotakit.generators import (
-    random_common_best_domain,
-    random_environment,
-    random_hat_domain,
-    random_scr,
-)
+from rotakit.generators import random_common_best_domain, random_hat_domain
 from rotakit.model import SocialChoiceRule, check_efficiency
 from rotakit.rights import SocialEnvironment, build_improvement_digraph
 from rotakit.solvers import (

@@ -851,8 +851,8 @@ def test_commands_leave_the_rights_views_unbuilt(monkeypatch):
     built = []
     compile_rows = RightsStructure._compile
 
-    def recorded(structure, states, entries):
-        compile_rows(structure, states, entries)
+    def recorded(structure, states, entries, agents=None):
+        compile_rows(structure, states, entries, agents)
         built.append(structure)
 
     monkeypatch.setattr(RightsStructure, "_compile", recorded)

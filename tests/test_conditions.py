@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from instances import random_scr
 from rotakit.conditions import (
     OrderingWitness,
     check_indirect_monotonicity,
@@ -13,7 +14,6 @@ from rotakit.conditions import (
     rotation_certificates,
     verify_rotation_monotonicity_with,
 )
-from rotakit.generators import random_scr
 from rotakit.model import (
     CapExceeded,
     InputError,

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from instances import random_scr
 from rotakit.conditions import OrderingWitness, find_shared_ordering
 from rotakit.constructors import (
     RULE1,
@@ -15,7 +16,6 @@ from rotakit.constructors import (
     verify_implementation_in_mss,
     verify_implementation_in_rotation_programs,
 )
-from rotakit.generators import random_scr
 from rotakit.model import InputError, Profile, SocialChoiceRule, lower_contour_set
 from rotakit.rights import GRAPH, SocialEnvironment, build_improvement_digraph
 from rotakit.solvers import compute_mss

@@ -15,6 +15,7 @@ from collections import Counter, deque
 
 import pytest
 
+from instances import random_environment, random_scr
 from oracles import (
     brute_force_stable_matching_ids,
     contour_five_rule_gamma,
@@ -79,11 +80,9 @@ from rotakit.domains import (
 )
 from rotakit.generators import (
     random_common_best_domain,
-    random_environment,
     random_hat_domain,
     random_linear_profile,
     random_marriage_problem,
-    random_scr,
     random_weak_profile,
 )
 from rotakit.model import (
@@ -141,8 +140,6 @@ def _assert_rows_match_dicts(fast: RightsStructure, ref, rng: random.Random) -> 
     assert list(fast.entries()) == [  # by source, then target id, whatever the groups
         (a, b, fam, ref.provenance.get((a, b))) for (a, b), fam in ref.gamma.items()
     ]
-    singles = all(len(k) == 1 for fam in ref.gamma.values() for k in fam)
-    assert fast.is_individual_based() == singles
     for key, s in zip(fast.keys(), ref.states, strict=True):  # read off the rows
         assert (fast.outcome(key), fast.state(key)) == (s.outcome, s)
         assert type(fast.state(key)) is State
@@ -709,9 +706,9 @@ def test_rule_made_structures_reach_the_builder_as_groups(monkeypatch):
     given = []
     compile_rows = RightsStructure._compile
 
-    def recorded(structure, states, groups):
+    def recorded(structure, states, groups, agents=None):
         given.append(groups := list(groups))
-        compile_rows(structure, states, groups)
+        compile_rows(structure, states, groups, agents)
 
     monkeypatch.setattr(RightsStructure, "_compile", recorded)
     economy = Economy(
@@ -742,10 +739,9 @@ def _read_error(read, doc) -> tuple[str, str | None] | None:
     return None
 
 
-def test_rights_reader_fails_like_per_entry_reader():
-    """Broken gamma entries and states give the reference reader's message and
-    path; only where it had no path does the reader now name one."""
-    rng = random.Random(20)
+def _fails_like_per_entry_reader(rng: random.Random, doc: dict, seen: set) -> None:
+    """One broken gamma entry or state per mutation of `doc` gives the reference reader's
+    message and path; only where it had no path does the reader now name one."""
     bad = [True, False, 1.0, -1, "0", None, [0], {}]
     mutations = [
         lambda g, s: g["coalitions"][0].__setitem__(0, rng.choice(bad)),
@@ -759,21 +755,58 @@ def test_rights_reader_fails_like_per_entry_reader():
         lambda g, s: s.__setitem__("id", rng.choice([7, "s0"])),
         lambda g, s: s.__setitem__("outcome", rng.choice([7, None])),
     ]
+    for mutate in mutations:
+        broken = json.loads(json.dumps(doc))
+        rights = broken["rights"]
+        mutate(rng.choice(rights["gamma"]), rng.choice(rights["states"]))
+        fast, ref = _read_error(rights_from_doc, broken), _read_error(_scan_read, broken)
+        assert (fast is None) == (ref is None)
+        if ref is not None:
+            assert fast[0] == ref[0]
+            assert fast[1] == ref[1] or ref[1] is None and fast[1].startswith("$.rights.")
+            seen.add(ref[1] is None)
+
+
+def test_rights_reader_fails_like_per_entry_reader():
+    """Broken gamma entries and states give the reference reader's message and
+    path; only where it had no path does the reader now name one."""
+    rng = random.Random(20)
     seen = set()
-    for n, doc in enumerate(_rights_documents()):
-        if not doc["rights"]["gamma"]:
-            continue
-        for mutate in mutations:
-            broken = json.loads(json.dumps(doc))
-            rights = broken["rights"]
-            mutate(rng.choice(rights["gamma"]), rng.choice(rights["states"]))
-            fast, ref = _read_error(rights_from_doc, broken), _read_error(_scan_read, broken)
-            assert (fast is None) == (ref is None)
-            if ref is not None:
-                assert fast[0] == ref[0]
-                assert fast[1] == ref[1] or ref[1] is None and fast[1].startswith("$.rights.")
-                seen.add(ref[1] is None)
+    for doc in _rights_documents():
+        if doc["rights"]["gamma"]:
+            _fails_like_per_entry_reader(rng, doc, seen)
     assert seen == {True, False}, "both path-carrying and library errors must occur"
+
+
+def test_rights_reader_names_the_entry_that_holds_an_agent_outside_the_profile():
+    """On documents that carry `agents`, so that the agent range is checked, broken
+    entries and states still read as the reference reader reads them, and an agent index
+    at or above `agents`, put on any one entry (often a later entry of a repeated pair),
+    is refused at that entry's coalitions."""
+    rng = random.Random(21)
+    seen, repeats = set(), 0
+    for doc in _rights_documents():
+        gamma = doc["rights"]["gamma"]
+        if not gamma:
+            continue
+        top = max(m for g in gamma for k in g["coalitions"] for m in k)
+        doc = {**doc, "agents": top + 1 + rng.randrange(2)}
+        assert _read_error(rights_from_doc, doc) is None
+        _fails_like_per_entry_reader(rng, doc, seen)
+        broken = json.loads(json.dumps(doc))
+        pairs = [(g["from"], g["to"]) for g in broken["rights"]["gamma"]]
+        later = [i for i, pair in enumerate(pairs) if pair in pairs[:i]]
+        i = rng.choice(later) if later and rng.random() < 0.7 else rng.randrange(len(pairs))
+        repeats += i in later
+        coalitions = broken["rights"]["gamma"][i]["coalitions"]
+        outside = broken["agents"] + rng.choice([0, 1, 10**11])
+        if rng.random() < 0.5:
+            coalitions.insert(rng.randint(0, len(coalitions)), [outside])
+        else:
+            rng.choice(coalitions).append(outside)
+        refused = "gamma mentions an agent index outside the profile"
+        assert _read_error(rights_from_doc, broken) == (refused, f"$.rights.gamma[{i}].coalitions")
+    assert seen == {True, False} and repeats > 20
 
 
 def _ordering_scrs(seed: int, count: int):

@@ -224,14 +224,12 @@ def test_phi_step2_assignments_are_efficient():
             for other in itertools.permutations(rest, len(tail)):
                 if other == tail:
                     continue
-                weakly = all(
-                    problem.job_rank(agent + 2, other[agent]) <= problem.job_rank(agent + 2, tail[agent])
-                    for agent in range(len(tail))
-                )
-                strictly = any(
-                    problem.job_rank(agent + 2, other[agent]) < problem.job_rank(agent + 2, tail[agent])
-                    for agent in range(len(tail))
-                )
+                ranks = [
+                    (order.index(o), order.index(t))
+                    for order, o, t in zip(problem.orders[2:], other, tail)
+                ]
+                weakly = all(ro <= rt for ro, rt in ranks)
+                strictly = any(ro < rt for ro, rt in ranks)
                 assert not (weakly and strictly)
 
 

@@ -17,7 +17,7 @@ from rotakit.domains import (
     optimal_orderings,
     stable_set_scr,
 )
-from rotakit.domains.marriage import Matching, matching_from_id
+from rotakit.domains.marriage import Matching
 from rotakit.generators import random_marriage_problem
 from rotakit.model import CapExceeded, InputError, validate_domain_restriction
 
@@ -222,12 +222,6 @@ def test_stable_set_scr(marriage_market_problems):
     for p in marriage_market_problems:
         expected = {matching_id(mu, p) for mu in enumerate_stable_matchings(p)}
         assert scr.choice(p.id) == expected
-
-
-def test_matching_round_trip(marriage_market_problems):
-    p_r, _ = marriage_market_problems
-    for mu in all_matchings(p_r):
-        assert matching_from_id(matching_id(mu, p_r), p_r) == mu
 
 
 def test_matching_validation():

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
+from instances import random_environment
 from oracles import dfs_reachable, digraph_adjacency
 from rotakit.domains import Economy
-from rotakit.generators import random_environment
 from rotakit.model import InputError, Profile
 from rotakit.rights import (
     RightsStructure,
@@ -295,13 +295,6 @@ def test_states_are_named_tuples_and_equality_is_the_written_form():
     ):
         assert other != made and dumps(other) != dumps(made)
     assert made != rows and made != dict(made.gamma)
-
-
-def test_is_individual_based(xyz_structure):
-    assert not xyz_structure.is_individual_based()
-    states = tuple(State(k, k) for k in ("a", "b"))
-    solo = RightsStructure(states, {("a", "b"): frozenset([frozenset([1])])})
-    assert solo.is_individual_based()
 
 
 def test_two_step_path_out_of_a_chosen_base_state():

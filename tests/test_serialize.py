@@ -163,6 +163,42 @@ def test_huge_gamma_agent_index_is_refused_before_a_bitmask_is_built():
     assert peak < 2_000_000
 
 
+def _fault(doc: dict, *edits) -> tuple[str, str]:
+    """The message and path `environment_from_doc` refuses `doc` with, after each
+    (field path, value) edit of a copy."""
+    doc = json.loads(json.dumps(doc))
+    for where, value in edits:
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+    with pytest.raises(InputError) as err:
+        environment_from_doc(doc, "R")
+    return str(err.value), err.value.path
+
+
+def test_of_two_faults_the_first_in_document_order_is_named():
+    """The states are checked first, then the gamma entries in document order, each in
+    full before the next one is read."""
+    outside = (("rights", "gamma", 1, "coalitions"), [[0], [3]])
+    empty = (("rights", "gamma", 3, "coalitions"), [[0], []])
+    named = ("gamma mentions an agent index outside the profile", "$.rights.gamma[1].coalitions")
+    assert _fault(XYZ_ENV_DOC, outside, empty) == named
+    named = ("coalitions must be nonempty", "$.rights.gamma[3].coalitions")
+    assert _fault(XYZ_ENV_DOC, empty) == named
+    twin = (("rights", "states", 2, "id"), "x")
+    bad_entry = (("rights", "gamma", 0), {"from": "x", "coalitions": [[0]]})
+    assert _fault(XYZ_ENV_DOC, bad_entry, twin) == ("duplicate state keys", "$.rights.states[2].id")
+    assert _fault(XYZ_ENV_DOC, bad_entry) == (
+        "missing field $.rights.gamma[0].to", "$.rights.gamma[0].to"
+    )
+    # an entry's own faults: its endpoints before its coalitions
+    ghost = (("rights", "gamma", 1, "to"), "w")
+    assert _fault(XYZ_ENV_DOC, outside, ghost) == (
+        "gamma entry on unknown state pair ('y', 'w')", "$.rights.gamma[1].to"
+    )
+
+
 def test_environment_requires_rights_block():
     doc = {k: v for k, v in XYZ_ENV_DOC.items() if k != "rights"}
     with pytest.raises(InputError):

@@ -1,10 +1,15 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
 
+from instances import random_environment
 from oracles import brute_force_mss, dfs_reachable, digraph_adjacency
-from rotakit.generators import random_environment
+import rotakit
 from rotakit.model import InputError, Profile
 from rotakit.rights import (
     RightsStructure,
@@ -271,3 +276,32 @@ def test_core_is_subset_of_mss_random():
         dg = build_improvement_digraph(env)
         core = set(compute_core(env, dg).sets[0])
         assert core <= set(compute_mss(env, dg).states)
+
+
+_UNKNOWN_STATES = """
+from rotakit.model import InputError, Profile
+from rotakit.rights import RightsStructure, SocialEnvironment, State, find_myopic_improvement_path
+from rotakit.solvers import partition_into_rotation_programs
+
+profile = Profile.from_orders("R", ("x", "y"), [["x", "y"]])
+env = SocialEnvironment(RightsStructure((State("x", "x"), State("y", "y")), {}), profile)
+unknown = ["q1", "q2", "q3", "q4"]
+for call in (lambda: partition_into_rotation_programs(env, unknown),
+             lambda: find_myopic_improvement_path(env, "x", unknown)):
+    try:
+        call()
+    except InputError as exc:
+        print(exc)
+"""
+
+
+def test_of_several_unknown_states_the_callers_first_is_named():
+    """The partition and the myopic path search name the first unknown state in the order
+    given, whatever the string hash seed: a walk over a set of them named one by its hash."""
+    src = str(pathlib.Path(rotakit.__file__).parents[1])
+    for seed in ("1", "2", "6"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", _UNKNOWN_STATES], env=env, capture_output=True, text=True
+        )
+        assert (run.returncode, run.stdout.splitlines()) == (0, ["unknown state 'q1'"] * 2)

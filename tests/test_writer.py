@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from instances import random_scr
 from rotakit import conditions, constructors
-from rotakit.generators import random_scr
 from rotakit.rights import BASE, GRAPH, OPAQUE, RightsStructure, State
 from rotakit.serialize import (
     DOMAIN_RULES,
