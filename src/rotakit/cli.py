@@ -313,11 +313,10 @@ def _check_rotation(scr, cap):
 
 
 def _check_property_m(scr, cap):
-    rot = conditions.check_rotation_monotonicity(scr, cap=cap)
-    if rot.witness is None:
+    v = conditions._property_m_at_shared_orderings(scr, cap=cap)
+    if v is None:
         payload = {"condition": "property-m", "ok": False, "note": "no rotation-monotone ordering"}
         return payload, "cannot evaluate: rotation monotonicity already fails", EXIT_OK
-    v = conditions.check_property_m(scr, rot.witness)
     payload = {
         "condition": "property-m",
         "ok": v.ok,

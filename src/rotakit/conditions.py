@@ -297,6 +297,17 @@ class _Tables:
         head = outcomes[:1]
         return (head + tail for tail in itertools.permutations(outcomes[1:]))
 
+    def shared_ordering(self, r: Profile, cap: int) -> tuple[bool, tuple[int, ...] | None]:
+        """(True, the first searched ordering passing rotation monotonicity and Property M),
+        else (False, the first rotation-monotone ordering, or None when there is none)."""
+        first = None
+        for ordering in self.searched_orderings(r, cap):
+            if self.rotation_failure(r, ordering) is None:
+                if self.property_m_failure(r, ordering) is None:
+                    return True, ordering
+                first = first or ordering
+        return False, first
+
 
 @dataclass(frozen=True)
 class RotationCertificate:
@@ -347,12 +358,6 @@ class OrderingWitness:
         object.__setattr__(
             self, "orderings", {pid: tuple(o) for pid, o in dict(self.orderings).items()}
         )
-
-    def for_profile(self, pid: str) -> tuple[str, ...]:
-        try:
-            return self.orderings[pid]
-        except KeyError:
-            raise InputError(f"no ordering recorded for profile {pid!r}") from None
 
 
 def coerce_orderings(
@@ -417,9 +422,9 @@ def check_rotation_monotonicity(
 def verify_rotation_monotonicity_with(
     scr: SocialChoiceRule, orderings: "OrderingWitness | Mapping[str, Sequence[str]]"
 ) -> RotationVerdict:
-    """Check rotation monotonicity against supplied orderings, no search.
+    """Check rotation monotonicity against orderings the caller supplies, no search.
 
-    Used by pipelines that construct orderings directly (the circular
+    The orderings may come from a domain's own construction (the circular
     arrangement of common-best-job problems, the alternating order of the
     partially-informed-planner rule), where the chosen sets may exceed
     any sensible search cap.
@@ -477,13 +482,19 @@ def find_shared_ordering(
     tables = _Tables(scr)
     orderings: dict[str, tuple[str, ...]] = {}
     for r in scr.profiles:
-        for ordering in tables.searched_orderings(r, cap):
-            if (
-                tables.rotation_failure(r, ordering) is None
-                and tables.property_m_failure(r, ordering) is None
-            ):
-                orderings[r.id] = tables.names(ordering)
-                break
-        else:
+        passed, ordering = tables.shared_ordering(r, cap)
+        if not passed:
             return None
+        orderings[r.id] = tables.names(ordering)
     return OrderingWitness(orderings)
+
+
+def _property_m_at_shared_orderings(scr: SocialChoiceRule, cap: int) -> PropertyMVerdict | None:
+    """Property M at `find_shared_ordering`'s orderings, failing where that search stops, at
+    the first rotation-monotone ordering there; None if some profile has none (all searched)."""
+    tables = _Tables(scr)
+    found = [(r, *tables.shared_ordering(r, cap)) for r in scr.profiles]
+    if any(ordering is None for _, _, ordering in found):
+        return None
+    failure = next((tables.property_m_failure(r, o) for r, ok, o in found if not ok), None)
+    return PropertyMVerdict(failure is None, failure)

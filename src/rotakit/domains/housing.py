@@ -235,27 +235,15 @@ def exclusion_environment(economy: Economy) -> SocialEnvironment:
     return SocialEnvironment(exclusion_rights_structure(economy), allocation_profile(economy))
 
 
-def _check_same_market(economies: Sequence[Economy]) -> None:
+def exclusion_core_scr(economies: Sequence[Economy]) -> SocialChoiceRule:
+    """The direct-exclusion-core rule over a finite domain of economies.
+
+    The SCR refuses repeated ids and differing allocations but cannot see
+    owners; its empty-domain refusal is repeated here for this message."""
     if not economies:
         raise InputError("need at least one economy", where=("profiles",))
-    first = economies[0]
-    for e in economies[1:]:
-        same = (
-            e.n_agents == first.n_agents
-            and e.houses == first.houses
-            and e.outside == first.outside
-            and e.owners == first.owners
-        )
-        if not same:
-            raise InputError("domain economies disagree on agents/houses/ownership")
-    ids = [e.id for e in economies]
-    if len(set(ids)) != len(ids):
-        raise InputError("duplicate economy ids")
-
-
-def exclusion_core_scr(economies: Sequence[Economy]) -> SocialChoiceRule:
-    """The direct-exclusion-core rule over a finite domain of economies."""
-    _check_same_market(economies)
+    if any(e.owners != economies[0].owners for e in economies[1:]):
+        raise InputError("domain economies disagree on ownership")
     profiles = tuple(allocation_profile(e) for e in economies)
     choices = {e.id: frozenset(direct_exclusion_core(e)) for e in economies}
     return SocialChoiceRule(profiles, choices)

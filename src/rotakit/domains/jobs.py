@@ -93,22 +93,16 @@ def pareto_efficient_allocations(extended: Profile) -> frozenset[str]:
 
 def efficient_scr(problems: Sequence[JobRotationProblem]) -> SocialChoiceRule:
     """The efficient rule over a finite domain of job rotation problems."""
-    _check_same_universe(problems)
+    _check_nonempty(problems)
     profiles = tuple(extend_job_preferences(p) for p in problems)
     choices = {prof.id: pareto_frontier(prof) for prof in profiles}
     return SocialChoiceRule(profiles, choices)
 
 
-def _check_same_universe(problems: Sequence[JobRotationProblem]) -> None:
+def _check_nonempty(problems: Sequence[JobRotationProblem]) -> None:
+    """Repeats the SCR's empty-domain refusal for its own message; the SCR checks the rest."""
     if not problems:
         raise InputError("need at least one job rotation problem", where=("profiles",))
-    jobs = problems[0].jobs
-    for p in problems[1:]:
-        if p.jobs != jobs:
-            raise InputError("domain problems disagree on the job set")
-    ids = [p.id for p in problems]
-    if len(set(ids)) != len(ids):
-        raise InputError("duplicate problem ids")
 
 
 def common_best_job(problem: JobRotationProblem) -> str | None:
@@ -258,7 +252,7 @@ def build_phi(problem: JobRotationProblem) -> tuple[str, ...]:
 
 
 def phi_scr(problems: Sequence[JobRotationProblem]) -> SocialChoiceRule:
-    _check_same_universe(problems)
+    _check_nonempty(problems)
     profiles = tuple(extend_job_preferences(p) for p in problems)
     choices = {p.id: frozenset(build_phi(p)) for p in problems}
     return SocialChoiceRule(profiles, choices)

@@ -219,21 +219,15 @@ def matching_profile(problem: MarriageProblem) -> Profile:
     return Profile.from_shares(problem.id, alts, partners, orders)
 
 
-def _check_same_market(problems: Sequence[MarriageProblem]) -> None:
+def _check_nonempty(problems: Sequence[MarriageProblem]) -> None:
+    """Repeats the SCR's empty-domain refusal for its own message; the SCR checks the rest."""
     if not problems:
         raise InputError("need at least one marriage problem", where=("profiles",))
-    first = problems[0]
-    for p in problems[1:]:
-        if (p.men, p.women, p.pure) != (first.men, first.women, first.pure):
-            raise InputError("domain problems disagree on the market")
-    ids = [p.id for p in problems]
-    if len(set(ids)) != len(ids):
-        raise InputError("duplicate problem ids")
 
 
 def marriage_optimal_scr(problems: Sequence[MarriageProblem]) -> SocialChoiceRule:
     """F(R) = {man-optimal, woman-optimal} stable matchings per profile."""
-    _check_same_market(problems)
+    _check_nonempty(problems)
     profiles = tuple(matching_profile(p) for p in problems)
     choices = {}
     for p in problems:
@@ -255,7 +249,7 @@ def optimal_orderings(problems: Sequence[MarriageProblem]) -> OrderingWitness:
 
 def stable_set_scr(problems: Sequence[MarriageProblem]) -> SocialChoiceRule:
     """F(R) = all stable matchings per profile (the Knuth-model rule when pure)."""
-    _check_same_market(problems)
+    _check_nonempty(problems)
     profiles = tuple(matching_profile(p) for p in problems)
     choices = {
         p.id: frozenset(

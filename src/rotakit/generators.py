@@ -1,4 +1,4 @@
-"""Seeded random profiles and domain problems: the `--sample` domains and the property suites.
+"""Seeded random domain problems: the `--sample` domains and the property suites.
 
 All functions take an explicit random.Random so that runs are
 reproducible from a single seed.
@@ -9,33 +9,11 @@ from __future__ import annotations
 import math
 import random
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .domains.housing import Economy
 from .domains.jobs import JobRotationProblem
 from .domains.marriage import MarriageProblem
-from .model import Profile
-
-
-def random_linear_profile(
-    rng: random.Random, pid: str, alternatives: Sequence[str], n_agents: int
-) -> Profile:
-    orders = []
-    for _ in range(n_agents):
-        order = list(alternatives)
-        rng.shuffle(order)
-        orders.append(order)
-    return Profile.from_orders(pid, tuple(alternatives), orders)
-
-
-def random_weak_profile(
-    rng: random.Random, pid: str, alternatives: Sequence[str], n_agents: int
-) -> Profile:
-    """Random weak orders; ties allowed, no domain restriction enforced."""
-    rows = []
-    for _ in range(n_agents):
-        rows.append(tuple(rng.randrange(len(alternatives)) for _ in alternatives))
-    return Profile.from_ranks(pid, tuple(alternatives), rows)
 
 
 def random_job_problem(

@@ -69,11 +69,10 @@ class Preference:
     def __post_init__(self):
         alts = tuple(self.alternatives)
         if len(set(alts)) != len(alts):
-            raise InputError("duplicate alternative ids")
+            raise InputError("duplicate alternative ids", where=("alternatives",))
         if len(self.ranks) != len(alts):
-            raise InputError(
-                f"rank vector has {len(self.ranks)} entries for {len(alts)} alternatives"
-            )
+            what = f"rank vector has {len(self.ranks)} entries for {len(alts)} alternatives"
+            raise InputError(what, where=("ranks",))
         object.__setattr__(self, "alternatives", alts)
         object.__setattr__(self, "ranks", _normalise_ranks(self.ranks))
         object.__setattr__(self, "_index", {a: i for i, a in enumerate(alts)})
@@ -109,9 +108,6 @@ class Preference:
     def is_linear(self) -> bool:
         return len(set(self.ranks)) == len(self.ranks)
 
-    def tops(self) -> frozenset[str]:
-        return frozenset(a for a, r in zip(self.alternatives, self.ranks) if r == 0)
-
 
 @dataclass(frozen=True)
 class Profile:
@@ -123,7 +119,7 @@ class Profile:
     def __post_init__(self):
         object.__setattr__(self, "prefs", tuple(self.prefs))
         if not self.prefs:
-            raise InputError("profile needs at least one agent")
+            raise InputError("profile needs at least one agent", where=("prefs",))
         alts = self.prefs[0].alternatives
         for p in self.prefs[1:]:
             if p.alternatives != alts:

@@ -152,10 +152,8 @@ def profiles_from_doc(doc: Mapping) -> tuple[Profile, ...]:
         ranks = _rows(_need(pdoc, "ranks", path), f"{path}.ranks", int)
         if len(ranks) != agents:
             raise _error(f"{path}.ranks", f"expected {agents} agent rows")
-        try:
+        with _at({"alternatives": "$.alternatives", "ranks": f"{path}.ranks", "prefs": "$.agents"}):
             out.append(Profile.from_ranks(pid, alternatives, ranks))
-        except InputError as exc:
-            raise _error(path, str(exc)) from exc
     return tuple(out)
 
 

@@ -344,7 +344,7 @@ def partition_into_rotation_programs(
             return PartitionResult(False, witness_state=keys[s], reason=reason)
         succ[s] = targets[0] if targets else None
 
-    blocks: list[tuple[str, ...]] = []
+    blocks: list[tuple[str, ...]] = []  # each starts at the smallest unassigned id: in id order
     assigned: set[int] = set()
     for s in ids:
         if s in assigned:
@@ -379,5 +379,4 @@ def partition_into_rotation_programs(
             return PartitionResult(
                 False, witness_state=b[0], reason=f"clause ({verdict.clause}): {verdict.detail}"
             )
-    blocks.sort(key=lambda b: dg.id_of[b[0]])
     return PartitionResult(True, tuple(blocks))

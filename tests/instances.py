@@ -1,6 +1,6 @@
-"""Seeded random SCRs and environments for the property suites.
+"""Seeded random profiles, SCRs and environments for the property suites.
 
-Both take an explicit random.Random so that test runs are reproducible
+Each takes an explicit random.Random so that test runs are reproducible
 from a single seed.  Generated SCRs always choose inside the Pareto
 frontier of linear profiles, so efficiency holds by construction;
 stronger conditions are obtained by rejection against the checkers at
@@ -11,10 +11,31 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Sequence
 
-from rotakit.generators import random_linear_profile, random_weak_profile
-from rotakit.model import InputError, SocialChoiceRule, pareto_frontier
+from rotakit.model import InputError, Profile, SocialChoiceRule, pareto_frontier
 from rotakit.rights import BASE, Coalition, RightsStructure, SocialEnvironment, State
+
+
+def random_linear_profile(
+    rng: random.Random, pid: str, alternatives: Sequence[str], n_agents: int
+) -> Profile:
+    orders = []
+    for _ in range(n_agents):
+        order = list(alternatives)
+        rng.shuffle(order)
+        orders.append(order)
+    return Profile.from_orders(pid, tuple(alternatives), orders)
+
+
+def random_weak_profile(
+    rng: random.Random, pid: str, alternatives: Sequence[str], n_agents: int
+) -> Profile:
+    """Random weak orders; ties allowed, no domain restriction enforced."""
+    rows = []
+    for _ in range(n_agents):
+        rows.append(tuple(rng.randrange(len(alternatives)) for _ in alternatives))
+    return Profile.from_ranks(pid, tuple(alternatives), rows)
 
 
 def random_scr(

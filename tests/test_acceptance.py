@@ -128,7 +128,7 @@ def test_criterion_3_marriage_market(marriage_market_problems):
         for p in marriage_market_problems:
             mu_w = matching_id(deferred_acceptance(p, "women"), p)
             mu_m = matching_id(deferred_acceptance(p, "men"), p)
-            assert witness.for_profile(p.id) == (mu_w, mu_m)
+            assert witness.orderings[p.id] == (mu_w, mu_m)
         assert verify_rotation_monotonicity_with(scr, witness)
 
 

@@ -397,6 +397,57 @@ def test_check_property_m_ok_on_marriage_fixture(capsys):
     assert code == 0 and out.strip() == "ok"
 
 
+# an SCR whose lexicographically first rotation-monotone ordering of F(R0), (a0, a1, a3),
+# has no chain from a3 to R1's singleton a1, while (a0, a3, a1) passes both conditions
+_PROPERTY_M_DOC = {
+    "alternatives": ["a0", "a1", "a2", "a3", "a4"],
+    "agents": 2,
+    "profiles": [
+        {"id": "R0", "ranks": [[4, 3, 2, 0, 1], [0, 1, 4, 2, 3]]},
+        {"id": "R1", "ranks": [[1, 3, 2, 0, 4], [2, 0, 3, 1, 4]]},
+        {"id": "R2", "ranks": [[1, 4, 0, 2, 3], [1, 3, 4, 0, 2]]},
+    ],
+    "scr": {"R0": ["a0", "a1", "a3"], "R1": ["a1"], "R2": ["a2"]},
+}
+
+
+def test_check_property_m_judges_the_orderings_theorem_4_builds_on(capsys, tmp_path):
+    path = tmp_path / "pm.json"
+    path.write_text(json.dumps(_PROPERTY_M_DOC))
+    code, out, _ = _run(capsys, "check", str(path), "--condition", "rotation", "--format", "json")
+    assert code == 0 and json.loads(out)["orderings"]["R0"] == ["a0", "a1", "a3"]
+    code, out, _ = _run(
+        capsys, "check", str(path), "--condition", "shared-ordering", "--format", "json"
+    )
+    assert code == 0 and json.loads(out)["orderings"]["R0"] == ["a0", "a3", "a1"]
+    code, out, _ = _run(capsys, "check", str(path), "--condition", "property-m")
+    assert code == 0 and out == "ok\n"
+    code, out, _ = _run(
+        capsys, "construct", str(path), "--theorem", "4", "--verify", "rotation", "--format", "json"
+    )
+    assert code == 0 and json.loads(out)["verification"]["ok"] is True
+
+
+def test_check_property_m_fails_where_the_shared_ordering_search_stops(capsys, tmp_path):
+    """R3's one rotation-monotone ordering, (a0, a1, a3), has no chain from a3 to R1's
+    singleton a1, so no ordering of F(R3) passes both conditions; the violation is named
+    there, not at R0, where (a0, a3, a1) still passes both."""
+    doc = json.loads(json.dumps(_PROPERTY_M_DOC))
+    doc["profiles"].append({"id": "R3", "ranks": [[0, 4, 1, 2, 3], [3, 0, 2, 1, 4]]})
+    doc["scr"]["R3"] = ["a0", "a1", "a3"]
+    path = tmp_path / "pm.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = _run(capsys, "check", str(path), "--condition", "rotation", "--format", "json")
+    assert code == 0 and json.loads(out)["ok"] is True
+    code, out, _ = _run(capsys, "check", str(path), "--condition", "shared-ordering")
+    assert code == 0 and out == "no shared ordering exists\n"
+    code, out, _ = _run(capsys, "check", str(path), "--condition", "property-m", "--format", "json")
+    assert code == 0 and json.loads(out)["failure"] == {
+        "profile_id": "R3", "other_id": "R1", "outcome": "a3",
+        "reason": "no chain to the singleton",
+    }
+
+
 def test_solve_generalized(capsys, env_path):
     code, out, _ = _run(
         capsys, "solve", env_path, "--profile", "Rp", "--concept", "generalized",
@@ -557,6 +608,18 @@ def test_domain_check_names_json_path(capsys, tmp_path, doc, named):
     code, out, err = _run(capsys, "domain", str(path), "--format", "json")
     assert code == 1 and out == ""
     assert json.loads(err) == {"error": named[0], "path": named[1], "exit": 1}
+
+
+def _fixture_with(name, *edits):
+    """fixtures/NAME.json with each (where, value) edit applied."""
+    root = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
+    doc = json.loads((root / f"{name}.json").read_text())
+    for where, value in edits:
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = value
+    return doc
 
 
 @pytest.mark.parametrize(
@@ -774,6 +837,14 @@ def test_domain_check_names_json_path(capsys, tmp_path, doc, named):
            "R", "--concept", "mss"), (f"$.rights.states[0].kind: unknown kind {kind!r}",
                                       "$.rights.states[0].kind"))
           for kind in ("weird", None, ["x"])),
+        ("example-environment", ("profiles", 0, "ranks"), [[0, 1, 2]] * 2, ("check",
+         "--condition", "maskin"), ("$.profiles[0].ranks: expected 3 agent rows",
+                                    "$.profiles[0].ranks")),
+        # so do a profile's own checks
+        ("example-environment", ("alternatives",), ["x", "x", "z"], ("check", "--condition",
+         "maskin"), ("duplicate alternative ids", "$.alternatives")),
+        ("example-environment", ("profiles", 0, "ranks", 1), [0, 1], ("check", "--condition",
+         "maskin"), ("rank vector has 2 entries for 3 alternatives", "$.profiles[0].ranks")),
     ],
 )
 def test_malformed_document_names_json_path(capsys, tmp_path, fixture, where, value, argv,
@@ -784,20 +855,15 @@ def test_malformed_document_names_json_path(capsys, tmp_path, fixture, where, va
         message, path = named
     else:
         message, path = named, next((w for w in named.split() if w.startswith("$")), None)
-    root = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-    doc = json.loads((root / f"{fixture}.json").read_text())
-    parent = doc
-    for key in where[:-1]:
-        parent = parent[key]
-    parent[where[-1]] = value
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
+    bad.write_text(json.dumps(_fixture_with(fixture, (where, value))))
     code, out, err = _run(capsys, argv[0], str(bad), *argv[1:])
     assert code == 1 and out == ""
     assert f"error: {message}" in err and "Traceback" not in err
     code, out, err = _run(capsys, argv[0], str(bad), *argv[1:], "--format", "json")
     report = json.loads(err)
-    assert code == 1 and out == "" and report["error"].startswith(message)
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert report["error"].startswith(message)
     assert report["path"] == path
 
 
@@ -869,3 +935,38 @@ def test_commands_leave_the_rights_views_unbuilt(monkeypatch):
     assert "solve fixtures/economy-domain.json --profile" in seen
     assert any(command.startswith("export-dot") for command in seen)
     assert {f"construct fixtures/{f}-domain.json --theorem" for f in ("jobs", "marriage")} <= seen
+
+
+_EXAMPLE = _fixture_with("example-environment")
+
+
+@pytest.mark.parametrize(
+    "doc, caps, message, path",
+    [
+        ([_EXAMPLE], None, "top-level JSON value must be an object", "$"),
+        (_EXAMPLE, "ordering", "ROTAKIT_CAPS: expected name=value, got 'ordering'", None),
+        (_EXAMPLE, "ordering=x", "ROTAKIT_CAPS: bad integer 'x'", None),
+        (_EXAMPLE, "product=0", "caps must be positive", None),
+        # a profile's own check, named at the field it refuses
+        (_fixture_with("example-environment", (("agents",), 0), (("profiles", 0, "ranks"), [])),
+         None, "profile needs at least one agent", "$.agents"),
+    ],
+    ids=["top-level-list", "caps-no-equals", "caps-bad-integer", "caps-not-positive",
+         "zero-agents"],
+)
+def test_refusal_is_one_json_line(capsys, tmp_path, monkeypatch, doc, caps, message, path):
+    """Each refusal exits 1 with exactly one line of JSON on stderr, whose message ends
+    with `message` and whose path is `path`, and with the same message as text."""
+    if caps is None:
+        monkeypatch.delenv("ROTAKIT_CAPS", raising=False)
+    else:
+        monkeypatch.setenv("ROTAKIT_CAPS", caps)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = ("check", str(bad), "--condition", "maskin")
+    code, out, err = _run(capsys, *argv, "--format", "json")
+    assert code == 1 and out == "" and err.count("\n") == 1 and err.endswith("\n")
+    report = json.loads(err)
+    assert report["error"].endswith(message) and report["path"] == path and report["exit"] == 1
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == "" and err == f"error: {report['error']}\n"

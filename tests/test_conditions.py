@@ -115,8 +115,8 @@ def test_rotation_certificates_reverify(marriage_market_problems):
     assert verdict
     # re-verify one certificate against the raw definitions
     r, rp = scr.profile("R"), scr.profile("Rp")
-    certs = rotation_certificates(scr, r, witness.for_profile("R"), rp)
-    for start, cert in zip(witness.for_profile("R"), certs):
+    certs = rotation_certificates(scr, r, witness.orderings["R"], rp)
+    for start, cert in zip(witness.orderings["R"], certs):
         assert cert is not None and cert.start == start
         pos = start
         for nxt, agent in cert.chain:
@@ -140,7 +140,7 @@ def test_rotation_single_profile_vacuous():
     scr = SocialChoiceRule((p,), {"R": {"x", "z"}})
     verdict = check_rotation_monotonicity(scr)
     assert verdict
-    assert verdict.witness.for_profile("R") == ("x", "z")
+    assert verdict.witness.orderings["R"] == ("x", "z")
 
 
 def test_property_m_vacuous_when_multi_valued(xyz_scr):
@@ -189,8 +189,8 @@ def test_find_shared_ordering_xyz_none(xyz_scr):
 def test_find_shared_ordering_chain_instance(chain_scr):
     witness = find_shared_ordering(chain_scr)
     assert witness is not None
-    assert witness.for_profile("R") == ("a", "b")
-    assert witness.for_profile("Rp") == ("a",)
+    assert witness.orderings["R"] == ("a", "b")
+    assert witness.orderings["Rp"] == ("a",)
 
 
 def test_find_shared_ordering_multi_valued_equals_rotation_search():

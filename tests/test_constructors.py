@@ -168,6 +168,15 @@ def test_verifier_reports_inefficient_rule():
     assert "x" in verdict.extra or "y" in verdict.missing
 
 
+def test_verifier_names_the_chosen_outcomes_the_mss_misses():
+    p = Profile.from_orders("R", ("x", "y"), [["x", "y"], ["y", "x"]])
+    structure = build_thm1_structure(SocialChoiceRule((p,), {"R": {"x"}}))
+    report = verify_implementation_in_mss(structure, SocialChoiceRule((p,), {"R": {"x", "y"}}))
+    (verdict,) = report.per_profile
+    assert not report.ok and not verdict.ok
+    assert verdict.missing == {"y"} and verdict.extra == frozenset()
+
+
 def test_hand_structure_implements_mss_but_not_rotation(
     xyz_structure, xyz_scr
 ):

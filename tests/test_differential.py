@@ -15,7 +15,12 @@ from collections import Counter, deque
 
 import pytest
 
-from instances import random_environment, random_scr
+from instances import (
+    random_environment,
+    random_linear_profile,
+    random_scr,
+    random_weak_profile,
+)
 from oracles import (
     brute_force_stable_matching_ids,
     contour_five_rule_gamma,
@@ -78,13 +83,7 @@ from rotakit.domains import (
     matching_id,
     matching_profile,
 )
-from rotakit.generators import (
-    random_common_best_domain,
-    random_hat_domain,
-    random_linear_profile,
-    random_marriage_problem,
-    random_weak_profile,
-)
+from rotakit.generators import random_common_best_domain, random_hat_domain, random_marriage_problem
 from rotakit.model import (
     CapExceeded,
     InputError,

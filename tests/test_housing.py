@@ -186,3 +186,16 @@ def test_allocation_profile_passes_domain_restriction(housing_economy):
     from rotakit.model import validate_domain_restriction
 
     assert validate_domain_restriction(allocation_profile(housing_economy))
+
+
+def test_exclusion_core_rule_checks_owners_and_leaves_the_rest_to_the_scr(housing_economy):
+    e = housing_economy
+    with pytest.raises(InputError, match="^duplicate profile ids in SCR domain$"):
+        exclusion_core_scr([e, e])
+    owners = {**e.owners, "h1": frozenset([0, 1])}
+    other = Economy("Q", 3, e.houses, e.outside, owners, e.orders)
+    with pytest.raises(InputError, match="^domain economies disagree on ownership$"):
+        exclusion_core_scr([e, other])
+    other = Economy("Q", 3, e.houses, "h9", e.owners, tuple(o[:-1] + ("h9",) for o in e.orders))
+    with pytest.raises(InputError, match="^SCR domain profiles disagree on the alternative"):
+        exclusion_core_scr([e, other])

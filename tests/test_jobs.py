@@ -239,7 +239,7 @@ def test_phi_scr_and_orderings_agree():
     scr = phi_scr(problems)
     witness = phi_orderings(problems)
     for p in problems:
-        assert frozenset(witness.for_profile(p.id)) == scr.choice(p.id)
+        assert frozenset(witness.orderings[p.id]) == scr.choice(p.id)
 
 
 def test_job_problem_validation():
@@ -266,3 +266,13 @@ def test_reverse_preferences_turns_common_worst_into_common_best():
     flipped = reverse_preferences(q)
     assert common_best_job(flipped) == "j1"
     assert circular_arrangement(flipped)
+
+
+def test_job_rules_leave_repeated_ids_and_job_sets_to_the_scr():
+    p = JobRotationProblem("P", ("j1", "j2"), (("j1", "j2"), ("j1", "j2")))
+    q = JobRotationProblem("Q", ("j1", "j3"), (("j1", "j3"), ("j1", "j3")))
+    for rule in (efficient_scr, phi_scr):
+        with pytest.raises(InputError, match="^duplicate profile ids in SCR domain$"):
+            rule([p, p])
+        with pytest.raises(InputError, match="^SCR domain profiles disagree on the alternative"):
+            rule([p, q])

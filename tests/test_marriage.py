@@ -271,3 +271,13 @@ def test_stable_set_rule_implementable_in_mss_on_pure_domain(marriage_market_pro
     assert check_maskin_monotonicity(scr)
     structure = build_thm1_structure(scr)
     assert verify_implementation_in_mss(structure, scr).ok
+
+
+def test_marriage_rules_leave_repeated_ids_and_markets_to_the_scr():
+    p = MarriageProblem("R", ("m1",), ("w1",), {"m1": ("w1", "m1")}, {"w1": ("m1", "w1")})
+    q = MarriageProblem("Q", ("m2",), ("w1",), {"m2": ("w1", "m2")}, {"w1": ("m2", "w1")})
+    for rule in (marriage_optimal_scr, stable_set_scr):
+        with pytest.raises(InputError, match="^duplicate profile ids in SCR domain$"):
+            rule([p, p])
+        with pytest.raises(InputError, match="^SCR domain profiles disagree on the alternative"):
+            rule([p, q])

@@ -192,6 +192,17 @@ def test_rotation_program_two_cycle_passes():
     assert is_rotation_program(env, ["s0", "s1"])
 
 
+def test_rotation_program_clause_iii_missing_step():
+    # a -> b improves for agent 0, but b has no improving move back to a
+    states = (State("a", "a"), State("b", "b"))
+    profile = Profile.from_orders("R", ("a", "b"), [["b", "a"]])
+    gamma = {("a", "b"): frozenset([frozenset([0])])}
+    env = SocialEnvironment(RightsStructure(states, gamma), profile)
+    verdict = is_rotation_program(env, ["a", "b"])
+    assert not verdict and verdict.clause == "iii"
+    assert verdict.detail == "no entitled improvement b -> a"
+
+
 def test_rotation_program_clause_i_repeated_outcome():
     states = (State("a", "z"), State("b", "z"))
     profile = Profile.from_orders("R", ("z",), [["z"]])
