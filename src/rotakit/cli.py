@@ -419,10 +419,7 @@ def _cmd_domain(ns: argparse.Namespace, caps: dict[str, int]) -> int:
     else:
         if ns.file is None:
             raise InputError("domain needs a file or --sample")
-        doc = serialize.load_document(ns.file)
-        if not serialize.is_domain_doc(doc):
-            raise InputError("not a domain document")
-        scr, witness = serialize.domain_scr(doc, ns.rule)
+        scr, witness = serialize.domain_scr(serialize.load_document(ns.file), ns.rule)
         payload = serialize.scr_to_doc(scr)
         if witness is not None:
             payload["orderings"] = {pid: list(o) for pid, o in witness.orderings.items()}

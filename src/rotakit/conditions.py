@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .model import CapExceeded, InputError, Profile, SocialChoiceRule, Verdict
 
@@ -167,11 +167,18 @@ class _Tables:
     at most one improvement bit per outcome.
     """
 
-    def __init__(self, scr: SocialChoiceRule):
+    def __init__(self, scr: SocialChoiceRule, cap: int | None = None):
+        """With a `cap`, tables for the ordering searches: the first chosen set over it, in
+        profile order, raises CapExceeded before any ordering of any profile is tried."""
         self.scr = scr
         self.alts = tuple(sorted(scr.alternatives))
         self.index = {a: j for j, a in enumerate(self.alts)}
         self.outcomes = {p.id: self.ids(sorted(scr.choice(p.id))) for p in scr.profiles}
+        if cap is not None:
+            for pid, xs in self.outcomes.items():
+                m = len(xs)
+                message = f"ordering search over {m} outcomes at {pid!r} exceeds the cap of {cap}"
+                CapExceeded.check(m, cap, message)
         self.chosen = {pid: sum(1 << x for x in xs) for pid, xs in self.outcomes.items()}
         self._better: dict[str, list[int]] = {}
         self._reversals: dict[tuple[str, str], int] = {}
@@ -285,28 +292,43 @@ class _Tables:
                     return PropertyMFailure(r.id, rp.id, self.alts[ordering[j]], reason)
         return None
 
-    def searched_orderings(self, r: Profile, cap: int) -> Iterable[tuple[int, ...]]:
-        """All circular orderings of F(r), first element fixed, lexicographic tail order.
-
-        Raises CapExceeded, before any ordering is tried, if F(r) exceeds `cap`.
-        """
+    def searched_orderings(self, r: Profile) -> Iterable[tuple[int, ...]]:
+        """All circular orderings of F(r), first element fixed, lexicographic tail order."""
         outcomes = self.outcomes[r.id]
-        m = len(outcomes)
-        message = f"ordering search over {m} outcomes at {r.id!r} exceeds the cap of {cap}"
-        CapExceeded.check(m, cap, message)
         head = outcomes[:1]
         return (head + tail for tail in itertools.permutations(outcomes[1:]))
 
-    def shared_ordering(self, r: Profile, cap: int) -> tuple[bool, tuple[int, ...] | None]:
-        """(True, the first searched ordering passing rotation monotonicity and Property M),
-        else (False, the first rotation-monotone ordering, or None when there is none)."""
-        first = None
-        for ordering in self.searched_orderings(r, cap):
+    def shared_ordering(self, r: Profile) -> tuple[tuple[int, ...] | None, PropertyMFailure | None]:
+        """(The first searched ordering passing rotation monotonicity and Property M, None),
+        else (the first rotation-monotone ordering, its Property-M failure), else (None, None)."""
+        first = None, None
+        for ordering in self.searched_orderings(r):
             if self.rotation_failure(r, ordering) is None:
-                if self.property_m_failure(r, ordering) is None:
-                    return True, ordering
-                first = first or ordering
-        return False, first
+                failure = self.property_m_failure(r, ordering)
+                if failure is None:
+                    return ordering, None
+                if first[0] is None:
+                    first = ordering, failure
+        return first
+
+    def rotation_verdict(self, candidates: Callable[[Profile], Iterable]) -> RotationVerdict:
+        """Per profile, the first of its `candidates` passing every rotation trigger; a profile
+        where none passes is reported with the failure point of each candidate."""
+        orderings: dict[str, tuple[str, ...]] = {}
+        obstructions: list[RotationObstruction] = []
+        for r in self.scr.profiles:
+            failures = []
+            for ordering in candidates(r):
+                failure = self.rotation_failure(r, ordering)
+                if failure is None:
+                    orderings[r.id] = self.names(ordering)
+                    break
+                failures.append((self.names(ordering), failure[0], self.alts[failure[1]]))
+            else:
+                obstructions.append(RotationObstruction(r.id, tuple(failures)))
+        if obstructions:
+            return RotationVerdict(False, None, tuple(obstructions))
+        return RotationVerdict(True, OrderingWitness(orderings))
 
 
 @dataclass(frozen=True)
@@ -396,27 +418,13 @@ def check_rotation_monotonicity(
     """Search, per profile, for a circular ordering certifying every trigger.
 
     The search is exhaustive over the (m-1)! circular orderings of each
-    chosen set; chosen sets larger than `cap` are refused with CapExceeded
-    rather than truncated.  The first passing ordering in lexicographic order
-    is recorded; a profile with no passing ordering is reported with the
-    failure point of every candidate.
+    chosen set; if any chosen set is larger than `cap`, the search is refused
+    with CapExceeded rather than truncated.  The first passing ordering in
+    lexicographic order is recorded; a profile with no passing ordering is
+    reported with the failure point of every candidate.
     """
-    tables = _Tables(scr)
-    orderings: dict[str, tuple[str, ...]] = {}
-    obstructions: list[RotationObstruction] = []
-    for r in scr.profiles:
-        failures = []
-        for ordering in tables.searched_orderings(r, cap):
-            failure = tables.rotation_failure(r, ordering)
-            if failure is None:
-                orderings[r.id] = tables.names(ordering)
-                break
-            failures.append((tables.names(ordering), failure[0], tables.alts[failure[1]]))
-        else:
-            obstructions.append(RotationObstruction(r.id, tuple(failures)))
-    if obstructions:
-        return RotationVerdict(False, None, tuple(obstructions))
-    return RotationVerdict(True, OrderingWitness(orderings))
+    tables = _Tables(scr, cap)
+    return tables.rotation_verdict(tables.searched_orderings)
 
 
 def verify_rotation_monotonicity_with(
@@ -431,16 +439,7 @@ def verify_rotation_monotonicity_with(
     """
     table = coerce_orderings(scr, orderings)
     tables = _Tables(scr)
-    obstructions = []
-    for r in scr.profiles:
-        failure = tables.rotation_failure(r, tables.ids(table[r.id]))
-        if failure is not None:
-            obstructions.append(
-                RotationObstruction(r.id, ((table[r.id], failure[0], tables.alts[failure[1]]),))
-            )
-    if obstructions:
-        return RotationVerdict(False, None, tuple(obstructions))
-    return RotationVerdict(True, OrderingWitness(table))
+    return tables.rotation_verdict(lambda r: [tables.ids(table[r.id])])
 
 
 @dataclass(frozen=True)
@@ -479,11 +478,11 @@ def find_shared_ordering(
     profile, so the search decomposes; the first ordering passing both is
     kept.  Returns None when some profile admits no such ordering.
     """
-    tables = _Tables(scr)
+    tables = _Tables(scr, cap)
     orderings: dict[str, tuple[str, ...]] = {}
     for r in scr.profiles:
-        passed, ordering = tables.shared_ordering(r, cap)
-        if not passed:
+        ordering, failure = tables.shared_ordering(r)
+        if ordering is None or failure is not None:
             return None
         orderings[r.id] = tables.names(ordering)
     return OrderingWitness(orderings)
@@ -492,9 +491,9 @@ def find_shared_ordering(
 def _property_m_at_shared_orderings(scr: SocialChoiceRule, cap: int) -> PropertyMVerdict | None:
     """Property M at `find_shared_ordering`'s orderings, failing where that search stops, at
     the first rotation-monotone ordering there; None if some profile has none (all searched)."""
-    tables = _Tables(scr)
-    found = [(r, *tables.shared_ordering(r, cap)) for r in scr.profiles]
-    if any(ordering is None for _, _, ordering in found):
+    tables = _Tables(scr, cap)
+    found = [tables.shared_ordering(r) for r in scr.profiles]
+    if any(ordering is None for ordering, _ in found):
         return None
-    failure = next((tables.property_m_failure(r, o) for r, ok, o in found if not ok), None)
+    failure = next((failure for _, failure in found if failure is not None), None)
     return PropertyMVerdict(failure is None, failure)

@@ -815,10 +815,12 @@ def string_check_property_m(scr, orderings) -> PropertyMVerdict:
 
 
 def string_find_shared_ordering(scr, cap: int) -> OrderingWitness | None:
+    # every chosen set meets the cap before any profile is searched
+    searches = [(r, string_searched_orderings(scr, r, cap)) for r in scr.profiles]
     orderings: dict[str, tuple[str, ...]] = {}
-    for r in scr.profiles:
+    for r, searched in searches:
         found = None
-        for ordering in string_searched_orderings(scr, r, cap):
+        for ordering in searched:
             ok, _ = string_ordering_rotation_ok(scr, r, ordering)
             if ok and string_ordering_property_m_ok(scr, r, ordering) is None:
                 found = ordering

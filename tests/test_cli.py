@@ -8,7 +8,10 @@ import pytest
 from record_golden import cases, run_case
 from rotakit import generators
 from rotakit.cli import main
+from rotakit.conditions import find_shared_ordering
+from rotakit.model import CapExceeded
 from rotakit.rights import RightsStructure
+from rotakit.serialize import scr_from_doc
 from test_serialize import ECONOMY_DOC, XYZ_ENV_DOC, JOBS_DOC
 
 
@@ -428,13 +431,19 @@ def test_check_property_m_judges_the_orderings_theorem_4_builds_on(capsys, tmp_p
     assert code == 0 and json.loads(out)["verification"]["ok"] is True
 
 
+def _no_shared_ordering_doc() -> dict:
+    """`_PROPERTY_M_DOC` plus R3, whose chosen set no ordering passes both conditions for."""
+    doc = json.loads(json.dumps(_PROPERTY_M_DOC))
+    doc["profiles"].append({"id": "R3", "ranks": [[0, 4, 1, 2, 3], [3, 0, 2, 1, 4]]})
+    doc["scr"]["R3"] = ["a0", "a1", "a3"]
+    return doc
+
+
 def test_check_property_m_fails_where_the_shared_ordering_search_stops(capsys, tmp_path):
     """R3's one rotation-monotone ordering, (a0, a1, a3), has no chain from a3 to R1's
     singleton a1, so no ordering of F(R3) passes both conditions; the violation is named
     there, not at R0, where (a0, a3, a1) still passes both."""
-    doc = json.loads(json.dumps(_PROPERTY_M_DOC))
-    doc["profiles"].append({"id": "R3", "ranks": [[0, 4, 1, 2, 3], [3, 0, 2, 1, 4]]})
-    doc["scr"]["R3"] = ["a0", "a1", "a3"]
+    doc = _no_shared_ordering_doc()
     path = tmp_path / "pm.json"
     path.write_text(json.dumps(doc))
     code, out, _ = _run(capsys, "check", str(path), "--condition", "rotation", "--format", "json")
@@ -446,6 +455,31 @@ def test_check_property_m_fails_where_the_shared_ordering_search_stops(capsys, t
         "profile_id": "R3", "other_id": "R1", "outcome": "a3",
         "reason": "no chain to the singleton",
     }
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_every_ordering_command_refuses_a_chosen_set_over_the_cap(capsys, tmp_path, swapped):
+    """R4 chooses four outcomes: under --cap 3 every ordering command refuses it before any
+    ordering is tried, whether R3, which has no shared ordering, comes before it or after."""
+    doc = _no_shared_ordering_doc()
+    doc["profiles"].append({"id": "R4", "ranks": [[0, 1, 2, 3, 4], [4, 3, 2, 1, 0]]})
+    doc["scr"]["R4"] = ["a0", "a1", "a2", "a3"]
+    if swapped:
+        doc["profiles"][-2:] = reversed(doc["profiles"][-2:])
+    path = tmp_path / "found.json"
+    path.write_text(json.dumps(doc))
+    message = "ordering search over 4 outcomes at 'R4' exceeds the cap of 3"
+    for argv in (
+        ("check", "--condition", "rotation"),
+        ("check", "--condition", "property-m"),
+        ("check", "--condition", "shared-ordering"),
+        ("construct", "--theorem", "4"),
+    ):
+        code, out, err = _run(capsys, argv[0], str(path), *argv[1:], "--cap", "3")
+        assert (code, out, err) == (3, "", f"search truncated: {message}\n"), argv
+    with pytest.raises(CapExceeded, match=message) as got:
+        find_shared_ordering(scr_from_doc(doc), cap=3)
+    assert (got.value.cap, got.value.needed) == (3, 4)
 
 
 def test_solve_generalized(capsys, env_path):
