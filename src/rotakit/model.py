@@ -15,19 +15,60 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_, or_
-from typing import Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 
 class InputError(ValueError):
     """Malformed input (unknown ids, bad shapes, broken preconditions) at JSON `path`, if known.
 
     `where` locates the value a library check refuses in the object being built
-    (field names, indices, mapping keys, a gamma entry's `(from, to)` pair), and
+    (field names, indices, mapping keys, a gamma entry's `(from, to)` pair or index), and
     `value`, where given, is that value."""
 
     def __init__(self, message: str, path: str | None = None, where: tuple = (), value=None):
         super().__init__(message)
         self.path, self.where, self.value = path, where, value
+
+
+def _error(path: str, detail: str) -> InputError:
+    return InputError(f"{path}: {detail}", path)
+
+
+def _need(doc: Mapping, key: str, path: str, kind: type = object) -> Any:
+    """`doc[key]`, which must have type `kind` (int or str) when one is given."""
+    try:
+        value = doc[key]
+    except KeyError:
+        raise InputError(f"missing field {path}.{key}", f"{path}.{key}") from None
+    except TypeError:
+        raise _error(path, "expected an object") from None
+    if kind is not object and type(value) is not kind:
+        what = "an integer" if kind is int else "a string"
+        raise _error(f"{path}.{key}", f"expected {what}, got {value!r}")
+    return value
+
+
+def _list(value: Any, path: str, kind: type = object) -> tuple:
+    """A JSON list whose entries all have type `kind`, as a tuple.
+
+    A string is not read as a list of characters, and an entry of another
+    type (a bool where an integer belongs, say) is reported at its own path.
+    """
+    if not isinstance(value, (list, tuple)):
+        raise _error(path, f"expected a list, got {value!r}")
+    if kind is not object:
+        for i, v in enumerate(value):
+            if type(v) is not kind:
+                raise _error(f"{path}[{i}]", f"expected {kind.__name__}, got {v!r}")
+    return tuple(value)
+
+
+def _agents(members: Any) -> frozenset[int]:
+    """A coalition's agent indices, each a JSON integer (not a bool, float or string)."""
+    for a in members:
+        if type(a) is not int:
+            raise TypeError(f"agent index {a!r} is not an integer")
+    return frozenset(members)
 
 
 class CapExceeded(RuntimeError):

@@ -12,13 +12,14 @@ ints and bitmasks, its only store; each digraph is built and solved on ints.
 
 from __future__ import annotations
 
+import marshal
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import groupby
 from operator import itemgetter
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
-from .model import InputError, Profile
+from .model import InputError, Profile, _agents, _error, _list, _need
 
 Coalition = frozenset[int]
 _target = itemgetter(0)  # of a compiled gamma entry
@@ -128,17 +129,17 @@ class RightsStructure:
         self._compile(states, ((a, b, k, rule((a, b))) for (a, b), k in gamma.items()))
 
     @classmethod
-    def _build(
-        cls, states: Iterable, groups: Iterable, agents: int | None = None
-    ) -> RightsStructure:
-        (structure := cls.__new__(cls))._compile(states, groups, agents)
+    def _build(cls, states: Iterable, groups: Iterable, doc=None) -> RightsStructure:
+        (structure := cls.__new__(cls))._compile(states, groups, doc)
         return structure
 
-    def _compile(self, states: Iterable, groups: Iterable, agents: int | None = None) -> None:
+    def _compile(self, states: Iterable, groups: Iterable, doc: tuple | None = None) -> None:
         """Check and store (key, outcome, kind, profile) `states`, then (from, to, coalitions,
-        rule) `groups`, each checked in full, agent indices below `agents` when it is given,
-        before the next one is drawn: `to` is a list of keys, one entry each, or one key.  A
-        stable sort by target puts the entries on a repeated pair side by side, in the order
+        rule) `groups`, each checked in full before the next one is drawn: `to` is a list of
+        keys, one entry each, or one key.  With `doc`, an (agent count or None, JSON path) pair,
+        `groups` is the gamma list there, each entry checked in full as it is read (fields,
+        endpoints, coalitions, agents below the count) and each distinct coalition list once.
+        A stable sort by target puts the entries on a repeated pair side by side, in the order
         given: their coalitions join, and the last nonempty rule stands."""
         if not (states := tuple(states)):
             raise InputError("rights structure needs at least one state", where=("states",))
@@ -165,44 +166,75 @@ class RightsStructure:
                 shared[valid] = valid, ordered, masks, sum(masks) - sum(multi), multi
             return shared[valid]
 
+        def record(fam, where: tuple) -> tuple:
+            valid = frozenset(coalition(k, where) for k in fam)  # before a bitmask is built
+            if agents is not None and (top := max(map(max, valid), default=-1)) >= agents:
+                raise InputError(_OUTSIDE, where=where, value=top)
+            return family(valid)
+
+        def refuse(a: str, b: str, ia: int | None, entry: tuple) -> NoReturn:
+            """Refuse gamma `entry` (a, b): an unknown state (`a` when `ia` is None), or a == b."""
+            if ia is not None and a == b:
+                what = f"gamma is defined on distinct pairs only, got ({a!r}, {a!r})"
+                raise InputError(what, where=(*entry, "to"))
+            what = f"gamma entry on unknown state pair ({a!r}, {b!r})"
+            raise InputError(what, where=(*entry, "from" if ia is None else "to"))
+
         def check(a: str, ia: int | None, targets: Sequence[str], ids: Sequence, fam) -> None:
             for b, ib in zip(targets, ids):  # one entry at a time, for the first refusal
-                if ia is None or ib is None:
-                    where = ("gamma", (a, b), "from" if ia is None else "to")
-                    what = f"gamma entry on unknown state pair ({a!r}, {b!r})"
-                    raise InputError(what, where=where)
-                if ia == ib:
-                    what = f"gamma is defined on distinct pairs only, got ({a!r}, {a!r})"
-                    raise InputError(what, where=("gamma", (a, b), "to"))
-                if id(fam) not in checked:  # before a bitmask is built per member
-                    where = ("gamma", (a, b), "coalitions")
-                    valid = frozenset(coalition(k, where) for k in fam)
-                    if agents is not None and (top := max(map(max, valid), default=-1)) >= agents:
-                        raise InputError(_OUTSIDE, where=where, value=top)
-                    checked[id(fam)] = fam, family(valid)
+                if ia is None or ib is None or ia == ib:
+                    refuse(a, b, ia, ("gamma", (a, b)))
+                if id(fam) not in checked:
+                    checked[id(fam)] = fam, record(fam, ("gamma", (a, b), "coalitions"))
 
         def join(old: tuple, new: tuple) -> tuple:
             return new[0], new[1], family(old[2][0] | new[2][0]), new[3] or old[3]
 
-        get, number = index.get, pairs.setdefault
+        get, number, (agents, at) = index.get, pairs.setdefault, doc or (None, None)
         rows: list[list[tuple]] = [[] for _ in states]  # per source: entries in the order given
-        for a, to, fam, rule in groups:
-            ia = get(a)
-            if type(to) is not list:  # one key, as a document gives its entries
-                ib = get(to)
-                if ia is None or ib is None or ia == ib or id(fam) not in checked:
-                    check(a, ia, (to,), (ib,), fam)
+        if doc is None:
+            for a, to, fam, rule in groups:
+                ia, to = get(a), to if type(to) is list else [to]
+                ids = [*map(get, to)]
+                if ia is None or None in ids or ia in ids or ids and id(fam) not in checked:
+                    check(a, ia, to, ids, fam)
+                if ids:
+                    base, rec, rule = outcome_of[ia] * n_out, checked[id(fam)][1], rule or None
+                    rows[ia] += [
+                        (b, number(base + outcome_of[b], len(pairs)), rec, rule) for b in ids
+                    ]
+        else:
+            memo: dict[bytes, tuple] = {}  # 1, 1.0 and True marshal apart: only ints reach it
+            for i, g in enumerate(_list(groups, at)):
+                try:
+                    a, b, cs = g["from"], g["to"], g["coalitions"]
+                    if str is not type(a) or str is not type(b):
+                        raise TypeError
+                except (KeyError, TypeError):  # a field missing or mistyped, named in order
+                    path = f"{at}[{i}]"
+                    a, b = _need(g, "from", path, str), _need(g, "to", path, str)
+                    cs = _need(g, "coalitions", path)
+                try:
+                    rec = memo.get(key := marshal.dumps(cs, 2))
+                except ValueError:  # no JSON value, such as an int subclass, or nested too deep
+                    rec = key = None
+                if rec is None:
+                    try:
+                        cs = [*map(_agents, cs)]
+                    except (TypeError, ValueError) as exc:
+                        what = f"expected lists of agent indices: {exc}"
+                        raise _error(f"{at}[{i}].coalitions", what) from None
+                if type(rule := g.get("rule", "")) is not str:
+                    rule = _need(g, "rule", f"{at}[{i}]", str)
+                ia, ib = get(a), get(b)
+                if ia is None or ib is None or ia == ib:
+                    refuse(a, b, ia, ("gamma", i))
+                if rec is None:
+                    rec = record(cs, ("gamma", i, "coalitions"))
+                    if key is not None:
+                        memo[key] = rec
                 p = number(outcome_of[ia] * n_out + outcome_of[ib], len(pairs))
-                rows[ia].append((ib, p, checked[id(fam)][1], rule or None))
-                continue
-            ids = [*map(get, to)]
-            if ia is None or None in ids or ia in ids or ids and id(fam) not in checked:
-                check(a, ia, to, ids, fam)
-            if ids:
-                base, record, rule = outcome_of[ia] * n_out, checked[id(fam)][1], rule or None
-                rows[ia] += [
-                    (b, number(base + outcome_of[b], len(pairs)), record, rule) for b in ids
-                ]
+                rows[ia].append((ib, p, rec, rule or None))
         for row in rows:
             row.sort(key=_target)
             if len(set(map(_target, row))) < len(row):  # a pair given twice

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Any, Iterator, Mapping, NoReturn, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from .domains import housing, jobs, marriage
 from .conditions import OrderingWitness
-from .model import InputError, Profile, SocialChoiceRule
+from .model import InputError, Profile, SocialChoiceRule, _agents, _error, _list, _need
 from .rights import (
     BASE,
     GRAPH,
@@ -30,7 +29,6 @@ from .rights import (
 
 # how `dumps` writes a list of one scalar type, in one join
 _SCALAR_LISTS = {frozenset([str]): _quote, frozenset([int]): int.__repr__}
-_INT = frozenset([int])
 
 
 def load_document(path: str) -> dict:
@@ -50,45 +48,12 @@ def load_document(path: str) -> dict:
     return doc
 
 
-def _error(path: str, detail: str) -> InputError:
-    return InputError(f"{path}: {detail}", path)
-
-
-def _need(doc: Mapping, key: str, path: str, kind: type = object) -> Any:
-    """`doc[key]`, which must have type `kind` (int or str) when one is given."""
-    try:
-        value = doc[key]
-    except KeyError:
-        raise InputError(f"missing field {path}.{key}", f"{path}.{key}") from None
-    except TypeError:
-        raise _error(path, "expected an object") from None
-    if kind is not object and type(value) is not kind:
-        what = "an integer" if kind is int else "a string"
-        raise _error(f"{path}.{key}", f"expected {what}, got {value!r}")
-    return value
-
-
 def _read(convert, value: Any, path: str) -> Any:
     """`convert(value)`, with a value of the wrong shape reported at `path`."""
     try:
         return convert(value)
     except (TypeError, ValueError, AttributeError) as exc:
         raise _error(path, f"malformed value: {exc}") from None
-
-
-def _list(value: Any, path: str, kind: type = object) -> tuple:
-    """A JSON list whose entries all have type `kind`, as a tuple.
-
-    A string is not read as a list of characters, and an entry of another
-    type (a bool where an integer belongs, say) is reported at its own path.
-    """
-    if not isinstance(value, (list, tuple)):
-        raise _error(path, f"expected a list, got {value!r}")
-    if kind is not object:
-        for i, v in enumerate(value):
-            if type(v) is not kind:
-                raise _error(f"{path}[{i}]", f"expected {kind.__name__}, got {v!r}")
-    return tuple(value)
 
 
 def _ids(value: Any, path: str) -> tuple[str, ...]:
@@ -101,35 +66,24 @@ def _rows(value: Any, path: str, kind: type) -> tuple[tuple, ...]:
 
 
 @contextmanager
-def _at(fields: Mapping[str, str]) -> Iterator[list]:
+def _at(fields: Mapping[str, str]) -> Iterator[None]:
     """Re-raise a library check's `InputError` at the JSON path of its `where`: `fields`
     maps a field of the object being built to its path, and an element's field (a name
     after an index) to its document key where the two differ.  Indices and mapping keys
-    extend the path; a gamma pair `(from, to)` becomes the index of the entry being read,
-    which the reader keeps in the list this yields."""
+    extend the path."""
     try:
-        yield (entry := [None])
+        yield
     except InputError as exc:
         where = exc.where
         if not where or where[0] not in fields:
             raise
         path = fields[where[0]]
         for prev, step in zip(where, where[1:]):
-            if type(step) is tuple:
-                step = entry[0]
             if type(step) is int:
                 path += f"[{step}]"
             else:  # after a name: a mapping key or a nested field, written as it is
                 path += "." + (step if type(prev) is str else fields.get(step, step))
         raise InputError(str(exc), path) from exc
-
-
-def _agents(members: Any) -> frozenset[int]:
-    """A coalition's agent indices, each a JSON integer (not a bool, float or string)."""
-    for a in members:
-        if type(a) is not int:
-            raise TypeError(f"agent index {a!r} is not an integer")
-    return frozenset(members)
 
 
 def _profile_entries(doc: Mapping) -> Iterator[tuple[str, str, Mapping]]:
@@ -196,35 +150,8 @@ def rights_from_doc(doc: Mapping) -> RightsStructure:
         states.append((key, _need(sdoc, "outcome", path, str), kind, profile))
     agents = doc.get("agents") if type(doc.get("agents")) is int else None
     fields = {"states": "$.rights.states", "gamma": "$.rights.gamma", "key": "id"}
-    with _at(fields) as entry:  # the builder checks the states, then each entry as it is read
-        return RightsStructure._build(states, _gamma(rdoc.get("gamma", []), entry), agents)
-
-
-def _gamma(gdocs: Any, entry: list) -> Iterator[tuple]:
-    """(from, to, coalitions, rule) per entry of `$.rights.gamma`, its index kept in
-    `entry[0]`, with one shared tuple for each distinct list of coalitions."""
-    families: dict[tuple, tuple] = {}
-    for entry[0], gdoc in enumerate(_list(gdocs, "$.rights.gamma")):
-        try:  # 1, True and 1.0 are equal keys: only JSON integers may reach the memo
-            a, b, key = gdoc["from"], gdoc["to"], tuple(map(tuple, gdoc["coalitions"]))
-            ints = _INT.issuperset(map(type, chain.from_iterable(key)))
-            if not (ints and str is type(a) is type(b)):
-                raise TypeError
-        except (KeyError, TypeError):
-            _gamma_entry_error(gdoc, f"$.rights.gamma[{entry[0]}]")
-        rule = _need(gdoc, "rule", f"$.rights.gamma[{entry[0]}]", str) if "rule" in gdoc else None
-        yield a, b, families.setdefault(key, key), rule
-
-
-def _gamma_entry_error(gdoc: Any, path: str) -> NoReturn:
-    """Raise the error of a gamma entry that `rights_from_doc` cannot read."""
-    _need(gdoc, "from", path, str), _need(gdoc, "to", path, str)
-    coalitions = _need(gdoc, "coalitions", path)
-    try:
-        frozenset(map(_agents, coalitions))
-    except (TypeError, ValueError) as exc:
-        raise _error(f"{path}.coalitions", f"expected lists of agent indices: {exc}") from None
-    raise _error(f"{path}.coalitions", "expected lists of agent indices")  # a spent iterator
+    with _at(fields):  # the builder checks the states, then each entry as it reads it
+        return RightsStructure._build(states, rdoc.get("gamma", []), (agents, fields["gamma"]))
 
 
 def _state_doc(s: State) -> dict:
@@ -243,7 +170,7 @@ def rights_to_doc(structure: RightsStructure) -> dict:
 
 def environment_from_doc(doc: Mapping, profile_id: str) -> SocialEnvironment:
     if "rights" not in doc:
-        raise InputError("document has no rights block; cannot build an environment")
+        raise InputError("document has no rights block; cannot build an environment", "$.rights")
     profiles = {p.id: p for p in profiles_from_doc(doc)}
     if profile_id not in profiles:
         raise InputError(f"unknown profile id {profile_id!r}")

@@ -11,7 +11,8 @@ solvers that the library now runs on int ids, the housing definition
 scans that it now runs on bitmasks, the frozenset-contour condition
 checks and five-rule structure that it now runs on contour bitmasks and
 rank rows, the per-entry rights-block reader that it now runs on one
-shared family per coalition list, the dict compile of a rights structure
+shared family per coalition list, the streamed reader whose generator the
+builder's one document loop replaced, the dict compile of a rights structure
 (gamma and provenance dicts beside six-field rows) whose rows are now its
 only store, the per-state loop with which a social environment refused a
 state whose outcome the profile lacks, and the domains' recursive allocation
@@ -28,7 +29,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from itertools import combinations, product
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, NoReturn
 
 from rotakit.domains.housing import (
     ECONOMY_CAP,
@@ -58,6 +59,10 @@ from rotakit.model import (
     EfficiencyVerdict,
     InputError,
     Profile,
+    _agents,
+    _error,
+    _list,
+    _need,
     dominates,
     is_monotonic_transformation,
     lower_contour_set,
@@ -73,7 +78,7 @@ from rotakit.rights import (
     coalition,
     coalition_key,
 )
-from rotakit.serialize import _agents, _error, _need, _read
+from rotakit.serialize import _read
 from rotakit.solvers import PartitionResult, RotationProgramVerdict, SolutionReport
 
 
@@ -905,6 +910,95 @@ def scan_rights_gamma(doc) -> tuple:
     except (TypeError, ValueError) as exc:
         raise _error(f"{path}.coalitions", f"expected lists of agent indices: {exc}") from None
     return tuple(states), gamma, provenance
+
+
+# ---------------------------------------------------------------------------
+# Reference code: the rights reader that the builder's document loop replaced.
+# A generator over `$.rights.gamma` typed every member of every entry, keyed a
+# shared tuple per distinct coalition list by `tuple(map(tuple, ...))`, and
+# re-read an entry it could not take to name its fault; the builder's one-key
+# branch then checked each yielded entry's endpoints, and its family once per
+# shared tuple, before it drew the next.  Merged into dicts, the entries give
+# the dict compile below.
+
+_INT = frozenset([int])
+
+
+def _streamed_gamma(gdocs, entry: list) -> Iterator[tuple]:
+    """(from, to, coalitions, rule) per entry of `$.rights.gamma`, its index kept in
+    `entry[0]`, with one shared tuple for each distinct list of coalitions."""
+    families: dict[tuple, tuple] = {}
+    for entry[0], gdoc in enumerate(_list(gdocs, "$.rights.gamma")):
+        try:  # 1, True and 1.0 are equal keys: only JSON integers may reach the memo
+            a, b, key = gdoc["from"], gdoc["to"], tuple(map(tuple, gdoc["coalitions"]))
+            ints = _INT.issuperset(map(type, itertools.chain.from_iterable(key)))
+            if not (ints and str is type(a) is type(b)):
+                raise TypeError
+        except (KeyError, TypeError):
+            _streamed_entry_error(gdoc, f"$.rights.gamma[{entry[0]}]")
+        rule = _need(gdoc, "rule", f"$.rights.gamma[{entry[0]}]", str) if "rule" in gdoc else None
+        yield a, b, families.setdefault(key, key), rule
+
+
+def _streamed_entry_error(gdoc, path: str) -> NoReturn:
+    """Raise the error of a gamma entry that `_streamed_gamma` cannot read."""
+    _need(gdoc, "from", path, str), _need(gdoc, "to", path, str)
+    coalitions = _need(gdoc, "coalitions", path)
+    try:
+        frozenset(map(_agents, coalitions))
+    except (TypeError, ValueError) as exc:
+        raise _error(f"{path}.coalitions", f"expected lists of agent indices: {exc}") from None
+    raise _error(f"{path}.coalitions", "expected lists of agent indices")  # a spent iterator
+
+
+def streamed_rights_read(doc) -> DictRights:
+    """The dict compile of a document's rights block, read as the streamed reader read it:
+    the states, their count and ids, then each gamma entry: its shape and rule, its
+    endpoints, and its family's coalitions and agents below `$.agents`, when that is an
+    int, once per shared tuple."""
+    rdoc = _need(doc, "rights", "$")
+    states = []
+    for i, sdoc in enumerate(_list(_need(rdoc, "states", "$.rights"), "$.rights.states")):
+        path = f"$.rights.states[{i}]"
+        key = _need(sdoc, "id", path, str)
+        kind = sdoc.get("kind", BASE)
+        if kind not in (BASE, GRAPH, OPAQUE):
+            raise _error(f"{path}.kind", f"unknown kind {kind!r}")
+        profile = _need(sdoc, "profile", path, str) if kind == GRAPH or "profile" in sdoc else None
+        states.append(State(key, _need(sdoc, "outcome", path, str), kind, profile))
+    agents = doc.get("agents") if type(doc.get("agents")) is int else None
+    if not states:
+        raise InputError("rights structure needs at least one state", "$.rights.states")
+    index: dict[str, int] = {}
+    for i, s in enumerate(states):
+        if index.setdefault(s.key, i) != i:
+            raise InputError("duplicate state keys", f"$.rights.states[{i}].id")
+    gamma: dict[tuple[str, str], frozenset] = {}
+    provenance: dict[tuple[str, str], str] = {}
+    checked: dict[int, tuple] = {}
+    entry = [None]
+    for a, b, fam, rule in _streamed_gamma(rdoc.get("gamma", []), entry):
+        path = f"$.rights.gamma[{entry[0]}]"
+        ia, ib = index.get(a), index.get(b)
+        if ia is None or ib is None:
+            what = f"gamma entry on unknown state pair ({a!r}, {b!r})"
+            raise InputError(what, f"{path}.{'from' if ia is None else 'to'}")
+        if ia == ib:
+            what = f"gamma is defined on distinct pairs only, got ({a!r}, {a!r})"
+            raise InputError(what, f"{path}.to")
+        if id(fam) not in checked:
+            try:
+                valid = frozenset(coalition(k) for k in fam)
+            except InputError as exc:
+                raise InputError(str(exc), f"{path}.coalitions") from None
+            if agents is not None and max(map(max, valid), default=-1) >= agents:
+                what = "gamma mentions an agent index outside the profile"
+                raise InputError(what, f"{path}.coalitions")
+            checked[id(fam)] = fam, valid
+        gamma[a, b] = gamma.get((a, b), frozenset()) | checked[id(fam)][1]
+        if rule:
+            provenance[a, b] = rule
+    return dict_compiled_rights(states, gamma, provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -644,6 +644,9 @@ def test_domain_check_names_json_path(capsys, tmp_path, doc, named):
     assert json.loads(err) == {"error": named[0], "path": named[1], "exit": 1}
 
 
+_DROP = object()  # an edit value that removes the field
+
+
 def _fixture_with(name, *edits):
     """fixtures/NAME.json with each (where, value) edit applied."""
     root = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -652,7 +655,10 @@ def _fixture_with(name, *edits):
         parent = doc
         for key in where[:-1]:
             parent = parent[key]
-        parent[where[-1]] = value
+        if value is _DROP:
+            del parent[where[-1]]
+        else:
+            parent[where[-1]] = value
     return doc
 
 
@@ -787,6 +793,9 @@ def _fixture_with(name, *edits):
         ("example-environment", ("rights", "states", 1, "outcome"), "w", ("solve",
          "--profile", "R", "--concept", "mss"), ("state 'y' has unknown outcome 'w'",
                                                  "$.rights.states[1].outcome")),
+        # a document with no rights block names the block it lacks
+        ("example-environment", ("rights",), _DROP, ("solve", "--profile", "R", "--concept",
+         "mss"), ("document has no rights block; cannot build an environment", "$.rights")),
         # so do the SCR table's checks
         ("example-environment", ("scr", "Rp"), ["q"], ("check", "--condition", "maskin"),
          ("choice at 'Rp' outside Z: ['q']", "$.scr.Rp")),

@@ -45,6 +45,7 @@ from oracles import (
     scan_direct_exclusion_core,
     scan_exclusion_gamma,
     scan_rights_gamma,
+    streamed_rights_read,
     string_absorbing_sets,
     string_check_indirect_monotonicity,
     string_check_maskin_monotonicity,
@@ -806,6 +807,112 @@ def test_rights_reader_names_the_entry_that_holds_an_agent_outside_the_profile()
         refused = "gamma mentions an agent index outside the profile"
         assert _read_error(rights_from_doc, broken) == (refused, f"$.rights.gamma[{i}].coalitions")
     assert seen == {True, False} and repeats > 20
+
+
+def _reader_documents(monkeypatch):
+    """The fixtures' rights documents, their Theorem-1 and Theorem-4 structures with
+    `agents` set, and the sparse-solve documents at scale 0.02."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        doc = load_document(str(path))
+        if "rights" in doc:
+            yield doc
+        scr, witness = domain_scr(doc) if is_domain_doc(doc) else (scr_from_doc(doc), None)
+        for structure in _theorem_structures(scr, witness):
+            yield {"agents": scr.n_agents, "rights": rights_to_doc(structure)}
+    monkeypatch.syspath_prepend(str(FIXTURES.parent / "bench"))
+    import workloads
+
+    for seed in range(2):
+        yield from workloads.sparse_solve(seed, scale=0.02).docs.values()
+
+
+def _coalitions(entry: dict) -> list:
+    """The entry's coalitions, made a nonempty list of lists again where a fault replaced
+    them."""
+    cs = entry.get("coalitions")
+    if not (isinstance(cs, list) and cs and all(isinstance(k, list) for k in cs)):
+        entry["coalitions"] = [[0]]
+    return entry["coalitions"]
+
+
+def _put_fault(rng: random.Random, doc: dict, gamma: list, states: list) -> None:
+    """One fault, in place, in the rights block of `doc`, on one of the entries `gamma` and
+    one of the states `states` that it held before any fault."""
+    rights, entry, state = doc["rights"], rng.choice(gamma), rng.choice(states)
+    fault = rng.randrange(9)
+    if fault == 0:  # a wrong type
+        at, key = rng.choice([(entry, "from"), (entry, "to"), (entry, "coalitions"),
+                              (state, "id"), (state, "outcome"), (rights, "gamma"),
+                              (rights, "states")])
+        at[key] = rng.choice([7, None, "ab", ["x"], [7], [None], {"a": 1}])
+    elif fault == 1:  # a bool or float member
+        k = rng.choice(_coalitions(entry))
+        k.insert(rng.randint(0, len(k)), rng.choice([True, False, 1.0, 0.0, 2.5]))
+    elif fault == 2:  # a missing key
+        at, key = rng.choice([(entry, "from"), (entry, "to"), (entry, "coalitions"),
+                              (state, "id"), (state, "outcome")])
+        at.pop(key, None)
+    elif fault == 3:  # an unknown state
+        entry[rng.choice(["from", "to"])] = "ghost"
+    elif fault == 4:  # a self-pair
+        entry["to"] = entry.get("from", "x")
+    elif fault == 5:  # an empty coalition
+        cs = _coalitions(entry)
+        cs.insert(rng.randint(0, len(cs)), [])
+    elif fault == 6:  # an agent at or above $.agents
+        rng.choice(_coalitions(entry)).append(doc["agents"] + rng.choice([0, 1, 10**11]))
+    elif fault == 7:  # a duplicate state id
+        twin = rng.choice(states)
+        if twin is state and isinstance(rights["states"], list):
+            rights["states"].append(twin := dict(state))
+        state["id"] = twin.get("id")
+    else:  # a rule that is no string
+        entry["rule"] = rng.choice([7, None, ["r"], True])
+
+
+def test_rights_reader_matches_the_streamed_reader(monkeypatch):
+    """The builder's one document loop compiles what the streamed reader it replaced
+    compiled, and of one to three faults (wrong types, bool or float members, missing
+    keys, unknown states, self-pairs, empty coalitions, agents at or above `$.agents`,
+    duplicate state ids, non-string rules) it names the one the streamed reader named,
+    with the same message and path."""
+    rng = random.Random(27)
+    documents = refused = 0
+    for doc in _reader_documents(monkeypatch):
+        _assert_rows_match_dicts(rights_from_doc(doc), streamed_rights_read(doc), rng)
+        documents += 1
+        for _ in range(30):
+            broken = json.loads(json.dumps(doc))
+            # the faults fall on two entries and two states, so often on one of them twice
+            rights = broken["rights"]
+            picks = (rights["gamma"], rights["states"])
+            gamma, states = (rng.sample(v, min(2, len(v))) for v in picks)
+            for _ in range(rng.randint(1, 3)):
+                _put_fault(rng, broken, gamma, states)
+            named = _read_error(streamed_rights_read, broken)
+            assert _read_error(rights_from_doc, broken) == named
+            refused += named is not None
+    assert documents == 11 and refused > 0.9 * 30 * documents
+
+
+def test_each_distinct_coalition_list_is_checked_once(monkeypatch):
+    """Reading a sparse-solve document checks each coalition of each distinct coalition
+    list once, however many entries repeat the list: all of giant-scc's entries share one
+    list of five singletons."""
+    monkeypatch.syspath_prepend(str(FIXTURES.parent / "bench"))
+    import workloads
+    from rotakit import rights
+
+    calls, check = [], rights.coalition
+    monkeypatch.setattr(rights, "coalition", lambda k, where=(): calls.append(k) or check(k, where))
+    docs = workloads.sparse_solve(1, scale=0.02).docs
+    for name, doc in docs.items():
+        calls.clear()
+        gamma = doc["rights"]["gamma"]
+        distinct = {json.dumps(g["coalitions"]): len(g["coalitions"]) for g in gamma}
+        rights_from_doc(doc)
+        assert len(calls) == sum(distinct.values()) < sum(len(g["coalitions"]) for g in gamma)
+    assert len(calls) == 5 and name == "giant-scc.json"
 
 
 def _ordering_scrs(seed: int, count: int):

@@ -201,8 +201,10 @@ def test_of_two_faults_the_first_in_document_order_is_named():
 
 def test_environment_requires_rights_block():
     doc = {k: v for k, v in XYZ_ENV_DOC.items() if k != "rights"}
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as err:
         environment_from_doc(doc, "R")
+    assert str(err.value) == "document has no rights block; cannot build an environment"
+    assert err.value.path == "$.rights"
 
 
 def test_domain_doc_jobs_matches_library(job_table_problems):
