@@ -793,9 +793,6 @@ def _fixture_with(name, *edits):
         ("example-environment", ("rights", "states", 1, "outcome"), "w", ("solve",
          "--profile", "R", "--concept", "mss"), ("state 'y' has unknown outcome 'w'",
                                                  "$.rights.states[1].outcome")),
-        # a document with no rights block names the block it lacks
-        ("example-environment", ("rights",), _DROP, ("solve", "--profile", "R", "--concept",
-         "mss"), ("document has no rights block; cannot build an environment", "$.rights")),
         # so do the SCR table's checks
         ("example-environment", ("scr", "Rp"), ["q"], ("check", "--condition", "maskin"),
          ("choice at 'Rp' outside Z: ['q']", "$.scr.Rp")),
@@ -888,6 +885,9 @@ def _fixture_with(name, *edits):
          "maskin"), ("duplicate alternative ids", "$.alternatives")),
         ("example-environment", ("profiles", 0, "ranks", 1), [0, 1], ("check", "--condition",
          "maskin"), ("rank vector has 2 entries for 3 alternatives", "$.profiles[0].ranks")),
+        # a document with no rights block names the block it lacks
+        ("example-environment", ("rights",), _DROP, ("solve", "--profile", "R", "--concept",
+         "mss"), ("document has no rights block; cannot build an environment", "$.rights")),
     ],
 )
 def test_malformed_document_names_json_path(capsys, tmp_path, fixture, where, value, argv,
