@@ -28,6 +28,7 @@ _OUTSIDE = "gamma mentions an agent index outside the profile"
 BASE = "base"
 GRAPH = "graph"
 OPAQUE = "opaque"
+_KINDS = (BASE, GRAPH, OPAQUE)
 
 
 def coalition(members: Iterable[int], where: tuple = ()) -> Coalition:
@@ -45,6 +46,17 @@ def coalition(members: Iterable[int], where: tuple = ()) -> Coalition:
 def coalition_key(k: Coalition) -> tuple[int, tuple[int, ...]]:
     """Deterministic sort key: by size, then by sorted members."""
     return (len(k), tuple(sorted(k)))
+
+
+def _read_state(sdoc, path: str) -> tuple:
+    """(key, outcome, kind, profile) of the state at `path`, checked in the order id, kind,
+    profile (on a graph state, or wherever one is given), outcome."""
+    key = _need(sdoc, "id", path, str)
+    kind = sdoc.get("kind", BASE)
+    if kind not in _KINDS:
+        raise _error(f"{path}.kind", f"unknown kind {kind!r}")
+    profile = _need(sdoc, "profile", path, str) if kind == GRAPH or "profile" in sdoc else None
+    return key, _need(sdoc, "outcome", path, str), kind, profile
 
 
 class State(NamedTuple):
@@ -136,23 +148,44 @@ class RightsStructure:
     def _compile(self, states: Iterable, groups: Iterable, doc: tuple | None = None) -> None:
         """Check and store (key, outcome, kind, profile) `states`, then (from, to, coalitions,
         rule) `groups`, each checked in full before the next one is drawn: `to` is a list of
-        keys, one entry each, or one key.  With `doc`, an (agent count or None, JSON path) pair,
-        `groups` is the gamma list there, each entry checked in full as it is read (fields,
-        endpoints, coalitions, agents below the count) and each distinct coalition list once.
+        keys, one entry each, or one key.  With `doc`, an (agent count or None, JSON paths) pair,
+        `states` and `groups` are the document's lists at the paths' "states" and "gamma":
+        every state's fields are checked (`_read_state`) before a repeated key is named, and
+        each entry in full as it is read (fields, endpoints, coalitions, agents below the
+        count), each distinct coalition list once.
         A stable sort by target puts the entries on a repeated pair side by side, in the order
         given: their coalitions join, and the last nonempty rule stands."""
-        if not (states := tuple(states)):
+        agents, at = doc or (None, None)
+        if not (states := _list(states, at["states"]) if doc else tuple(states)):
             raise InputError("rights structure needs at least one state", where=("states",))
         index, outcomes, outcome_of = {}, {}, []  # key -> id, outcome -> id, id -> outcome id
-        for i, (key, outcome, kind, profile) in enumerate(states):
-            if kind not in (BASE, GRAPH, OPAQUE):
-                raise InputError(f"unknown state kind {kind!r}", where=("states", i, "kind"))
-            if kind == GRAPH and profile is None:
-                what = f"graph state {key!r} needs a profile id"
-                raise InputError(what, where=("states", i, "profile"))
-            if index.setdefault(key, i) != i:
-                raise InputError("duplicate state keys", where=("states", i, "key"))
+        read = []  # the states read from a document
+        for i, state in enumerate(states):
+            if doc:
+                try:  # every field present and well typed, else read again in order to refuse
+                    key, outcome, kind = state["id"], state["outcome"], state.get("kind", BASE)
+                    need = kind == GRAPH or "profile" in state
+                    profile = state["profile"] if need else None
+                    if str is not type(key) or str is not type(outcome) or kind not in _KINDS:
+                        raise TypeError
+                    if need and str is not type(profile):
+                        raise TypeError
+                except (KeyError, TypeError):
+                    key, outcome, kind, profile = _read_state(state, f"{at['states']}[{i}]")
+                read.append((key, outcome, kind, profile))
+            else:  # a document's state is checked as it is read
+                key, outcome, kind, profile = state
+                if kind not in _KINDS:
+                    raise InputError(f"unknown state kind {kind!r}", where=("states", i, "kind"))
+                if kind == GRAPH and profile is None:
+                    what = f"graph state {key!r} needs a profile id"
+                    raise InputError(what, where=("states", i, "profile"))
+            index.setdefault(key, i)
             outcome_of.append(outcomes.setdefault(outcome, len(outcomes)))
+        states = tuple(read) if doc else states
+        if len(index) < len(states):  # named once every state's fields are checked
+            twin = next(i for i, s in enumerate(states) if index[s[0]] != i)
+            raise InputError("duplicate state keys", where=("states", twin, "key"))
         n_out = len(outcomes)
         shared: dict[frozenset, tuple] = {}
         checked: dict[int, tuple] = {}  # by id: each family object, kept alive, is checked once
@@ -190,7 +223,7 @@ class RightsStructure:
         def join(old: tuple, new: tuple) -> tuple:
             return new[0], new[1], family(old[2][0] | new[2][0]), new[3] or old[3]
 
-        get, number, (agents, at) = index.get, pairs.setdefault, doc or (None, None)
+        get, number = index.get, pairs.setdefault
         rows: list[list[tuple]] = [[] for _ in states]  # per source: entries in the order given
         if doc is None:
             for a, to, fam, rule in groups:
@@ -205,7 +238,7 @@ class RightsStructure:
                     ]
         else:
             memo: dict[bytes, tuple] = {}  # 1, 1.0 and True marshal apart: only ints reach it
-            for i, g in enumerate(_list(groups, at)):
+            for i, g in enumerate(_list(groups, at := at["gamma"])):
                 try:
                     a, b, cs = g["from"], g["to"], g["coalitions"]
                     if str is not type(a) or str is not type(b):
@@ -439,20 +472,25 @@ def hops_into(
     closer (-1 on goals and unreached ids, and where `succ` has no such
     step).  Following next hops gives every state the lexicographically
     smallest shortest path, the one a forward BFS with declaration-order
-    tie-breaks finds."""
-    succ, dist, hop = dg.succ, [-1] * len(dg.nodes), [-1] * len(dg.nodes)
-    order = []
+    tie-breaks finds.  It stops once every id is reached."""
+    succ, pred, n = dg.succ, dg.pred, len(dg.nodes)
+    dist, hop, order = [-1] * n, [-1] * n, []
     for g in goals:
         if dist[g] < 0:
             dist[g] = 0
             order.append(g)
     for b in order:  # grows while it is read: a FIFO queue
+        if len(order) == n:
+            break
         closer = dist[b]
-        for a in dg.pred[b]:
+        for a in pred[b]:
             if dist[a] < 0:
                 dist[a] = closer + 1
                 order.append(a)
-                hop[a] = next((t for t in succ[a] if dist[t] == closer), -1)
+                for t in succ[a]:
+                    if dist[t] == closer:
+                        hop[a] = t
+                        break
     return order, dist, hop
 
 

@@ -18,9 +18,6 @@ from .domains import housing, jobs, marriage
 from .conditions import OrderingWitness
 from .model import InputError, Profile, SocialChoiceRule, _agents, _error, _list, _need
 from .rights import (
-    BASE,
-    GRAPH,
-    OPAQUE,
     ImprovementDigraph,
     RightsStructure,
     SocialEnvironment,
@@ -139,19 +136,11 @@ def scr_to_doc(scr: SocialChoiceRule) -> dict:
 
 def rights_from_doc(doc: Mapping) -> RightsStructure:
     rdoc = _need(doc, "rights", "$")
-    states = []
-    for i, sdoc in enumerate(_list(_need(rdoc, "states", "$.rights"), "$.rights.states")):
-        path = f"$.rights.states[{i}]"
-        key = _need(sdoc, "id", path, str)
-        kind = sdoc.get("kind", BASE)
-        if kind not in (BASE, GRAPH, OPAQUE):
-            raise _error(f"{path}.kind", f"unknown kind {kind!r}")
-        profile = _need(sdoc, "profile", path, str) if kind == GRAPH or "profile" in sdoc else None
-        states.append((key, _need(sdoc, "outcome", path, str), kind, profile))
+    states = _need(rdoc, "states", "$.rights")
     agents = doc.get("agents") if type(doc.get("agents")) is int else None
     fields = {"states": "$.rights.states", "gamma": "$.rights.gamma", "key": "id"}
-    with _at(fields):  # the builder checks the states, then each entry as it reads it
-        return RightsStructure._build(states, rdoc.get("gamma", []), (agents, fields["gamma"]))
+    with _at(fields):  # the builder reads and checks the states, then each entry as it reads it
+        return RightsStructure._build(states, rdoc.get("gamma", []), (agents, fields))
 
 
 def _state_doc(s: State) -> dict:

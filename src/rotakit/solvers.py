@@ -72,49 +72,46 @@ def compute_core(
     return SolutionReport("core", (core,), (_outcomes_of(env, core),))
 
 
-def _tarjan_sccs(dg: ImprovementDigraph) -> list[tuple[str, ...]]:
-    """Strongly connected components, iterative Tarjan on the successor ids,
-    roots in declaration order."""
-    succ, keys = dg.succ, dg.nodes
-    index, low = [-1] * len(keys), [0] * len(keys)
-    on_stack = [False] * len(keys)
-    stack: list[int] = []
-    work: list = []
-    sccs: list[tuple[str, ...]] = []
-    counter = itertools.count()
-
-    def enter(v: int) -> None:
-        index[v] = low[v] = next(counter)
-        stack.append(v)
-        on_stack[v] = True
-        work.append((v, iter(succ[v])))
-
-    for root in range(len(keys)):
-        if index[root] >= 0:
+def _terminal_sccs(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Terminal SCCs of the digraph with successor lists `succ`, as sorted ids ordered by
+    first id, in one iterative Tarjan pass.  `num[v]` is -1 before v is reached, its stack
+    position while on the stack (a root's is where its component starts), and n once its
+    component is done, which lowers no low-link.  An edge into a done component, or a child
+    that is the root of its own, marks its source; a component with none marked is terminal."""
+    n = len(succ)
+    num, low, out, terminal = [-1] * n, [0] * n, bytearray(n), []
+    for root in range(n):
+        if num[root] >= 0:
             continue
-        enter(root)
+        num[root] = low[root] = 0  # every earlier component is done: the stack is empty
+        stack, work = [root], [(root, iter(succ[root]))]
         while work:
-            node, it = work[-1]
-            for nxt in it:
-                if index[nxt] < 0:
-                    enter(nxt)
+            v, it = work[-1]
+            for w in it:
+                x = num[w]
+                if x < 0:
+                    num[w] = low[w] = len(stack)
+                    stack.append(w)
+                    work.append((w, iter(succ[w])))
                     break
-                if on_stack[nxt] and index[nxt] < low[node]:
-                    low[node] = index[nxt]
+                if x < low[v]:
+                    low[v] = x
+                elif x == n:
+                    out[v] = 1
             else:
                 work.pop()
-                if work and low[node] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[node]
-                if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(keys[w])
-                        if w == node:
-                            break
-                    sccs.append(tuple(comp))
-    return sccs
+                x = low[v]
+                if x == num[v]:
+                    comp, stack[x:] = stack[x:], []
+                    for w in comp:
+                        num[w] = n
+                    if not any(map(out.__getitem__, comp)):
+                        terminal.append(sorted(comp))
+                    if work:
+                        out[work[-1][0]] = 1
+                elif x < low[work[-1][0]]:  # not a root, so not the tree's root either
+                    low[work[-1][0]] = x
+    return sorted(terminal)
 
 
 def compute_absorbing_sets(
@@ -131,15 +128,8 @@ def compute_absorbing_sets(
     """
     dg = digraph if digraph is not None else build_improvement_digraph(env)
     succ, keys = dg.succ, dg.nodes
-    terminal = []
-    for comp in _tarjan_sccs(dg):
-        ids = sorted(map(dg.id_of.__getitem__, comp))
-        members = set(ids)
-        if all(t in members for s in ids for t in succ[s]):
-            terminal.append(ids)
-    terminal.sort(key=lambda ids: ids[0])
     blocks = []
-    for ids in terminal:
+    for ids in _terminal_sccs(succ):
         block, members = tuple(keys[s] for s in ids), set(ids)
         if not members <= search(succ, ids[:1]):
             raise RuntimeError(f"absorbing set {block} fails mutual reachability at {block[0]}")
@@ -183,19 +173,16 @@ def _verified_mss(env: SocialEnvironment, dg: ImprovementDigraph):
     MSS states in declaration order, reverse-BFS order, next hop per state
     id, -1 inside)."""
     blocks = compute_absorbing_sets(env, dg)
-    keys, inside = dg.nodes, bytearray(len(dg.nodes))
-    for s in (s for b in blocks for s in b):
-        inside[dg.id_of[s]] = 1
-    mss = tuple(k for k, x in zip(keys, inside) if x)
-    for s, out in enumerate(dg.succ):
-        if not inside[s]:
-            continue
-        for t in out:
-            if not inside[t]:
+    ids = sorted(dg.id_of[s] for b in blocks for s in b)
+    keys, succ, inside = dg.nodes, dg.succ, set(ids)
+    for s in ids:
+        for t in succ[s]:
+            if t not in inside:
                 raise RuntimeError(
                     f"deterrence of external deviations fails at {keys[s]} -> {keys[t]}"
                 )
-    order, dist, hop = hops_into(dg, (s for s, x in enumerate(inside) if x))
+    mss = tuple(keys[s] for s in ids)
+    order, dist, hop = hops_into(dg, ids)
     for a in order[len(mss):]:
         if hop[a] < 0:
             raise RuntimeError(f"iterated external stability fails from {keys[a]}")

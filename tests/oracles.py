@@ -386,6 +386,81 @@ def string_tarjan_sccs(dg) -> list[tuple[str, ...]]:
     return sccs
 
 
+def int_tarjan_sccs(dg) -> list[tuple[str, ...]]:
+    """Every strongly connected component, iterative Tarjan on the successor ids, roots
+    in declaration order, each as keys in the order the stack gives them up."""
+    succ, keys = dg.succ, dg.nodes
+    index, low = [-1] * len(keys), [0] * len(keys)
+    on_stack = [False] * len(keys)
+    stack: list[int] = []
+    work: list = []
+    sccs: list[tuple[str, ...]] = []
+    counter = itertools.count()
+
+    def enter(v: int) -> None:
+        index[v] = low[v] = next(counter)
+        stack.append(v)
+        on_stack[v] = True
+        work.append((v, iter(succ[v])))
+
+    for root in range(len(keys)):
+        if index[root] >= 0:
+            continue
+        enter(root)
+        while work:
+            node, it = work[-1]
+            for nxt in it:
+                if index[nxt] < 0:
+                    enter(nxt)
+                    break
+                if on_stack[nxt] and index[nxt] < low[node]:
+                    low[node] = index[nxt]
+            else:
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] == index[node]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(keys[w])
+                        if w == node:
+                            break
+                    sccs.append(tuple(comp))
+    return sccs
+
+
+def terminal_components(dg, sccs) -> list[list[int]]:
+    """The components of `sccs` (key tuples) with no edge leaving them, each as its
+    sorted ids, ordered by first id."""
+    terminal = []
+    for comp in sccs:
+        ids, members = sorted(dg.id_of[k] for k in comp), {dg.id_of[k] for k in comp}
+        if all(t in members for s in ids for t in dg.succ[s]):
+            terminal.append(ids)
+    return sorted(terminal, key=lambda ids: ids[0])
+
+
+def full_hops_into(dg, goals) -> tuple[list[int], list[int], list[int]]:
+    """The reverse BFS of `rights.hops_into`, reading every `pred` list of the
+    visit order, with a generator per state for its next hop."""
+    succ, dist, hop = dg.succ, [-1] * len(dg.nodes), [-1] * len(dg.nodes)
+    order = []
+    for g in goals:
+        if dist[g] < 0:
+            dist[g] = 0
+            order.append(g)
+    for b in order:
+        closer = dist[b]
+        for a in dg.pred[b]:
+            if dist[a] < 0:
+                dist[a] = closer + 1
+                order.append(a)
+                hop[a] = next((t for t in succ[a] if dist[t] == closer), -1)
+    return order, dist, hop
+
+
 def string_core(env, dg) -> SolutionReport:
     core = tuple(s for s in dg.nodes if not dg.adjacency.get(s))
     return SolutionReport("core", (core,), (_outcomes_of(env, core),))

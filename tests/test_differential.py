@@ -14,6 +14,8 @@ import random
 from collections import Counter, deque
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from instances import (
     random_environment,
@@ -32,9 +34,11 @@ from oracles import (
     dominance_scan_phi,
     forward_bfs_path,
     from_maps,
+    full_hops_into,
     index_allocation_profile,
     index_extend_job_preferences,
     index_matching_profile,
+    int_tarjan_sccs,
     pair_scan_digraph,
     pairwise_domain_restriction,
     pairwise_generalized_stable_sets,
@@ -60,6 +64,7 @@ from oracles import (
     string_rotation_certificates,
     string_tarjan_sccs,
     string_verify_rotation_monotonicity_with,
+    terminal_components,
 )
 from rotakit import constructors, solvers
 from rotakit.conditions import (
@@ -101,6 +106,7 @@ from rotakit.rights import (
     State,
     build_improvement_digraph,
     find_myopic_improvement_path,
+    hops_into,
 )
 from rotakit.serialize import (
     domain_scr,
@@ -259,11 +265,15 @@ def _assert_int_core_matches_strings(env: SocialEnvironment, cap: int = 256) -> 
     assert list(fast.edge_coalitions.items()) == list(ref.edge_coalitions.items())
     assert fast.edges == ref.edges
     assert fast == ref
-    assert solvers._tarjan_sccs(fast) == string_tarjan_sccs(ref)
+    terminal = solvers._terminal_sccs(fast.succ)
+    assert terminal == terminal_components(fast, int_tarjan_sccs(fast))
+    assert terminal == terminal_components(ref, string_tarjan_sccs(ref))
     assert compute_core(env, fast) == string_core(env, ref)
     assert compute_absorbing_sets(env, fast) == string_absorbing_sets(ref)
     report, expected = compute_mss(env, fast), string_mss(env, ref)
     assert report == expected
+    goals = sorted(map(fast.id_of.__getitem__, report.states))
+    assert hops_into(fast, goals) == full_hops_into(fast, goals)
     paths = report.witness["external_paths"]
     assert list(paths.items()) == list(expected.witness["external_paths"].items())
     try:
@@ -282,6 +292,44 @@ def _assert_int_core_matches_strings(env: SocialEnvironment, cap: int = 256) -> 
 def test_int_core_matches_strings_on_sparse_environments():
     for env in _sparse_environments(14, 150):
         _assert_int_core_matches_strings(env)
+
+
+def _random_succ(n: int, shape: str, density: float, rng: random.Random) -> list[list[int]]:
+    """Successor lists on ids 0..n-1: each ordered pair, loops included, an edge with
+    probability `density` ("random"), one cycle through every id ("cycle"), or a chain
+    into a cycle, a plain chain when that cycle has one id ("tail"); each list shuffled."""
+    if shape == "random":
+        succ = [[b for b in range(n) if rng.random() < density] for _ in range(n)]
+    elif shape == "cycle":
+        succ = [[(a + 1) % n] for a in range(n)]
+    else:
+        k = rng.randrange(n) if n else 0  # the cycle is k..n-1
+        succ = [[a + 1] if a + 1 < n else [k] if k < a else [] for a in range(n)]
+    for out in succ:
+        rng.shuffle(out)
+    return succ
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    n=st.integers(0, 40),
+    shape=st.sampled_from(("random", "cycle", "tail")),
+    density=st.floats(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=40, shape="cycle", density=0.0, seed=0)
+@example(n=40, shape="tail", density=0.0, seed=0)
+def test_terminal_sccs_and_hops_match_reference_on_any_digraph(n, shape, density, seed):
+    rng = random.Random(seed)
+    succ = _random_succ(n, shape, density, rng)
+    pred: list[list[int]] = [[] for _ in succ]
+    for a, out in enumerate(succ):
+        for b in out:
+            pred[b].append(a)
+    dg = ImprovementDigraph({f"s{i}": i for i in range(n)}, succ, pred, {})
+    assert solvers._terminal_sccs(succ) == terminal_components(dg, int_tarjan_sccs(dg))
+    goals = [rng.randrange(n) for _ in range(rng.randint(0, 3))] if n else []
+    assert hops_into(dg, goals) == full_hops_into(dg, goals)
 
 
 def _own_outcome_environments(seed: int, count: int):
@@ -839,7 +887,7 @@ def _put_fault(rng: random.Random, doc: dict, gamma: list, states: list) -> None
     """One fault, in place, in the rights block of `doc`, on one of the entries `gamma` and
     one of the states `states` that it held before any fault."""
     rights, entry, state = doc["rights"], rng.choice(gamma), rng.choice(states)
-    fault = rng.randrange(9)
+    fault = rng.randrange(10)
     if fault == 0:  # a wrong type
         at, key = rng.choice([(entry, "from"), (entry, "to"), (entry, "coalitions"),
                               (state, "id"), (state, "outcome"), (rights, "gamma"),
@@ -866,16 +914,18 @@ def _put_fault(rng: random.Random, doc: dict, gamma: list, states: list) -> None
         if twin is state and isinstance(rights["states"], list):
             rights["states"].append(twin := dict(state))
         state["id"] = twin.get("id")
-    else:  # a rule that is no string
+    elif fault == 8:  # a rule that is no string
         entry["rule"] = rng.choice([7, None, ["r"], True])
+    else:  # an unknown kind, a graph kind with no profile, or a profile that is no string
+        state[rng.choice(["kind", "profile"])] = rng.choice([7, None, "weird", "graph", ["p"]])
 
 
 def test_rights_reader_matches_the_streamed_reader(monkeypatch):
     """The builder's one document loop compiles what the streamed reader it replaced
     compiled, and of one to three faults (wrong types, bool or float members, missing
     keys, unknown states, self-pairs, empty coalitions, agents at or above `$.agents`,
-    duplicate state ids, non-string rules) it names the one the streamed reader named,
-    with the same message and path."""
+    duplicate state ids, non-string rules, state kinds and profiles the reader refuses) it
+    names the one the streamed reader named, with the same message and path."""
     rng = random.Random(27)
     documents = refused = 0
     for doc in _reader_documents(monkeypatch):
@@ -1067,7 +1117,7 @@ def test_forged_absorbing_backward_reachability_fails():
 def test_forged_absorbing_forward_reachability_fails(monkeypatch):
     # Only b -> a exists, but the SCC step claims {a, b} is one component.
     env, dg = _forged({"a": (), "b": ("a",)}, {"a": ("b",), "b": ()})
-    monkeypatch.setattr(solvers, "_tarjan_sccs", lambda _dg: [("a", "b")])
+    monkeypatch.setattr(solvers, "_terminal_sccs", lambda _succ: [[0, 1]])
     with pytest.raises(RuntimeError, match="fails mutual reachability at a"):
         compute_absorbing_sets(env, dg)
 
