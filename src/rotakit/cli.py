@@ -14,7 +14,6 @@ obstruction (no shared ordering exists).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import os
@@ -279,7 +278,11 @@ def _check_indirect(scr, cap):
         "condition": "indirect-monotonicity",
         "ok": v.ok,
         "failing": v.failing,
-        "witnesses": [dataclasses.asdict(w) for w in v.witnesses],
+        "witnesses": [
+            {"profile_id": w.profile_id, "other_id": w.other_id, "outcome": w.outcome,
+             "path": w.path, "step_agents": w.step_agents, "reversal_agent": w.reversal_agent}
+            for w in v.witnesses
+        ],
     }
     return payload, "ok" if v.ok else f"violated at (R, R', z) = {v.failing}", EXIT_OK
 
@@ -317,11 +320,11 @@ def _check_property_m(scr, cap):
     if v is None:
         payload = {"condition": "property-m", "ok": False, "note": "no rotation-monotone ordering"}
         return payload, "cannot evaluate: rotation monotonicity already fails", EXIT_OK
-    payload = {
-        "condition": "property-m",
-        "ok": v.ok,
-        "failure": dataclasses.asdict(v.failure) if v.failure else None,
+    f = v.failure
+    failure = None if f is None else {
+        "profile_id": f.profile_id, "other_id": f.other_id, "outcome": f.outcome, "reason": f.reason
     }
+    payload = {"condition": "property-m", "ok": v.ok, "failure": failure}
     return payload, "ok" if v.ok else f"violated: {v.failure}", EXIT_OK
 
 
@@ -479,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()  # a command's data holds no cycles: refcounting frees it, so GC scans are waste
     ns = None  # arguments that fail to parse have no --format yet
     try:
-        ns = _build_parser().parse_args(argv)
+        ns = _PARSER.parse_args(argv)
         return _COMMANDS[ns.command](ns, _caps_from_env())
     except (InputError, CapExceeded) as exc:
         code = EXIT_INPUT if isinstance(exc, InputError) else EXIT_CAPPED
@@ -492,6 +495,8 @@ def main(argv: list[str] | None = None) -> int:
         if collecting:
             gc.enable()
 
+
+_PARSER = _build_parser()  # after the tables its choices name; built once per process
 
 if __name__ == "__main__":
     sys.exit(main())

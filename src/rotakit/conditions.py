@@ -30,17 +30,15 @@ them when none passes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .model import CapExceeded, InputError, Profile, SocialChoiceRule, Verdict
+from .model import CapExceeded, InputError, Profile, Record, SocialChoiceRule, Verdict
 
 ORDER_SEARCH_CAP = 8
 
 
-@dataclass(frozen=True)
 class MaskinVerdict(Verdict):
     ok: bool
     counterexample: tuple[str, str, str] | None = None  # (R, R', z)
@@ -54,8 +52,7 @@ def check_maskin_monotonicity(scr: SocialChoiceRule) -> MaskinVerdict:
     return MaskinVerdict(True)
 
 
-@dataclass(frozen=True)
-class IndirectWitness:
+class IndirectWitness(Record):
     profile_id: str
     other_id: str
     outcome: str
@@ -64,7 +61,6 @@ class IndirectWitness:
     reversal_agent: int
 
 
-@dataclass(frozen=True)
 class IndirectVerdict(Verdict):
     ok: bool
     witnesses: tuple[IndirectWitness, ...] = ()
@@ -331,8 +327,7 @@ class _Tables:
         return RotationVerdict(True, OrderingWitness(orderings))
 
 
-@dataclass(frozen=True)
-class RotationCertificate:
+class RotationCertificate(Record):
     """Why one ordered outcome passes against one triggering profile."""
 
     start: str
@@ -370,16 +365,13 @@ def rotation_certificates(
     return certs
 
 
-@dataclass(frozen=True)
-class OrderingWitness:
+class OrderingWitness(Record):
     """Per-profile circular orderings of the chosen sets."""
 
     orderings: Mapping[str, tuple[str, ...]]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "orderings", {pid: tuple(o) for pid, o in dict(self.orderings).items()}
-        )
+        vars(self)["orderings"] = {pid: tuple(o) for pid, o in dict(self.orderings).items()}
 
 
 def coerce_orderings(
@@ -399,13 +391,11 @@ def coerce_orderings(
     return out
 
 
-@dataclass(frozen=True)
-class RotationObstruction:
+class RotationObstruction(Record):
     profile_id: str
     failures: tuple[tuple[tuple[str, ...], str, str], ...]  # (ordering, rp, stuck outcome)
 
 
-@dataclass(frozen=True)
 class RotationVerdict(Verdict):
     ok: bool
     witness: OrderingWitness | None = None
@@ -442,15 +432,13 @@ def verify_rotation_monotonicity_with(
     return tables.rotation_verdict(lambda r: [tables.ids(table[r.id])])
 
 
-@dataclass(frozen=True)
-class PropertyMFailure:
+class PropertyMFailure(Record):
     profile_id: str
     other_id: str
     outcome: str
     reason: str
 
 
-@dataclass(frozen=True)
 class PropertyMVerdict(Verdict):
     ok: bool
     failure: PropertyMFailure | None = None

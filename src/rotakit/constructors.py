@@ -17,10 +17,9 @@ rule, reporting failures instead of assuming theorem preconditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .model import Profile, SocialChoiceRule, Verdict
+from .model import Profile, Record, SocialChoiceRule, Verdict
 from .conditions import OrderingWitness, coerce_orderings
 from .rights import (
     GRAPH,
@@ -103,8 +102,7 @@ def build_thm4_structure(
     return _five_rule_structure(scr, rule1)
 
 
-@dataclass(frozen=True)
-class DiagnosticSets:
+class DiagnosticSets(Record):
     """The M / U / Q decomposition of the MSS at one profile."""
 
     profile_id: str
@@ -149,7 +147,6 @@ def compute_diagnostic_sets(
     return DiagnosticSets(profile.id, m_states, u_states, q_by_profile, tuple(q_states))
 
 
-@dataclass(frozen=True)
 class ProfileVerdict(Verdict):
     profile_id: str
     ok: bool
@@ -165,7 +162,6 @@ class ProfileVerdict(Verdict):
         return self.actual - self.expected
 
 
-@dataclass(frozen=True)
 class ImplementationReport(Verdict):
     kind: str  # "mss" | "rotation-programs"
     ok: bool

@@ -14,10 +14,9 @@ exclusion core.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ..model import CapExceeded, InputError, Profile, SocialChoiceRule
+from ..model import CapExceeded, InputError, Profile, Record, SocialChoiceRule
 from ..rights import BASE, Coalition, RightsStructure, SocialEnvironment, State, coalition
 from .jobs import alloc_id
 
@@ -28,8 +27,7 @@ Assignment = tuple[str, ...]  # per agent: a house or the outside option
 _BITS = bytes.maketrans(b"01", b"\0\1")  # a bitset's binary digits, lowest first, as 0/1 flags
 
 
-@dataclass(frozen=True)
-class Economy:
+class Economy(Record):
     id: str
     n_agents: int
     houses: tuple[str, ...]
@@ -40,11 +38,8 @@ class Economy:
     def __post_init__(self):
         houses = tuple(self.houses)
         orders = tuple(tuple(o) for o in self.orders)
-        object.__setattr__(self, "houses", houses)
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(
-            self, "owners", {h: coalition(k, ("owners", h)) for h, k in dict(self.owners).items()}
-        )
+        owners = {h: coalition(k, ("owners", h)) for h, k in dict(self.owners).items()}
+        vars(self).update(houses=houses, orders=orders, owners=owners)
         if len(set(houses)) != len(houses):
             raise InputError("duplicate house ids", where=("houses",))
         if self.outside in houses:

@@ -13,17 +13,10 @@ alternating serial-dictatorship rule phi is defined.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Sequence
 
 from ..conditions import OrderingWitness
-from ..model import (
-    CapExceeded,
-    InputError,
-    Profile,
-    SocialChoiceRule,
-    pareto_frontier,
-)
+from ..model import CapExceeded, InputError, Profile, Record, SocialChoiceRule, pareto_frontier
 
 EXTENSION_CAP = 6  # allocation space is n!
 PHI_CAP = 5
@@ -31,8 +24,7 @@ PHI_CAP = 5
 Allocation = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class JobRotationProblem:
+class JobRotationProblem(Record):
     """n agents, n jobs, one linear order over jobs per agent."""
 
     id: str
@@ -42,8 +34,7 @@ class JobRotationProblem:
     def __post_init__(self):
         jobs = tuple(self.jobs)
         orders = tuple(tuple(o) for o in self.orders)
-        object.__setattr__(self, "jobs", jobs)
-        object.__setattr__(self, "orders", orders)
+        vars(self).update(jobs=jobs, orders=orders)
         if len(set(jobs)) != len(jobs):
             raise InputError("duplicate job ids", where=("jobs",))
         if any("," in j for j in jobs):

@@ -12,17 +12,15 @@ rule as social choice rules.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from ..conditions import OrderingWitness
-from ..model import CapExceeded, InputError, Profile, SocialChoiceRule, Verdict
+from ..model import CapExceeded, InputError, Profile, Record, SocialChoiceRule, Verdict
 
 MATCHING_CAP = 5  # per side; matching spaces are enumerated brute force
 
 
-@dataclass(frozen=True)
-class MarriageProblem:
+class MarriageProblem(Record):
     id: str
     men: tuple[str, ...]
     women: tuple[str, ...]
@@ -33,14 +31,9 @@ class MarriageProblem:
     def __post_init__(self):
         men = tuple(self.men)
         women = tuple(self.women)
-        object.__setattr__(self, "men", men)
-        object.__setattr__(self, "women", women)
-        object.__setattr__(
-            self, "men_prefs", {m: tuple(v) for m, v in dict(self.men_prefs).items()}
-        )
-        object.__setattr__(
-            self, "women_prefs", {w: tuple(v) for w, v in dict(self.women_prefs).items()}
-        )
+        men_prefs = {m: tuple(v) for m, v in dict(self.men_prefs).items()}
+        women_prefs = {w: tuple(v) for w, v in dict(self.women_prefs).items()}
+        vars(self).update(men=men, women=women, men_prefs=men_prefs, women_prefs=women_prefs)
         if not men or not women:
             raise InputError("both sides must be nonempty", where=("women",) if men else ("men",))
         names = men + women
@@ -77,23 +70,21 @@ class MarriageProblem:
         return lst.index(a) < lst.index(b)
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(Record):
     """An involutive pairing of every agent; singles are matched to themselves."""
 
     pairing: tuple[tuple[str, str], ...]
-    _map: Mapping[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pairing = tuple(sorted((a, b) for a, b in self.pairing))
-        object.__setattr__(self, "pairing", pairing)
+        vars(self)["pairing"] = pairing
         table = dict(pairing)
         if len(table) != len(pairing):
             raise InputError("an agent appears twice in the pairing")
         for a, b in table.items():
             if table.get(b) != a:
                 raise InputError(f"pairing is not involutive at {a!r}")
-        object.__setattr__(self, "_map", table)
+        vars(self)["_map"] = table  # not a field: out of eq, hash and repr
 
     @classmethod
     def from_man_map(
@@ -180,7 +171,6 @@ def deferred_acceptance(problem: MarriageProblem, proposing: str = "men") -> Mat
     return Matching.from_man_map(problem, engaged_to)
 
 
-@dataclass(frozen=True)
 class StabilityVerdict(Verdict):
     ok: bool
     blocking_pair: tuple[str, str] | None = None

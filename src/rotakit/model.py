@@ -12,7 +12,6 @@ Everything in this module is immutable and pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from operator import and_, or_
 from typing import Any, Iterator, Mapping, Sequence
@@ -86,26 +85,63 @@ class CapExceeded(RuntimeError):
             raise CapExceeded(message, cap=cap, needed=needed)
 
 
-class Verdict:
+class Record:
+    """Base of rotakit's immutable records: a subclass's fields are the names its own body
+    annotates, a class attribute of the same name is a field's default.  A record is built
+    field-wise, then checked by `__post_init__`, which stores what it normalises in
+    `vars(self)`; it equals only a record of its own class with an equal field tuple, hashes
+    as that tuple, prints as `QualName(field=value, ...)` and refuses writes."""
+
+    def __init_subclass__(cls):
+        cls._fields = names = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        given = dict(zip(names, args))
+        values = {**self._defaults, **given, **kwargs}
+        if len(given) < len(args) or given.keys() & kwargs or values.keys() != set(names):
+            raise TypeError(f"{type(self).__qualname__} takes the fields {names}, each once")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _astuple(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._astuple()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Verdict(Record):
     """Base of the verdict records: a verdict is truthy exactly when its `ok` field is."""
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def _normalise_ranks(ranks: Sequence[int]) -> tuple[int, ...]:
-    """Map arbitrary integer ranks onto the contiguous block 0..k, order-preserving."""
-    order = {r: i for i, r in enumerate(sorted(set(ranks)))}
-    return tuple(order[r] for r in ranks)
-
-
-@dataclass(frozen=True)
-class Preference:
+class Preference(Record):
     """A weak order over a fixed tuple of alternatives, as a rank vector."""
 
     alternatives: tuple[str, ...]
     ranks: tuple[int, ...]
-    _index: Mapping[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         alts = tuple(self.alternatives)
@@ -114,9 +150,9 @@ class Preference:
         if len(self.ranks) != len(alts):
             what = f"rank vector has {len(self.ranks)} entries for {len(alts)} alternatives"
             raise InputError(what, where=("ranks",))
-        object.__setattr__(self, "alternatives", alts)
-        object.__setattr__(self, "ranks", _normalise_ranks(self.ranks))
-        object.__setattr__(self, "_index", {a: i for i, a in enumerate(alts)})
+        block = {r: i for i, r in enumerate(sorted(set(self.ranks)))}  # ranks onto 0..k, in order
+        index = {a: i for i, a in enumerate(alts)}  # not a field: out of eq, hash and repr
+        vars(self).update(alternatives=alts, ranks=tuple(map(block.get, self.ranks)), _index=index)
 
     @classmethod
     def from_order(cls, alternatives: Sequence[str], order: Sequence[str]) -> "Preference":
@@ -150,15 +186,14 @@ class Preference:
         return len(set(self.ranks)) == len(self.ranks)
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Record):
     """One preference per agent over a shared alternative set, under a stable id."""
 
     id: str
     prefs: tuple[Preference, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "prefs", tuple(self.prefs))
+        vars(self)["prefs"] = tuple(self.prefs)
         if not self.prefs:
             raise InputError("profile needs at least one agent", where=("prefs",))
         alts = self.prefs[0].alternatives
@@ -249,7 +284,6 @@ def lower_contour_set(profile: Profile, agent: int, x: str) -> frozenset[str]:
     return profile.pref(agent).lower_contour(x)
 
 
-@dataclass(frozen=True)
 class DomainRestrictionVerdict(Verdict):
     ok: bool
     pair: tuple[str, str] | None = None
@@ -288,18 +322,15 @@ def pareto_frontier(profile: Profile) -> frozenset[str]:
     return frozenset(z for j, z in enumerate(sorted(profile.alternatives)) if not beaten >> j & 1)
 
 
-@dataclass(frozen=True)
-class SocialChoiceRule:
+class SocialChoiceRule(Record):
     """Explicit finite SCR: a profile domain plus a choice table over it."""
 
     profiles: tuple[Profile, ...]
     choices: Mapping[str, frozenset[str]]
 
     def __post_init__(self):
-        object.__setattr__(self, "profiles", tuple(self.profiles))
-        object.__setattr__(
-            self, "choices", {pid: frozenset(ch) for pid, ch in dict(self.choices).items()}
-        )
+        choices = {pid: frozenset(ch) for pid, ch in dict(self.choices).items()}
+        vars(self).update(profiles=tuple(self.profiles), choices=choices)
         if not self.profiles:
             raise InputError("SCR needs a nonempty profile domain", where=("profiles",))
         ids = [p.id for p in self.profiles]
@@ -352,7 +383,6 @@ class SocialChoiceRule:
                     yield a, p
 
 
-@dataclass(frozen=True)
 class EfficiencyVerdict(Verdict):
     ok: bool
     profile_id: str | None = None

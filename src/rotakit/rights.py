@@ -13,13 +13,12 @@ ints and bitmasks, its only store; each digraph is built and solved on ints.
 from __future__ import annotations
 
 import marshal
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import groupby
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
-from .model import InputError, Profile, _agents, _error, _list, _need
+from .model import InputError, Profile, Record, _agents, _error, _list, _need
 
 Coalition = frozenset[int]
 _target = itemgetter(0)  # of a compiled gamma entry
@@ -327,8 +326,7 @@ class RightsStructure:
         return self._max_agent
 
 
-@dataclass(frozen=True)
-class SocialEnvironment:
+class SocialEnvironment(Record):
     """A rights structure evaluated at one preference profile."""
 
     rights: RightsStructure
@@ -348,8 +346,7 @@ class SocialEnvironment:
         return self.rights.outcome(key)
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     source: str
     target: str
     coalition: Coalition
@@ -499,14 +496,12 @@ def can_reach(dg: ImprovementDigraph, targets: Iterable[str]) -> frozenset[str]:
     return frozenset(dg.nodes[i] for i in search(dg.pred, map(dg.id_of.__getitem__, targets)))
 
 
-@dataclass(frozen=True)
-class PathStep:
+class PathStep(Record):
     coalition: Coalition
     state: str
 
 
-@dataclass(frozen=True)
-class ImprovementPath:
+class ImprovementPath(Record):
     """A myopic improvement path: start state plus (coalition, next state) steps."""
 
     start: str

@@ -14,7 +14,6 @@ from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Iterator, Mapping, Sequence
 
-from .domains import housing, jobs, marriage
 from .conditions import OrderingWitness
 from .model import InputError, Profile, SocialChoiceRule, _agents, _error, _list, _need
 from .rights import (
@@ -242,7 +241,14 @@ def is_domain_doc(doc: Mapping) -> bool:
     return isinstance(doc.get("kind"), str) and doc["kind"] in DOMAIN_RULES
 
 
+def _load_domains() -> None:
+    """Bind the domain modules here on the first domain document read: none load before."""
+    global housing, jobs, marriage
+    from .domains import housing, jobs, marriage
+
+
 def jobs_problems_from_doc(doc: Mapping) -> list[jobs.JobRotationProblem]:
+    _load_domains()
     job_ids = _ids(_need(doc, "jobs", "$"), "$.jobs")
     problems = []
     for path, pid, pdoc in _profile_entries(doc):
@@ -259,6 +265,7 @@ def _prefs(value: Any, path: str) -> dict:
 
 
 def marriage_problems_from_doc(doc: Mapping) -> list[marriage.MarriageProblem]:
+    _load_domains()
     men = _ids(_need(doc, "men", "$"), "$.men")
     women = _ids(_need(doc, "women", "$"), "$.women")
     pure = doc.get("pure", False)
@@ -276,6 +283,7 @@ def marriage_problems_from_doc(doc: Mapping) -> list[marriage.MarriageProblem]:
 
 
 def economies_from_doc(doc: Mapping) -> list[housing.Economy]:
+    _load_domains()
     agents = _need(doc, "agents", "$", int)
     houses = _ids(_need(doc, "houses", "$"), "$.houses")
     outside = _need(doc, "outside", "$", str)

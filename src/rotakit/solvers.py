@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .model import CapExceeded, InputError, Verdict
+from .model import CapExceeded, InputError, Record, Verdict
 from .rights import (
     ImprovementDigraph,
     SocialEnvironment,
@@ -30,8 +29,7 @@ from .rights import (
 GENERALIZED_PRODUCT_CAP = 4096
 
 
-@dataclass(frozen=True)
-class SolutionReport:
+class SolutionReport(Record):
     """Outcome of one solve: state sets, their h-images, and witness data.
 
     The witness holds only str-keyed dicts, lists, tuples, strings and bools,
@@ -40,7 +38,11 @@ class SolutionReport:
     concept: str
     sets: tuple[tuple[str, ...], ...]
     outcomes: tuple[tuple[str, ...], ...]
-    witness: Mapping[str, object] = field(default_factory=dict)
+    witness: Mapping[str, object] | None = None  # a fresh {} when none is given
+
+    def __post_init__(self):
+        if self.witness is None:
+            vars(self)["witness"] = {}
 
     @property
     def states(self) -> frozenset[str]:
@@ -222,7 +224,6 @@ def compute_generalized_stable_sets(
     return tuple(tuple(sorted(pick, key=dg.id_of.get)) for pick in itertools.product(*blocks))
 
 
-@dataclass(frozen=True)
 class RotationProgramVerdict(Verdict):
     ok: bool
     clause: str | None = None
@@ -292,7 +293,6 @@ def is_rotation_program(
     return RotationProgramVerdict(True)
 
 
-@dataclass(frozen=True)
 class PartitionResult(Verdict):
     ok: bool
     blocks: tuple[tuple[str, ...], ...] = ()

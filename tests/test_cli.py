@@ -1,11 +1,15 @@
 import gc
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
-from record_golden import cases, run_case
+import rotakit
+from record_golden import GOLDEN, ROOT, cases, run_case
 from rotakit import generators
 from rotakit.cli import main
 from rotakit.conditions import find_shared_ordering
@@ -455,6 +459,9 @@ def test_check_property_m_fails_where_the_shared_ordering_search_stops(capsys, t
         "profile_id": "R3", "other_id": "R1", "outcome": "a3",
         "reason": "no chain to the singleton",
     }
+    code, out, _ = _run(capsys, "check", str(path), "--condition", "property-m")
+    assert (code, out) == (0, "violated: PropertyMFailure(profile_id='R3', other_id='R1', "
+                              "outcome='a3', reason='no chain to the singleton')\n")
 
 
 @pytest.mark.parametrize("swapped", [False, True])
@@ -910,25 +917,81 @@ def test_malformed_document_names_json_path(capsys, tmp_path, fixture, where, va
     assert report["path"] == path
 
 
-def test_commands_leave_no_garbage_cycles_but_the_parser(monkeypatch):
+def test_commands_leave_no_garbage_cycles(monkeypatch):
     """`main` keeps the cyclic collector off for a command, which is safe only while
-    refcounting frees the command's data: run with the collector off, no fixture command
-    may leave more unreachable objects behind than a run that stops at an unreadable
-    file, whose are argparse's."""
+    refcounting frees the command's data: run with the collector off, neither a run that
+    stops at an unreadable file nor any fixture command may leave an unreachable object
+    behind.  The parser, which holds cycles, is built once, when the module is imported."""
     monkeypatch.delenv("ROTAKIT_CAPS", raising=False)
     gc.collect()
     gc.freeze()  # each collection below scans only what the last command left
     gc.disable()
     try:
-        run_case(main, ["solve", "no-such.json", "--profile", "R", "--concept", "mss"])
-        parser_only = gc.collect()
-        assert parser_only > 0
-        for argv in cases():
+        for argv in [["solve", "no-such.json", "--profile", "R", "--concept", "mss"], *cases()]:
             run_case(main, argv)
-            assert gc.collect() <= parser_only, argv
+            assert gc.collect() == 0, argv
     finally:
         gc.enable()
         gc.unfreeze()
+
+
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this rotakit, with no caps set."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(rotakit.__file__).parents[1])}
+    env.pop("ROTAKIT_CAPS", None)
+    return env
+
+
+def test_the_parser_built_at_import_serves_every_call_in_a_process(capsys, monkeypatch):
+    """`main` parses with the one parser built when the module is imported: in one process,
+    a parse failure, then a solve, then a check each print and exit as in a fresh process."""
+    monkeypatch.delenv("ROTAKIT_CAPS", raising=False)
+    env = str(ROOT / "fixtures" / "example-environment.json")
+    for argv in (
+        ["solve", env, "--profile", "Rp", "--concept", "nothing"],
+        ["solve", env, "--profile", "Rp", "--concept", "mss"],
+        ["check", env, "--condition", "maskin", "--format", "json"],
+    ):
+        fresh = subprocess.run([sys.executable, "-m", "rotakit.cli", *argv], env=_fresh_env(),
+                               capture_output=True, text=True, timeout=60)
+        assert _run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert fresh.returncode == (1 if argv[-1] == "nothing" else 0)
+
+
+_FIRST_USE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import rotakit.cli
+loaded = set(sys.modules) - before
+stdout = io.StringIO()
+with contextlib.redirect_stdout(stdout):
+    code = rotakit.cli.main(json.loads(sys.argv[1]))
+heavy = [m for m in loaded if m in ("dataclasses", "inspect") or m.startswith("rotakit.domains")]
+domains = [m for m in sys.modules if m.startswith("rotakit.domains")]
+print(json.dumps({"loaded": sorted(heavy), "then": sorted(domains), "exit": code,
+                  "stdout": stdout.getvalue()}))
+"""
+
+
+@pytest.mark.parametrize("name", [
+    "construct_marriage-domain_theorem_4_verify_rotation_format_text",
+    "solve_economy-domain_profile_R_concept_mss_format_json",
+])
+def test_import_loads_no_dataclasses_inspect_or_domain_module(name):
+    """A fresh `import rotakit.cli` loads neither `dataclasses` nor `inspect` nor any
+    `rotakit.domains` module; the first domain document then loads the domains, and the
+    command prints its golden output."""
+    case = json.loads((GOLDEN / "index.json").read_text())[name]
+    argv = [str(ROOT / a) if a.startswith("fixtures/") else a for a in case["argv"]]
+    run = subprocess.run([sys.executable, "-c", _FIRST_USE, json.dumps(argv)], env=_fresh_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {
+        "loaded": [],
+        "then": [f"rotakit.domains{m}" for m in ("", ".housing", ".jobs", ".marriage")],
+        "exit": case["exit"],
+        "stdout": (GOLDEN / f"{name}.out").read_text(),
+    }
 
 
 @pytest.mark.parametrize("argv, code", [
