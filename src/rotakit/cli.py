@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import sys
 from typing import Any, Mapping
 
@@ -30,6 +29,7 @@ EXIT_SOLVE = 2
 EXIT_CAPPED = 3
 EXIT_OBSTRUCTION = 4
 
+# bench/tracer.py reads both entries when it installs
 DEFAULT_CAPS = {"ordering": conditions.ORDER_SEARCH_CAP, "product": solvers.GENERALIZED_PRODUCT_CAP}
 
 
@@ -45,26 +45,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _caps_from_env() -> dict[str, int]:
-    caps = dict(DEFAULT_CAPS)
-    for chunk in filter(None, map(str.strip, os.environ.get("ROTAKIT_CAPS", "").split(","))):
-        if "=" not in chunk:
-            raise InputError(f"ROTAKIT_CAPS: expected name=value, got {chunk!r}")
-        name, value = chunk.split("=", 1)
-        name = name.strip()
-        if name not in DEFAULT_CAPS:
-            raise InputError(
-                f"ROTAKIT_CAPS: unknown cap {name!r}; known caps: {', '.join(DEFAULT_CAPS)}"
-            )
-        try:
-            caps[name] = int(value)
-        except ValueError:
-            raise InputError(f"ROTAKIT_CAPS: bad integer {value!r}") from None
-    if any(v <= 0 for v in caps.values()):
-        raise InputError("caps must be positive")
-    return caps
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rotakit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -75,7 +55,9 @@ def _build_parser() -> _Parser:
         sp.add_argument("--format", dest="fmt", choices=("json", "text"), default="text")
 
     def cap(sp):
-        sp.add_argument("--cap", type=_positive_int, default=None, help="ordering search cap")
+        sp.add_argument(
+            "--cap", type=_positive_int, default=DEFAULT_CAPS["ordering"], help="ordering search cap"
+        )
 
     sp = sub.add_parser("solve", help="run a solution concept on an environment")
     common(sp)
@@ -132,11 +114,17 @@ def _build_parser() -> _Parser:
 
 
 def _write(out: str | None, body: str) -> None:
+    """Write UTF-8 to `out`, or else the same bytes to stdout, whatever its encoding."""
     if not out:
-        sys.stdout.write(body)
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is None:  # a text-only stream, such as io.StringIO
+            sys.stdout.write(body)
+        else:
+            sys.stdout.flush()
+            buffer.write(body.encode("utf-8"))
         return
     try:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(body)
     except OSError as exc:  # a missing directory, a directory, no permission, a full disk
         raise InputError(f"cannot write {out}: {exc.strerror or exc}") from None
@@ -165,7 +153,7 @@ def _load_environment(ns: argparse.Namespace) -> SocialEnvironment:
     return serialize.environment_from_doc(doc, ns.profile)
 
 
-# solve: concept -> fn(ns, caps, env, digraph) -> (payload, text, exit code)
+# solve: concept -> fn(ns, env, digraph) -> (payload, text, exit code)
 
 
 def _report(label: str, report: solvers.SolutionReport):
@@ -177,27 +165,27 @@ def _numbered(label: str, sets) -> str:
     return "\n".join(f"{label} {i + 1}: {list(v)}" for i, v in enumerate(sets))
 
 
-def _solve_core(ns, caps, env, dg):
+def _solve_core(ns, env, dg):
     return _report("core", solvers.compute_core(env, dg))
 
 
-def _solve_mss(ns, caps, env, dg):
+def _solve_mss(ns, env, dg):
     return _report("MSS", solvers.compute_mss(env, dg))
 
 
-def _solve_absorbing(ns, caps, env, dg):
+def _solve_absorbing(ns, env, dg):
     blocks = solvers.compute_absorbing_sets(env, dg)
     payload = {"concept": "absorbing", "sets": [list(b) for b in blocks]}
     return payload, _numbered("absorbing set", blocks), EXIT_OK
 
 
-def _solve_generalized(ns, caps, env, dg):
-    sets = solvers.compute_generalized_stable_sets(env, dg, cap=caps["product"])
+def _solve_generalized(ns, env, dg):
+    sets = solvers.compute_generalized_stable_sets(env, dg)  # refused past GENERALIZED_PRODUCT_CAP
     payload = {"concept": "generalized", "sets": [list(v) for v in sets]}
     return payload, _numbered("generalized stable set", sets), EXIT_OK
 
 
-def _solve_partition(ns, caps, env, dg):
+def _solve_partition(ns, env, dg):
     mss = solvers.verified_mss_states(env, dg)
     result = solvers.partition_into_rotation_programs(env, mss, dg)
     payload = {
@@ -212,7 +200,7 @@ def _solve_partition(ns, caps, env, dg):
     return payload, _numbered("rotation program", result.blocks), EXIT_OK
 
 
-def _solve_rotation(ns, caps, env, dg):
+def _solve_rotation(ns, env, dg):
     if not ns.order:
         raise InputError("--concept rotation needs --order s1,s2,...")
     sep = ";" if ";" in ns.order else ","
@@ -350,31 +338,31 @@ _CHECKS = {
 }
 
 
-# subcommands: fn(ns, caps) -> exit code
+# subcommands: fn(ns) -> exit code
 
 
-def _cmd_solve(ns: argparse.Namespace, caps: dict[str, int]) -> int:
+def _cmd_solve(ns: argparse.Namespace) -> int:
     env = _load_environment(ns)
     dg = build_improvement_digraph(env)
-    payload, text, code = _SOLVERS[ns.concept](ns, caps, env, dg)
+    payload, text, code = _SOLVERS[ns.concept](ns, env, dg)
     _emit(ns, payload, text)
     return code
 
 
-def _cmd_check(ns: argparse.Namespace, caps: dict[str, int]) -> int:
+def _cmd_check(ns: argparse.Namespace) -> int:
     scr, _ = _load_scr(ns)
-    payload, text, code = _CHECKS[ns.condition](scr, ns.cap or caps["ordering"])
+    payload, text, code = _CHECKS[ns.condition](scr, ns.cap)
     _emit(ns, payload, text)
     return code
 
 
-def _cmd_construct(ns: argparse.Namespace, caps: dict[str, int]) -> int:
+def _cmd_construct(ns: argparse.Namespace) -> int:
     scr, witness = _load_scr(ns)
     if ns.theorem == "1":
         structure = constructors.build_thm1_structure(scr)
     else:
         if witness is None:
-            witness = conditions.find_shared_ordering(scr, cap=ns.cap or caps["ordering"])
+            witness = conditions.find_shared_ordering(scr, cap=ns.cap)
         if witness is None:
             _emit(
                 ns,
@@ -416,7 +404,7 @@ def _cmd_construct(ns: argparse.Namespace, caps: dict[str, int]) -> int:
     return code
 
 
-def _cmd_domain(ns: argparse.Namespace, caps: dict[str, int]) -> int:
+def _cmd_domain(ns: argparse.Namespace) -> int:
     if ns.sample:
         payload = _sample_domain(ns)
     else:
@@ -450,7 +438,7 @@ def _sample_domain(ns: argparse.Namespace) -> dict:
     return serialize.economy_to_doc(generators.random_economy_domain(rng, n, k))
 
 
-def _cmd_export_dot(ns: argparse.Namespace, caps: dict[str, int]) -> int:
+def _cmd_export_dot(ns: argparse.Namespace) -> int:
     env = _load_environment(ns)
     dg = build_improvement_digraph(env)
     mss: tuple[str, ...] = ()
@@ -483,10 +471,10 @@ def main(argv: list[str] | None = None) -> int:
     ns = None  # arguments that fail to parse have no --format yet
     try:
         ns = _PARSER.parse_args(argv)
-        return _COMMANDS[ns.command](ns, _caps_from_env())
+        return _COMMANDS[ns.command](ns)
     except (InputError, CapExceeded) as exc:
         code = EXIT_INPUT if isinstance(exc, InputError) else EXIT_CAPPED
-        label = "error" if code == EXIT_INPUT else "search truncated"
+        label = "error" if code == EXIT_INPUT else "search refused"
         report = {"error": str(exc), "path": getattr(exc, "path", None), "exit": code}
         json_out = getattr(ns, "fmt", None) == "json"  # one object that scripts can parse
         print(json.dumps(report) if json_out else f"{label}: {exc}", file=sys.stderr)

@@ -70,7 +70,7 @@ def all_allocations(jobs: Sequence[str]) -> tuple[Allocation, ...]:
 
 def extend_job_preferences(problem: JobRotationProblem) -> Profile:
     """Weak order over all allocations per agent, determined by the own job."""
-    message = f"extension over {problem.n}! allocations exceeds the cap of {EXTENSION_CAP}! "
+    message = f"extension over {problem.n}! allocations exceeds the cap of {EXTENSION_CAP}!"
     CapExceeded.check(problem.n, EXTENSION_CAP, message)
     allocations = all_allocations(problem.jobs)
     alts = tuple(alloc_id(a) for a in allocations)

@@ -18,7 +18,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import pathlib
 import sys
 
@@ -115,7 +114,6 @@ def run_case(main, argv: list[str]) -> tuple[int, str]:
 
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
-    os.environ.pop("ROTAKIT_CAPS", None)
     from rotakit.cli import main as cli_main
 
     GOLDEN.mkdir(exist_ok=True)

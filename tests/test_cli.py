@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import pathlib
@@ -118,18 +119,10 @@ def test_check_efficiency_and_domain(capsys, env_path):
         assert code == 0 and out.strip() == "ok"
 
 
-def test_check_cap_exceeded_exit_code(capsys, env_path, monkeypatch):
-    monkeypatch.setenv("ROTAKIT_CAPS", "ordering=2")
-    code, _, err = _run(capsys, "check", env_path, "--condition", "rotation")
+def test_check_cap_exceeded_exit_code(capsys, env_path):
+    code, _, err = _run(capsys, "check", env_path, "--condition", "rotation", "--cap", "2")
     assert code == 3
-    assert "truncated" in err
-
-
-def test_unknown_cap_name_rejected(capsys, env_path, monkeypatch):
-    monkeypatch.setenv("ROTAKIT_CAPS", "ordring=1")
-    code, _, err = _run(capsys, "check", env_path, "--condition", "rotation")
-    assert code == 1
-    assert "'ordring'" in err and "ordering" in err and "product" in err
+    assert "refused" in err
 
 
 def test_json_format_reports_input_error_as_one_object(capsys, tmp_path):
@@ -191,16 +184,16 @@ def test_unwritable_out_is_an_input_error(capsys, env_path, tmp_path, argv, targ
     assert code == 1 and out == "" and err == f"error: {report['error']}\n"
 
 
-def test_json_format_reports_cap_refusal_as_one_object(capsys, env_path, monkeypatch):
-    monkeypatch.setenv("ROTAKIT_CAPS", "ordering=1")
-    code, out, err = _run(capsys, "check", env_path, "--condition", "rotation", "--format", "json")
+def test_json_format_reports_cap_refusal_as_one_object(capsys, env_path):
+    argv = ("check", env_path, "--condition", "rotation", "--cap", "1")
+    code, out, err = _run(capsys, *argv, "--format", "json")
     assert code == 3 and out == ""
     assert err.count("\n") == 1
     report = json.loads(err)
     assert report["exit"] == 3 and report["path"] is None
     assert report["error"] and set(report) == {"error", "path", "exit"}
-    code, _, text_err = _run(capsys, "check", env_path, "--condition", "rotation")
-    assert code == 3 and text_err == f"search truncated: {report['error']}\n"
+    code, _, text_err = _run(capsys, *argv)
+    assert code == 3 and text_err == f"search refused: {report['error']}\n"
 
 
 def test_construct_thm1_verify(capsys, env_path):
@@ -483,7 +476,7 @@ def test_every_ordering_command_refuses_a_chosen_set_over_the_cap(capsys, tmp_pa
         ("construct", "--theorem", "4"),
     ):
         code, out, err = _run(capsys, argv[0], str(path), *argv[1:], "--cap", "3")
-        assert (code, out, err) == (3, "", f"search truncated: {message}\n"), argv
+        assert (code, out, err) == (3, "", f"search refused: {message}\n"), argv
     with pytest.raises(CapExceeded, match=message) as got:
         find_shared_ordering(scr_from_doc(doc), cap=3)
     assert (got.value.cap, got.value.needed) == (3, 4)
@@ -613,7 +606,7 @@ def test_domain_sample_refuses_agents_beyond_the_enumeration_cap(capsys, kind, c
     error = f"--sample {kind} beyond {cap} agents is refused"
     assert json.loads(err) == {"error": error, "path": None, "exit": 3}
     code, out, err = _run(capsys, *argv, "--agents", str(cap + 1))
-    assert code == 3 and out == "" and err == f"search truncated: {error}\n"
+    assert code == 3 and out == "" and err == f"search refused: {error}\n"
     code, out, _ = _run(capsys, *argv, "--agents", str(cap))
     assert code == 0 and json.loads(out)["profiles"]
 
@@ -917,12 +910,11 @@ def test_malformed_document_names_json_path(capsys, tmp_path, fixture, where, va
     assert report["path"] == path
 
 
-def test_commands_leave_no_garbage_cycles(monkeypatch):
+def test_commands_leave_no_garbage_cycles():
     """`main` keeps the cyclic collector off for a command, which is safe only while
     refcounting frees the command's data: run with the collector off, neither a run that
     stops at an unreadable file nor any fixture command may leave an unreachable object
     behind.  The parser, which holds cycles, is built once, when the module is imported."""
-    monkeypatch.delenv("ROTAKIT_CAPS", raising=False)
     gc.collect()
     gc.freeze()  # each collection below scans only what the last command left
     gc.disable()
@@ -936,16 +928,13 @@ def test_commands_leave_no_garbage_cycles(monkeypatch):
 
 
 def _fresh_env() -> dict:
-    """The environment of a fresh interpreter that imports this rotakit, with no caps set."""
-    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(rotakit.__file__).parents[1])}
-    env.pop("ROTAKIT_CAPS", None)
-    return env
+    """The environment of a fresh interpreter that imports this rotakit."""
+    return {**os.environ, "PYTHONPATH": str(pathlib.Path(rotakit.__file__).parents[1])}
 
 
-def test_the_parser_built_at_import_serves_every_call_in_a_process(capsys, monkeypatch):
+def test_the_parser_built_at_import_serves_every_call_in_a_process(capsys):
     """`main` parses with the one parser built when the module is imported: in one process,
     a parse failure, then a solve, then a check each print and exit as in a fresh process."""
-    monkeypatch.delenv("ROTAKIT_CAPS", raising=False)
     env = str(ROOT / "fixtures" / "example-environment.json")
     for argv in (
         ["solve", env, "--profile", "Rp", "--concept", "nothing"],
@@ -956,6 +945,73 @@ def test_the_parser_built_at_import_serves_every_call_in_a_process(capsys, monke
                                capture_output=True, text=True, timeout=60)
         assert _run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         assert fresh.returncode == (1 if argv[-1] == "nothing" else 0)
+
+
+def test_no_command_reads_the_environment():
+    """A command's bytes and exit code depend only on its arguments: with ROTAKIT_CAPS set,
+    a variable that once overrode the caps, in a fresh interpreter each search command still
+    prints its golden and exits with the golden's code."""
+    index = json.loads((GOLDEN / "index.json").read_text())
+    names = (
+        "check_example-environment_condition_rotation_format_json",
+        "solve_example-environment_profile_R_concept_generalized_format_json",
+        "construct_example-environment_theorem_4_format_json",
+    )
+    for caps in ("ordering=1,product=1", "ordring"):
+        for name in names:
+            case = index[name]
+            argv = [str(ROOT / a) if a.startswith("fixtures/") else a for a in case["argv"]]
+            fresh = subprocess.run([sys.executable, "-m", "rotakit.cli", *argv],
+                                   env={**_fresh_env(), "ROTAKIT_CAPS": caps},
+                                   capture_output=True, timeout=60)
+            assert hashlib.sha256(fresh.stdout).hexdigest() == case["sha256"], (caps, name)
+            assert (fresh.returncode, fresh.stderr) == (case["exit"], b""), (caps, name)
+    assert [index[name]["exit"] for name in names] == [0, 0, 4]
+
+
+def test_generalized_refuses_selections_beyond_the_product_cap(capsys, tmp_path):
+    """13 two-state improvement cycles are 13 absorbing sets, one of two states each, so a
+    generalized stable set is one of 2**13 = 8,192 selections: past the cap of 4,096."""
+    states, gamma = [], []
+    for i in range(13):
+        states += [{"id": f"a{i}", "outcome": "u"}, {"id": f"b{i}", "outcome": "v"}]
+        gamma += [{"from": f"a{i}", "to": f"b{i}", "coalitions": [[0]]},
+                  {"from": f"b{i}", "to": f"a{i}", "coalitions": [[1]]}]
+    path = tmp_path / "cycles.json"
+    path.write_text(json.dumps({
+        "alternatives": ["u", "v"], "agents": 2, "profiles": [{"id": "R", "ranks": [[1, 0], [0, 1]]}],
+        "rights": {"states": states, "gamma": gamma},
+    }))
+    argv = ("solve", str(path), "--profile", "R", "--format", "json")
+    code, out, err = _run(capsys, *argv, "--concept", "generalized")
+    assert (code, out) == (3, "") and err.count("\n") == 1
+    error = "8192 candidate selections exceed the cap of 4096"
+    assert json.loads(err) == {"error": error, "path": None, "exit": 3}
+    code, out, _ = _run(capsys, *argv, "--concept", "absorbing")
+    assert code == 0
+    assert sorted(json.loads(out)["sets"]) == [[f"a{i}", f"b{i}"] for i in sorted(range(13), key=str)]
+
+
+@pytest.mark.parametrize("argv", [
+    ("export-dot", "--profile", "R"),
+    ("solve", "--profile", "R", "--concept", "mss"),
+], ids=["export-dot", "solve-text"])
+def test_stdout_gets_the_bytes_out_writes(tmp_path, argv):
+    """A body with a non-ASCII state id goes to stdout as the UTF-8 bytes `--out` writes, even
+    where stdout's own encoding cannot encode it."""
+    doc = _fixture_with("example-environment", (("rights", "states", 0, "id"), "é"))
+    for entry in doc["rights"]["gamma"]:
+        entry.update({k: "é" for k in ("from", "to") if entry[k] == "x"})
+    path = tmp_path / "accented.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.txt"
+    command = [sys.executable, "-m", "rotakit.cli", argv[0], str(path), *argv[1:]]
+    env = {**_fresh_env(), "PYTHONIOENCODING": "ascii"}
+    piped = subprocess.run(command, env=env, capture_output=True, timeout=60)
+    written = subprocess.run([*command, "--out", str(out)], env=env, capture_output=True,
+                             timeout=60)
+    assert (piped.returncode, piped.stderr, written.returncode) == (0, b"", 0)
+    assert "é".encode() in piped.stdout and piped.stdout == out.read_bytes()
 
 
 _FIRST_USE = """
@@ -1043,30 +1099,19 @@ def test_commands_leave_the_rights_views_unbuilt(monkeypatch):
     assert {f"construct fixtures/{f}-domain.json --theorem" for f in ("jobs", "marriage")} <= seen
 
 
-_EXAMPLE = _fixture_with("example-environment")
-
-
 @pytest.mark.parametrize(
-    "doc, caps, message, path",
+    "doc, message, path",
     [
-        ([_EXAMPLE], None, "top-level JSON value must be an object", "$"),
-        (_EXAMPLE, "ordering", "ROTAKIT_CAPS: expected name=value, got 'ordering'", None),
-        (_EXAMPLE, "ordering=x", "ROTAKIT_CAPS: bad integer 'x'", None),
-        (_EXAMPLE, "product=0", "caps must be positive", None),
+        ([_fixture_with("example-environment")], "top-level JSON value must be an object", "$"),
         # a profile's own check, named at the field it refuses
         (_fixture_with("example-environment", (("agents",), 0), (("profiles", 0, "ranks"), [])),
-         None, "profile needs at least one agent", "$.agents"),
+         "profile needs at least one agent", "$.agents"),
     ],
-    ids=["top-level-list", "caps-no-equals", "caps-bad-integer", "caps-not-positive",
-         "zero-agents"],
+    ids=["top-level-list", "zero-agents"],
 )
-def test_refusal_is_one_json_line(capsys, tmp_path, monkeypatch, doc, caps, message, path):
+def test_refusal_is_one_json_line(capsys, tmp_path, doc, message, path):
     """Each refusal exits 1 with exactly one line of JSON on stderr, whose message ends
     with `message` and whose path is `path`, and with the same message as text."""
-    if caps is None:
-        monkeypatch.delenv("ROTAKIT_CAPS", raising=False)
-    else:
-        monkeypatch.setenv("ROTAKIT_CAPS", caps)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     argv = ("check", str(bad), "--condition", "maskin")

@@ -16,8 +16,7 @@ INDEX = json.loads((GOLDEN / "index.json").read_text())
 
 
 @pytest.mark.parametrize("name", sorted(INDEX))
-def test_golden_output(name, monkeypatch):
-    monkeypatch.delenv("ROTAKIT_CAPS", raising=False)
+def test_golden_output(name):
     case = INDEX[name]
     code, stdout = run_case(main, case["argv"])
     kept: pathlib.Path = GOLDEN / f"{name}.out"

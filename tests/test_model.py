@@ -215,7 +215,7 @@ def _economy(n_agents, n_houses):
         (_ordering_search, "ordering search over 4 outcomes at 'R' exceeds the cap of 3", 3, 4),
         (_generalized_product, "4 candidate selections exceed the cap of 3", 3, 4),
         (lambda: extend_job_preferences(_jobs(7)),
-         "extension over 7! allocations exceeds the cap of 6! ", 6, 7),
+         "extension over 7! allocations exceeds the cap of 6!", 6, 7),
         (lambda: build_phi(_jobs(6)), "phi over 6 agents exceeds the cap of 5", 5, 6),
         (lambda: _economy(5, 2), "economies beyond 4 agents/houses are refused", 4, 5),
         (lambda: _economy(2, 5), "economies beyond 4 agents/houses are refused", 4, 5),
