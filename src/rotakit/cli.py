@@ -55,9 +55,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--format", dest="fmt", choices=("json", "text"), default="text")
 
     def cap(sp):
-        sp.add_argument(
-            "--cap", type=_positive_int, default=DEFAULT_CAPS["ordering"], help="ordering search cap"
-        )
+        sp.add_argument("--cap", type=_positive_int, default=DEFAULT_CAPS["ordering"],
+                        help="ordering search cap")
 
     sp = sub.add_parser("solve", help="run a solution concept on an environment")
     common(sp)
