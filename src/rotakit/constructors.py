@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .model import Profile, Record, SocialChoiceRule, Verdict
+from .model import Profile, Record, SocialChoiceRule, Verdict, bit_keys, split_bits
 from .conditions import OrderingWitness, coerce_orderings
 from .rights import (
     GRAPH,
@@ -48,28 +48,29 @@ def _five_rule_structure(
     """States Gr(F) plus the bare alternatives, with gamma from the five rules.
 
     `rule1[profile id][z]` lists the chosen alternatives that everyone may
-    move the state (z, R) to.  Each chosen state gets that Rule-1 group and
-    one Rule-2 group per set of agents whose lower contour holds the target;
-    each alternative then gets one Rule-3 and one Rule-4 group.
+    move the state (z, R) to.  Each chosen state gets that Rule-1 group and one Rule-2
+    group per nonempty set of agents whose lower contours at z (`Profile.contour_masks`)
+    hold the target; each alternative then gets one Rule-3 and one Rule-4 group.
     """
     singletons = [frozenset([i]) for i in range(scr.n_agents)]
     everyone = frozenset(singletons)
     alts = scr.alternatives
+    ids = sorted(alts)  # bit j of a contour mask stands for ids[j]
+    bit_of = {x: j for j, x in enumerate(ids)}
     states: list[State] = []
     groups: list[tuple] = []
-    rule2: dict[frozenset, frozenset] = {}  # one object per family, checked once by the builder
+    rule2: dict[int, frozenset] = {}  # by agent bitmask: one object per family, checked once
     for z, p in scr.graph():
         key = graph_state_key(z, p.id)
         states.append(State(key, z, GRAPH, p.id))
         chosen = [graph_state_key(x, p.id) for x in rule1[p.id].get(z, ())]
         groups.append((key, chosen, everyone, RULE1))
-        # x lies in L_i(z, R) exactly when agent i ranks it no better than z
-        floors = [(q.ranks, q.rank(z)) for q in p.prefs]
-        by_family: dict[frozenset, list[str]] = {}
-        for j, x in enumerate(alts):
-            fam = frozenset(singletons[i] for i, (ranks, rz) in enumerate(floors) if ranks[j] >= rz)
-            by_family.setdefault(rule2.setdefault(fam, fam), []).append(x)
-        groups += ((key, targets, fam, RULE2) for fam, targets in by_family.items())
+        lows = [low[bit_of[z]] for low in p.contour_masks]  # agent i's L_i(z, R)
+        for mask, found in split_bits((1 << len(ids)) - 1, lows).items():
+            if mask:  # the targets every agent strictly prefers to z are granted nobody
+                if mask not in rule2:
+                    rule2[mask] = frozenset(k for i, k in enumerate(singletons) if mask >> i & 1)
+                groups.append((key, bit_keys(found, ids), rule2[mask], RULE2))
     graph = [s.key for s in states]
     for x in alts:
         states.append(State(x, x, BASE))

@@ -16,15 +16,13 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from ..model import CapExceeded, InputError, Profile, Record, SocialChoiceRule
+from ..model import CapExceeded, InputError, Profile, Record, SocialChoiceRule, bit_keys, split_bits
 from ..rights import BASE, Coalition, RightsStructure, SocialEnvironment, State, coalition
 from .jobs import alloc_id
 
 ECONOMY_CAP = 4  # agents and houses; the allocation space is enumerated
 
 Assignment = tuple[str, ...]  # per agent: a house or the outside option
-
-_BITS = bytes.maketrans(b"01", b"\0\1")  # a bitset's binary digits, lowest first, as 0/1 flags
 
 
 class Economy(Record):
@@ -164,18 +162,9 @@ class _Kernel:
         )
 
     def split(self, m: int, sets: list[list[int]]) -> dict[int, int]:
-        """The allocations other than m as bitsets, at most one per set of agents: those
-        that lie, for exactly the agents i of the set, in `sets[i]` at i's rank in m."""
-        parts = {0: (1 << len(self.ids)) - 1 & ~(1 << m)}
-        for bit, by_rank, r in zip(self.bits, sets, self.rows[m]):
-            split = {}
-            for agents, found in parts.items():
-                if hit := found & by_rank[r]:
-                    split[agents | bit] = hit
-                if rest := found & ~by_rank[r]:
-                    split[agents] = rest
-            parts = split
-        return parts
+        """The allocations other than m split by `sets[i]` at each agent i's rank in m."""
+        others = (1 << len(self.ids)) - 1 & ~(1 << m)
+        return split_bits(others, [by_rank[r] for by_rank, r in zip(sets, self.rows[m])])
 
 
 def direct_exclusion_core(economy: Economy) -> tuple[str, ...]:
@@ -220,8 +209,7 @@ def exclusion_rights_structure(economy: Economy) -> RightsStructure:
                 fam = families.setdefault(fam, fam)
                 merged[fam] = merged.get(fam, 0) | found
             for fam, found in merged.items():
-                flags = bin(found)[:1:-1].encode().translate(_BITS)  # lowest bit first
-                yield ids[m], [*itertools.compress(ids, flags)], fam, None
+                yield ids[m], bit_keys(found, ids), fam, None
 
     return RightsStructure._build((State(a, a, BASE) for a in ids), groups())
 

@@ -13,8 +13,11 @@ Everything in this module is immutable and pure.
 from __future__ import annotations
 
 from functools import cached_property, reduce
+from itertools import compress
 from operator import and_, or_
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
+
+_FLAGS = bytes.maketrans(b"01", b"\0\1")  # a bitset's binary digits as 0/1 flags
 
 
 class InputError(ValueError):
@@ -277,6 +280,25 @@ class Profile(Record):
                 at_least[r] |= at_least[r + 1]
             table.append(tuple(at_least[r] for r in ranks))
         return tuple(table)
+
+
+def split_bits(found: int, masks: Iterable[int]) -> dict[int, int]:
+    """Parts of the bitset `found`, each keyed by the indices i of the `masks` it lies in."""
+    parts, bit = {0: found}, 1
+    for mask in masks:
+        split = {}
+        for key, part in parts.items():
+            if hit := part & mask:
+                split[key | bit] = hit
+            if rest := part & ~mask:
+                split[key] = rest
+        parts, bit = split, bit << 1
+    return parts
+
+
+def bit_keys(found: int, keys: Sequence) -> list:
+    """The `keys` at the set bits of `found`, lowest bit first."""
+    return [*compress(keys, bin(found)[:1:-1].encode().translate(_FLAGS))]
 
 
 def lower_contour_set(profile: Profile, agent: int, x: str) -> frozenset[str]:

@@ -74,8 +74,9 @@ class CompiledRights(NamedTuple):
     increasing target id, one `(b, p, family, rule)` per gamma entry (a, b): `p` numbers the
     outcome pair (h(a), h(b)), whose outcome ids are `pair_a[p]` and `pair_b[p]`.  Entries
     with equal coalitions share `family`: the frozenset, the coalitions sorted by
-    `coalition_key`, their agent bitmasks, the union of the one-agent masks, and the other
-    masks."""
+    `coalition_key`, their agent bitmasks, the union of the one-agent masks, and the minimal
+    other masks, which meet no one-agent mask: a gain mask holds some coalition's mask
+    exactly when it meets the union or holds a minimal mask."""
 
     states: tuple[tuple, ...]
     keys: tuple[str, ...]
@@ -194,8 +195,10 @@ class RightsStructure:
             if valid not in shared:
                 ordered = tuple(sorted(valid, key=coalition_key))
                 masks = tuple(sum(1 << i for i in k) for k in ordered)
-                multi = tuple(m for m in masks if m & (m - 1))  # two or more agents
-                shared[valid] = valid, ordered, masks, sum(masks) - sum(multi), multi
+                one = sum(m for m in masks if not m & (m - 1))
+                other = [m for m in masks if m & (m - 1) and not m & one]  # two or more agents
+                minimal = tuple(m for m in other if not any(k & m == k != m for k in other))
+                shared[valid] = valid, ordered, masks, one, minimal
             return shared[valid]
 
         def record(fam, where: tuple) -> tuple:
@@ -411,20 +414,26 @@ class ImprovementDigraph:
 def build_improvement_digraph(env: SocialEnvironment) -> ImprovementDigraph:
     """All edges (s, t, K) with K entitled and h(t) strictly preferred by every member.
 
-    One bitmask of strict gainers per outcome pair that gamma uses; then,
-    per gamma entry, in the rows' target order, the target wins when some
-    K of the entry's family has its mask inside the gainers of the entry's
-    pair.  The cost is linear in the gamma entries and outcome pairs, not
-    in the number of state pairs.
+    One bitmask of strict gainers per outcome pair that gamma uses, from one subtraction of
+    packed ranks: agent i's rank sits in bits [w*i, w*i + w), w = b + 1 for b the largest
+    rank's bit length, and adding 2^b - 1 to each field of packed[h(s)] - packed[h(t)] sets
+    its bit b, with no borrow across fields, exactly when agent i ranks h(t) above h(s).
+    Then, per gamma entry in the rows' order, the target wins when the gainers meet the
+    family's one-agent union or hold a minimal mask: linear in entries and outcome pairs.
     """
     rights = env.rights
     core = rights._core
-    gain = [0] * len(core.pair_a)
-    for i, pref in enumerate(env.profile.prefs[: rights.max_agent() + 1]):
-        bit, rank = 1 << i, [pref.rank(h) for h in core.outcomes]
-        gain = [
-            g | bit if rank[b] < rank[a] else g for g, a, b in zip(gain, core.pair_a, core.pair_b)
-        ]
+    ranks = [[*map(p.rank, core.outcomes)] for p in env.profile.prefs[: rights.max_agent() + 1]]
+    bits = max(map(max, ranks), default=0).bit_length()
+    shifts = [(bits + 1) * i for i in range(len(ranks))]  # agent i's field starts at shifts[i]
+    packed = [0] * len(core.outcomes)
+    for shift, row in zip(shifts, ranks):
+        packed = [p | r << shift for p, r in zip(packed, row)]
+    fill, top = sum(((1 << bits) - 1) << s for s in shifts), sum(1 << s + bits for s in shifts)
+    spread = [(packed[a] - packed[t] + fill) & top for a, t in zip(core.pair_a, core.pair_b)]
+    agents = {v: sum(1 << i for i, s in enumerate(shifts) if v >> s + bits & 1) for v in {*spread}}
+    gain = [*map(agents.__getitem__, spread)]
+    del packed, spread  # only `gain` is read from here on
     succ: list[list[int]] = [[] for _ in core.keys]
     pred: list[list[int]] = [[] for _ in core.keys]
     for a, row in enumerate(core.rows):

@@ -9,8 +9,8 @@ library now runs in linear time (among them the early-exit forward BFS
 path search), the string-map digraph construction and the string-keyed
 solvers that the library now runs on int ids, the housing definition
 scans that it now runs on bitmasks, the frozenset-contour condition
-checks and five-rule structure that it now runs on contour bitmasks and
-rank rows, the per-entry rights-block reader that it now runs on one
+checks and five-rule structure that it now runs on contour bitmasks,
+the per-entry rights-block reader that it now runs on one
 shared family per coalition list, the streamed reader whose generator the
 builder's one document loop replaced, the dict compile of a rights structure
 (gamma and provenance dicts beside six-field rows) whose rows are now its
@@ -913,7 +913,7 @@ def string_find_shared_ordering(scr, cap: int) -> OrderingWitness | None:
 
 # ---------------------------------------------------------------------------
 # Reference code: the five-rule structure that rotakit.constructors now
-# builds on rank rows, with Rule 2 read off frozenset lower-contour sets.
+# builds on contour bitmasks, with Rule 2 read off frozenset lower-contour sets.
 
 
 def contour_five_rule_gamma(scr, rule1) -> tuple:

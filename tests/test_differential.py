@@ -1,5 +1,5 @@
 """The int-indexed digraph and solver core, the linear-time paths, the
-housing bitmask kernel, the table-driven condition checks, the rank-row
+housing bitmask kernel, the table-driven condition checks, the contour-split
 five-rule structure, the rights-block reader, the rows as the only store
 of a rights structure's states and gamma (against the dict compile), the
 environment's unknown-outcome refusal and the domains' allocation
@@ -83,13 +83,20 @@ from rotakit.domains import (
     build_phi,
     direct_exclusion_core,
     enumerate_stable_matchings,
+    exclusion_environment,
     exclusion_rights_structure,
     extend_job_preferences,
     house_allocations,
     matching_id,
     matching_profile,
 )
-from rotakit.generators import random_common_best_domain, random_hat_domain, random_marriage_problem
+from rotakit.generators import (
+    random_common_best_domain,
+    random_economy,
+    random_hat_domain,
+    random_marriage_domain,
+    random_marriage_problem,
+)
 from rotakit.model import (
     CapExceeded,
     InputError,
@@ -115,6 +122,7 @@ from rotakit.serialize import (
     is_domain_doc,
     jobs_to_doc,
     load_document,
+    marriage_to_doc,
     rights_from_doc,
     rights_to_doc,
     scr_from_doc,
@@ -219,6 +227,60 @@ def test_digraph_matches_pair_scan_on_sparse_environments():
         assert list(fast.adjacency.items()) == list(ref.adjacency.items())
         assert list(fast.predecessors.items()) == list(ref.predecessors.items())
         assert list(fast.edge_coalitions.items()) == list(ref.edge_coalitions.items())
+
+
+def _field_edge_environments(rng: random.Random):
+    """Every state its own outcome, gamma dense with random families on the first agents, and
+    weak orders whose largest rank is 2^k - 1 or 2^k, the edge of a packed rank field.  The
+    last agents are named by no coalition, one agent is indifferent among all outcomes, and
+    one structure's gamma grants every pair to nobody, so that it names no agent."""
+    for top in (1, 2, 3, 4, 7, 8, 15, 16):
+        n_agents, named = rng.randint(2, 6), rng.randint(1, 3)
+        states = tuple(State(f"s{i}", f"x{i}") for i in range(top + 1 + rng.randint(0, 3)))
+        every = [frozenset(c) for r in (1, 2, 3) for c in itertools.combinations(range(named), r)]
+        gamma = {
+            (a.key, b.key): frozenset(rng.sample(every, rng.randint(1, len(every))))
+            for a in states
+            for b in states
+            if a != b and rng.random() < 0.8
+        }
+        outcomes = [s.outcome for s in states]
+        rows = []
+        for i in range(n_agents):
+            row = [*range(top + 1), *(rng.randint(0, top) for _ in outcomes[top + 1 :])]
+            rng.shuffle(row)
+            rows.append(row if i != 1 else [0] * len(outcomes))
+        profile = Profile.from_ranks("R", outcomes, rows)
+        assert max(map(max, rows)) == top
+        yield SocialEnvironment(RightsStructure(states, gamma), profile)
+        if top == 16:
+            nobody = dict.fromkeys(gamma, frozenset())
+            yield SocialEnvironment(RightsStructure(states, nobody), profile)
+
+
+def _dense_environments():
+    """Sampled economies of 2-4 agents, the Theorem-4 structures of marriage 3x3 and 4x4
+    (8 agents) and of jobs n = 4, and the packed field's edges."""
+    rng = random.Random(36)
+    for n in (2, 3, 4):
+        yield exclusion_environment(random_economy(rng, f"E{n}", n))
+    domains = [marriage_to_doc(random_marriage_domain(rng, n, 2)) for n in (3, 4)]
+    domains.append(jobs_to_doc(random_common_best_domain(rng, 4, 2)))
+    for doc in domains:
+        scr, witness = domain_scr(doc)
+        structure = build_thm4_structure(scr, witness)
+        yield from (SocialEnvironment(structure, p) for p in scr.profiles)
+    yield from _field_edge_environments(rng)
+
+
+def test_digraph_matches_pair_scan_on_dense_environments():
+    sizes = []
+    for env in _dense_environments():
+        fast, ref = build_improvement_digraph(env), pair_scan_digraph(env)
+        assert (fast.succ, fast.pred) == (ref.succ, ref.pred)
+        assert list(fast.edge_coalitions.items()) == list(ref.edge_coalitions.items())
+        sizes.append((env.profile.n_agents, len(env.rights.gamma), len(fast.edge_coalitions)))
+    assert max(sizes) >= (8, 40_000, 1) and any(not entries for _, entries, _ in sizes), sizes
 
 
 def test_gamma_order_does_not_change_digraph_or_document():
@@ -1026,26 +1088,35 @@ def test_ordering_searches_match_string_search():
     assert {1, 2, 6, 24} <= seen, "obstructions must list failures of many orderings"
 
 
+def _weak_order_rules(rng: random.Random, count: int, agents: int, alternatives: int):
+    """Rules on weak orders of 1-`agents` agents over 2-`alternatives` alternatives, declared
+    in a shuffled order, each choosing a random nonempty set at each of 1-3 profiles."""
+    for _ in range(count):
+        n_alts = rng.randint(2, alternatives)
+        alts = tuple(rng.sample([f"a{i}" for i in range(n_alts)], n_alts))
+        n_agents = rng.randint(1, agents)
+        profiles = tuple(
+            random_weak_profile(rng, f"R{j}", alts, n_agents) for j in range(rng.randint(1, 3))
+        )
+        choices = {p.id: rng.sample(alts, rng.randint(1, n_alts)) for p in profiles}
+        yield SocialChoiceRule(profiles, choices), None
+
+
 def test_theorem_structures_match_contour_structures(monkeypatch):
-    """Rule 2 read off rank rows grants what frozenset lower contours grant, and the
+    """Rule 2 split on contour bitsets grants what frozenset lower contours grant, and the
     rows hold what the dict compile of those grants holds, in the same order, for both
-    theorem structures on every fixture, on seeded weak-order rules and on the SCRs
-    of the ordering searches."""
+    theorem structures on every fixture, on seeded weak-order rules of up to 3 agents and
+    of up to 6 agents and 9 alternatives, whose chosen states split their targets into
+    many Rule-2 groups, and on the SCRs of the ordering searches."""
     rng = random.Random(34)
     rules = []
     for path in sorted(FIXTURES.glob("*.json")):
         doc = load_document(str(path))
         rules.append(domain_scr(doc) if is_domain_doc(doc) else (scr_from_doc(doc), None))
-    for _ in range(60):
-        n_alts = rng.randint(2, 5)
-        alts = tuple(rng.sample([f"a{i}" for i in range(n_alts)], n_alts))
-        n_agents = rng.randint(1, 3)
-        profiles = tuple(
-            random_weak_profile(rng, f"R{j}", alts, n_agents) for j in range(rng.randint(1, 3))
-        )
-        choices = {p.id: rng.sample(alts, rng.randint(1, n_alts)) for p in profiles}
-        rules.append((SocialChoiceRule(profiles, choices), None))
+    rules += _weak_order_rules(rng, 60, 3, 5)
     rules += ((scr, None) for scr in _ordering_scrs(31, 1100))
+    rules += _weak_order_rules(random.Random(35), 80, 6, 9)
+    most = 0  # the most Rule-2 groups, distinct families, of one chosen state
     for scr, witness in rules:
         table = _orderings(rng, scr, witness)
         built = [build_thm1_structure(scr), build_thm4_structure(scr, table)]
@@ -1054,7 +1125,10 @@ def test_theorem_structures_match_contour_structures(monkeypatch):
         monkeypatch.undo()
         for fast, ref in zip(built, reference):
             _assert_rows_match_dicts(fast, dict_compiled_rights(*ref), rng)
-    assert len(rules) == 64 + 1100
+        rule2 = {(a, fam) for a, _, fam, rule in built[0].entries() if rule == constructors.RULE2}
+        most = max(most, *Counter(a for a, _ in rule2).values())
+    assert len(rules) == 64 + 1100 + 80
+    assert most >= 8, "some chosen state must split its targets into many Rule-2 groups"
 
 
 def test_rotation_certificates_match_string_certificates_on_every_ordering():

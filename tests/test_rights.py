@@ -1,4 +1,5 @@
 import copy
+import itertools
 import pickle
 import random
 
@@ -14,6 +15,7 @@ from rotakit.rights import (
     State,
     build_improvement_digraph,
     coalition,
+    coalition_key,
     find_myopic_improvement_path,
 )
 from rotakit.serialize import _state_doc, dumps, rights_from_doc
@@ -75,6 +77,43 @@ def test_edge_soundness_random():
             assert e.coalition in env.rights.entitled(e.source, e.target)
             ha, hb = env.outcome(e.source), env.outcome(e.target)
             assert all(env.profile.strictly_prefers(i, hb, ha) for i in e.coalition)
+
+
+def _seeded_families(rng: random.Random, count: int):
+    """Families on 1-5 agents: random ones, and every third one closed upward, as the
+    exclusion rights' families are."""
+    for draw in range(count):
+        n = rng.randint(1, 5)
+        every = [frozenset(c) for r in range(1, n + 1) for c in itertools.combinations(range(n), r)]
+        fam = set(rng.sample(every, rng.randint(1, min(6, len(every)))))
+        if draw % 3 == 0:
+            fam = {c for c in every if any(k <= c for k in fam)}
+        yield n, sorted(fam, key=coalition_key)
+
+
+def test_family_record_keeps_the_minimal_multi_agent_masks_and_every_verdict():
+    """The stored other masks are the minimal ones that meet no one-agent coalition, and at
+    each of the 2^n gain masks, read off a two-state structure whose gainers strictly prefer
+    the target, the edge stands exactly when some coalition lies inside the gainers."""
+    rng, states = random.Random(41), (State("a", "x"), State("b", "y"))
+    sizes = set()
+    for n, ordered in _seeded_families(rng, 150):
+        rights = RightsStructure(states, {("a", "b"): frozenset(ordered)})
+        ((_, _, record, _),) = rights._core.rows[0]
+        masks = [sum(1 << i for i in k) for k in ordered]
+        one = sum(m for m in masks if not m & (m - 1))
+        free = [m for m in masks if m & (m - 1) and not m & one]
+        assert record[3] == one
+        assert record[4] == tuple(m for m in free if not any(k != m and k & m == k for k in free))
+        sizes.add((len(free), len(record[4])))
+        for gain in range(1 << n):  # the other agents are indifferent or prefer the source
+            rows = [(1, 0) if gain >> i & 1 else rng.choice([(0, 0), (0, 1)]) for i in range(n)]
+            env = SocialEnvironment(rights, Profile.from_ranks("R", ("x", "y"), rows))
+            dg = build_improvement_digraph(env)
+            won = tuple(k for k in ordered if all(gain >> i & 1 for i in k))
+            assert dg.has_edge("a", "b") == bool(won)
+            assert dict(dg.edge_coalitions) == ({("a", "b"): won} if won else {})
+    assert any(free > kept > 0 for free, kept in sizes), "some masks must be dropped"
 
 
 def test_path_from_inside_target_is_empty(xyz_structure, xyz_profiles):
