@@ -142,6 +142,8 @@ def _load_scr(ns: argparse.Namespace) -> tuple[SocialChoiceRule, conditions.Orde
     doc = serialize.load_document(ns.file)
     if serialize.is_domain_doc(doc):
         return serialize.domain_scr(doc, ns.rule)
+    if ns.rule is not None:
+        raise InputError(f"--rule {ns.rule!r} applies only to domain documents")
     return serialize.scr_from_doc(doc), None
 
 

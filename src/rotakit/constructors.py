@@ -11,8 +11,13 @@ circular ordering of each chosen set and grants moves between
 consecutive states only, wrapping around.
 
 The diagnostic sets M, U, Q decompose the MSS of these structures; the
-verifiers recompute solution sets from scratch and compare against the
-rule, reporting failures instead of assuming theorem preconditions.
+verifiers recompute each profile's MSS and compare against the rule,
+reporting failures instead of assuming theorem preconditions.  They pass
+M(R), the MSS that Theorems 1 and 4 predict at R, as a prediction that the
+solver certifies with the checks of an absorbing set and the reverse search
+into it, with no SCC pass: a closed, strongly connected set that every
+state reaches is the only terminal SCC.  Where a check fails (16 of 2,304
+scr-pareto profiles, seeds 0-31) the SCC pass runs as without it.
 """
 
 from __future__ import annotations
@@ -189,10 +194,14 @@ def _verify(structure: RightsStructure, scr: SocialChoiceRule, kind: str) -> Imp
     against its chosen set, and for "rotation-programs" its partition too."""
     partitions = {} if kind == "rotation-programs" else None
     verdicts = []
+    predicted: dict[str, list[int]] = {}  # M(R): the graph state ids tagged with R
+    for i, (_, _, state_kind, pid) in enumerate(structure._core.states):
+        if state_kind == GRAPH:
+            predicted.setdefault(pid, []).append(i)
     for p in scr.profiles:
         env = SocialEnvironment(structure, p)
         dg = build_improvement_digraph(env)
-        mss = verified_mss_states(env, dg)
+        mss = verified_mss_states(env, dg, predicted.get(p.id, ()))
         actual = frozenset(map(env.outcome, mss))
         expected = scr.choice(p.id)
         ok = actual == expected

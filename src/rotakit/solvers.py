@@ -116,6 +116,22 @@ def _terminal_sccs(succ: Sequence[Sequence[int]]) -> list[list[int]]:
     return sorted(terminal)
 
 
+def _block_fault(dg: ImprovementDigraph, ids: Sequence[int]) -> str | None:
+    """Why the sorted `ids` are no absorbing set of `dg`, or None: a forward search from the
+    first id and a backward one inside the set must reach every member, and an escape search
+    nothing outside it.  Each search is linear in the set and its edges."""
+    succ, members = dg.succ, set(ids)
+    if not members <= search(succ, ids[:1]):
+        fault = f"fails mutual reachability at {dg.nodes[ids[0]]}"
+    elif len(back := search(dg.pred, ids[:1], members)) < len(members):
+        fault = f"fails mutual reachability at {dg.nodes[min(members - back)]}"
+    elif search(succ, ids) != members:
+        fault = "has an escaping improvement path"
+    else:
+        return None
+    return f"absorbing set {tuple(dg.nodes[s] for s in ids)} {fault}"
+
+
 def compute_absorbing_sets(
     env: SocialEnvironment, digraph: ImprovementDigraph | None = None
 ) -> tuple[tuple[str, ...], ...]:
@@ -123,25 +139,14 @@ def compute_absorbing_sets(
 
     Condition (a), mutual reachability inside each set, and condition (b),
     no improvement path escaping it, are both checked against the digraph
-    after the SCC computation: a forward search from the set's first state
-    must reach every member, a backward search from it that stays inside
-    the set must reach every member too, and nothing may be reachable from
-    the set outside it.  Each search is linear in the set and its edges.
+    after the SCC computation, by `_block_fault`.
     """
     dg = digraph if digraph is not None else build_improvement_digraph(env)
-    succ, keys = dg.succ, dg.nodes
     blocks = []
-    for ids in _terminal_sccs(succ):
-        block, members = tuple(keys[s] for s in ids), set(ids)
-        if not members <= search(succ, ids[:1]):
-            raise RuntimeError(f"absorbing set {block} fails mutual reachability at {block[0]}")
-        back = search(dg.pred, ids[:1], members)
-        for s in ids:
-            if s not in back:
-                raise RuntimeError(f"absorbing set {block} fails mutual reachability at {keys[s]}")
-        if search(succ, ids) != members:
-            raise RuntimeError(f"absorbing set {block} has an escaping improvement path")
-        blocks.append(block)
+    for ids in _terminal_sccs(dg.succ):
+        if fault := _block_fault(dg, ids):
+            raise RuntimeError(fault)
+        blocks.append(tuple(dg.nodes[s] for s in ids))
     return tuple(blocks)
 
 
@@ -168,12 +173,19 @@ def compute_mss(
     return SolutionReport("mss", (mss,), (_outcomes_of(env, mss),), witness)
 
 
-def _verified_mss(env: SocialEnvironment, dg: ImprovementDigraph):
+def _verified_mss(env: SocialEnvironment, dg: ImprovementDigraph, predicted=()):
     """Absorbing sets, the MSS and the next hops into it (`hops_into`), with
     every re-verification check of `compute_mss` (each hop a forward edge,
     every state reached) but without its paths.  Returns (absorbing sets,
     MSS states in declaration order, reverse-BFS order, next hop per state
-    id, -1 inside)."""
+    id, -1 inside).  `predicted`, increasing ids, is the MSS and its one absorbing
+    set, with no SCC pass, when it passes `_block_fault` and every other state has
+    a next hop: it is then the only terminal SCC.  Else the SCC pass runs."""
+    if predicted and not _block_fault(dg, predicted):
+        order, _, hop = hops_into(dg, predicted)  # hop is -1 on the goals alone when it holds
+        if len(order) == len(dg.nodes) and hop.count(-1) == len(predicted):
+            mss = tuple(dg.nodes[s] for s in predicted)
+            return (mss,), mss, order, hop
     blocks = compute_absorbing_sets(env, dg)
     ids = sorted(dg.id_of[s] for b in blocks for s in b)
     keys, succ, inside = dg.nodes, dg.succ, set(ids)
@@ -193,9 +205,11 @@ def _verified_mss(env: SocialEnvironment, dg: ImprovementDigraph):
     return blocks, mss, order, hop
 
 
-def verified_mss_states(env: SocialEnvironment, dg: ImprovementDigraph) -> tuple[str, ...]:
-    """The MSS in declaration order, verified as `compute_mss` does, without paths."""
-    return _verified_mss(env, dg)[1]
+def verified_mss_states(
+    env: SocialEnvironment, dg: ImprovementDigraph, predicted: Sequence[int] = ()
+) -> tuple[str, ...]:
+    """The MSS in declaration order, verified as `_verified_mss` does, without paths."""
+    return _verified_mss(env, dg, predicted)[1]
 
 
 def compute_generalized_stable_sets(

@@ -21,7 +21,9 @@ now runs on `itertools.product`, `Profile.from_shares` and
 `pareto_frontier`, the pairwise `dominates` scan that `pareto_frontier`
 now runs on upper-contour bitmasks, and the pairwise scans with which the
 domain-restriction and efficiency checks now read rank columns and the
-Pareto frontier; differential tests compare the two.
+Pareto frontier, and the implementation verifiers' per-profile loop that
+took every MSS from the SCC pass before it certified the predicted one;
+differential tests compare the two.
 """
 
 from __future__ import annotations
@@ -52,7 +54,15 @@ from rotakit.conditions import (
     RotationVerdict,
     coerce_orderings,
 )
-from rotakit.constructors import RULE1, RULE2, RULE3, RULE4, graph_state_key
+from rotakit.constructors import (
+    RULE1,
+    RULE2,
+    RULE3,
+    RULE4,
+    ImplementationReport,
+    ProfileVerdict,
+    graph_state_key,
+)
 from rotakit.model import (
     CapExceeded,
     DomainRestrictionVerdict,
@@ -74,12 +84,20 @@ from rotakit.rights import (
     ImprovementDigraph,
     ImprovementPath,
     PathStep,
+    SocialEnvironment,
     State,
+    build_improvement_digraph,
     coalition,
     coalition_key,
 )
 from rotakit.serialize import _read
-from rotakit.solvers import PartitionResult, RotationProgramVerdict, SolutionReport
+from rotakit.solvers import (
+    PartitionResult,
+    RotationProgramVerdict,
+    SolutionReport,
+    partition_into_rotation_programs,
+    verified_mss_states,
+)
 
 
 def digraph_adjacency(dg) -> dict[str, set[str]]:
@@ -635,6 +653,25 @@ def string_partition(env, dg, mss_states) -> PartitionResult:
             )
     blocks.sort(key=lambda b: order[b[0]])
     return PartitionResult(True, tuple(blocks))
+
+
+def tarjan_verify(structure, scr, kind: str) -> ImplementationReport:
+    """`constructors._verify` with every profile's MSS from the SCC pass: no profile's
+    graph states are passed as a predicted MSS."""
+    partitions = {} if kind == "rotation-programs" else None
+    verdicts = []
+    for p in scr.profiles:
+        env = SocialEnvironment(structure, p)
+        dg = build_improvement_digraph(env)
+        mss = verified_mss_states(env, dg)
+        actual = frozenset(map(env.outcome, mss))
+        expected = scr.choice(p.id)
+        ok = actual == expected
+        if partitions is not None:
+            partitions[p.id] = part = partition_into_rotation_programs(env, mss, dg)
+            ok = ok and part.ok
+        verdicts.append(ProfileVerdict(p.id, ok, expected, actual))
+    return ImplementationReport(kind, all(v.ok for v in verdicts), tuple(verdicts), partitions)
 
 
 # ---------------------------------------------------------------------------

@@ -270,6 +270,27 @@ def test_scr_not_an_object_is_input_error(capsys, tmp_path):
     assert "$.scr" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "--condition", "maskin"), ("construct", "--theorem", "1")],
+    ids=["check", "construct"],
+)
+def test_rule_on_a_non_domain_document_is_refused(capsys, argv):
+    """A domain document refuses an unknown rule; any rule on a document that is not one is
+    refused too, with exit 1 and a message naming --rule, in both formats."""
+    argv = (argv[0], str(ROOT / "fixtures" / "example-environment.json"), *argv[1:], "--rule",
+            "nonsense")
+    code, out, err = _run(capsys, *argv, "--format", "json")
+    assert code == 1 and out == "" and err.count("\n") == 1
+    report = json.loads(err)
+    assert report == {"error": "--rule 'nonsense' applies only to domain documents",
+                      "path": None, "exit": 1}
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == "" and err == f"error: {report['error']}\n"
+    code, _, err = _run(capsys, argv[0], str(ROOT / "fixtures" / "jobs-domain.json"), *argv[2:])
+    assert code == 1 and "does not apply" in err
+
+
 def test_unknown_flag_rejected(capsys, env_path):
     code, _, err = _run(capsys, "check", env_path, "--condition", "maskin", "--bogus")
     assert code == 1

@@ -64,6 +64,7 @@ from oracles import (
     string_rotation_certificates,
     string_tarjan_sccs,
     string_verify_rotation_monotonicity_with,
+    tarjan_verify,
     terminal_components,
 )
 from rotakit import constructors, solvers
@@ -76,7 +77,12 @@ from rotakit.conditions import (
     rotation_certificates,
     verify_rotation_monotonicity_with,
 )
-from rotakit.constructors import build_thm1_structure, build_thm4_structure
+from rotakit.constructors import (
+    build_thm1_structure,
+    build_thm4_structure,
+    verify_implementation_in_mss,
+    verify_implementation_in_rotation_programs,
+)
 from rotakit.domains import (
     Economy,
     allocation_profile,
@@ -134,6 +140,7 @@ from rotakit.solvers import (
     compute_generalized_stable_sets,
     compute_mss,
     partition_into_rotation_programs,
+    verified_mss_states,
 )
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -1129,6 +1136,92 @@ def test_theorem_structures_match_contour_structures(monkeypatch):
         most = max(most, *Counter(a for a, _ in rule2).values())
     assert len(rules) == 64 + 1100 + 80
     assert most >= 8, "some chosen state must split its targets into many Rule-2 groups"
+
+
+def test_verifiers_match_the_scc_pass_on_every_profile(monkeypatch):
+    """Both implementation verifiers give the report of `tarjan_verify`, which takes every
+    MSS from the SCC pass, on both theorem structures of every fixture, of the SCRs of the
+    ordering searches, of the 506 two-profile census classes and of the scr-pareto and
+    domain-pipelines benchmark documents at a small scale, seeds 0-3.  A recording wrapper
+    sorts each predicted MSS into certified (no SCC pass) and refused (the SCC pass ran):
+    both must occur.  `tarjan_verify` passes no prediction, so none of its calls is sorted."""
+    monkeypatch.syspath_prepend(str(FIXTURES.parent / "bench"))
+    import workloads
+    from test_census import STRICT_ROWS, _census, _scr
+
+    docs = [load_document(str(path)) for path in sorted(FIXTURES.glob("*.json"))]
+    for seed in range(4):
+        for make in (workloads.scr_pareto, workloads.domain_pipelines):
+            docs += make(seed, scale=0.1).docs.values()
+    rules = [domain_scr(doc) if is_domain_doc(doc) else (scr_from_doc(doc), None) for doc in docs]
+    rules += ((scr, None) for scr in _ordering_scrs(31, 1100))
+    rules += ((_scr(key), None) for key in _census(STRICT_ROWS))
+    assert len(rules) == 4 + 4 * 5 + 1100 + 506
+    passes, paths = [], Counter()
+    absorbing, verified = solvers.compute_absorbing_sets, solvers._verified_mss
+
+    def counted(env, dg):
+        passes.append(dg)
+        return absorbing(env, dg)
+
+    def recorded(env, dg, predicted=()):
+        before = len(passes)
+        found = verified(env, dg, predicted)
+        if predicted:
+            paths["refused" if len(passes) > before else "certified"] += 1
+        return found
+
+    monkeypatch.setattr(solvers, "compute_absorbing_sets", counted)
+    monkeypatch.setattr(solvers, "_verified_mss", recorded)
+    rng = random.Random(36)
+    for scr, witness in rules:
+        table = _orderings(rng, scr, witness)
+        for structure in (build_thm1_structure(scr), build_thm4_structure(scr, table)):
+            for verify, kind in (
+                (verify_implementation_in_mss, "mss"),
+                (verify_implementation_in_rotation_programs, "rotation-programs"),
+            ):
+                assert verify(structure, scr) == tarjan_verify(structure, scr, kind)
+    assert paths["certified"] > 0 and paths["refused"] > 0, paths
+
+
+def _edge_environment(keys, edges) -> tuple[SocialEnvironment, ImprovementDigraph]:
+    """States `keys`, each its own outcome, whose improvement edges are exactly `edges`:
+    agent j ranks the target of edge j first and may move alone along it."""
+    gamma = {edge: [[j]] for j, edge in enumerate(edges)}
+    rights = RightsStructure(tuple(State(k, k) for k in keys), gamma)
+    orders = [[b, *(k for k in keys if k != b)] for _, b in edges]
+    env = SocialEnvironment(rights, Profile.from_orders("R", keys, orders))
+    return env, build_improvement_digraph(env)
+
+
+@pytest.mark.parametrize(
+    "keys, edges, predicted, fault",
+    [
+        # a <-> b, and b -> c leaves the prediction
+        ("abc", ["ab", "ba", "bc"], "ab", "has an escaping improvement path"),
+        # two disjoint 2-cycles given as one block: a forward search from a misses c and d
+        ("abcd", ["ab", "ba", "cd", "dc"], "abcd", "fails mutual reachability at a"),
+        # one terminal SCC {a, b}, and a second sink c that never reaches it
+        ("abcd", ["ab", "ba", "da", "dc"], "ab", None),
+        # a strict subset of the only terminal SCC, the cycle a -> b -> c -> a
+        ("abcd", ["ab", "bc", "ca", "da"], "ab", "fails mutual reachability at b"),
+        # the sink a has no path back into the rest, the cycle b <-> c that enters it
+        ("abc", ["bc", "cb", "ba"], "abc", "fails mutual reachability at a"),
+    ],
+    ids=["edge-leaves", "two-cycles-as-one", "second-sink", "strict-subset", "no-path-back"],
+)
+def test_a_refused_prediction_gives_the_scc_pass_result(keys, edges, predicted, fault):
+    """A predicted MSS that is not the only terminal SCC is refused by the check named by
+    `fault` (by the search into it where None), and the SCC pass's result is returned."""
+    env, dg = _edge_environment(tuple(keys), [tuple(e) for e in edges])
+    ids = [dg.id_of[k] for k in predicted]
+    found = solvers._block_fault(dg, ids)
+    assert found is None if fault is None else found.endswith(fault), found
+    scc_pass = solvers._verified_mss(env, dg)
+    assert scc_pass[0] != (tuple(predicted),)
+    assert solvers._verified_mss(env, dg, ids) == scc_pass
+    assert verified_mss_states(env, dg, ids) == verified_mss_states(env, dg)
 
 
 def test_rotation_certificates_match_string_certificates_on_every_ordering():
